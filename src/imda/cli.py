@@ -62,6 +62,27 @@ def _cmd_check(args):
         worst = max(worst, dc.finite_diff_check(root))
     report("backward matches central differences", worst < 1e-5, f"max rel err {worst:.2e}")
 
+    # the fused training step against its graph reference, rng draws included
+    ok = True
+    for mode, dropout in (("supervised", 0.0), ("unsupervised", 0.0), ("semi", 0.0),
+                          ("semi", 0.2)):
+        cfg = harness.parse_config(overrides=[f"mode={mode}", "interp_penalty_weight=0.1"])
+        coefs = harness.StepCoefficients.from_config(cfg)
+        arch = models.ArchSpec(rep_widths=(2, 8, 4), pred_widths=(4, 5, 3),
+                               dropout_rate=dropout)
+        for seed in range(3):
+            r = np.random.default_rng(seed)
+            batch = lambda: (r.standard_normal((6, 2)), r.integers(0, 3, 6))
+            args = (models.ModelTriple.init(arch, seed=seed), coefs, r.dirichlet(np.ones(2)),
+                    batch(), r.standard_normal((6, 2)), [batch(), batch()], cfg)
+            rngs = [[np.random.default_rng([seed, k]) for k in range(2)] for _ in range(2)]
+            fused = harness.assemble_gradients(*args, *rngs[0])
+            ref = harness.reference_gradients(*args, *rngs[1])
+            ok &= all(a is None and b is None or a is not None and b is not None
+                      and np.array_equal(a, b) for a, b in zip(fused, ref))
+            ok &= all(a.bit_generator.state == b.bit_generator.state for a, b in zip(*rngs))
+    report("fused step equals the graph reference bit for bit", ok)
+
     # simplex projection feasibility + idempotence
     ok = True
     for _ in range(200):

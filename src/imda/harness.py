@@ -16,6 +16,14 @@ Gradient assembly per step (coefficients in brackets; skipped when zero):
 
 u and v descend with noise injection, v' ascends without; the ledger
 accumulates eta^2 ||G||^2 / (2 sigma^2) for the u and v blocks.
+
+What the step computes today differs from the formula above in its source
+terms: each "source risk" gradient is that of the last source's batch
+alone, weighted by alpha[-1] (by 1/N in the critic's uniform source term),
+not the alpha-weighted sum over all N sources.  This is a known fault of
+the graph path (dc.flatten_grads assigns per-source gradients instead of
+adding them) that assemble_gradients reproduces bit for bit; the tuned
+pseudo-label behaviour depends on it, so mending it needs a retune.
 """
 
 from __future__ import annotations
@@ -279,10 +287,279 @@ def _acc(total, coef, grad):
     return total + coef * grad
 
 
+# The fused step below performs, array for array, the operations that
+# diffcore.forward and diffcore.backward perform on the graphs built by
+# reference_gradients, in the same order and on arrays of the same layout,
+# so its gradients equal the reference's bit for bit.  Two facts about the
+# graphs make that hold without following the graphs' own traversal: a node
+# with two consumers sums just two adjoints (floating-point addition
+# commutes), and masked_mean's adjoint is float(g) * mask / n.
+
+
+def _layers(vector, relu_flags):
+    return [(vector.view(f"w{i}"), vector.view(f"b{i}"), relu)
+            for i, relu in enumerate(relu_flags)]
+
+
+def _flat(vector, grads):
+    """Named gradients in `vector`'s layout, zero where absent (as
+    dc.flatten_grads lays them out)."""
+    return np.concatenate([grads[name].ravel() if name in grads
+                           else np.zeros(int(np.prod(shape)))
+                           for name, shape, _ in vector.layout])
+
+
+def _nll_adjoint(labels, n_classes, coef, weight):
+    """Adjoint of the log-probabilities under weight * the batch mean of
+    -coef * log p(label)."""
+    labels = np.asarray(labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise risks.RiskError(f"label outside [0, {n_classes})")
+    onehot = np.zeros((labels.shape[0], n_classes))
+    onehot[np.arange(labels.shape[0]), labels] = 1.0
+    return weight * (-coef * onehot) / labels.shape[0]
+
+
+class _Pass:
+    """g(u, x) on one batch, with the predictor and critic applied on demand.
+
+    With an rng, an inverted-dropout mask is drawn after every layer, as
+    the representation graph draws them."""
+
+    def __init__(self, rep, heads, x, rate, rng):
+        self.rep, self.heads = rep, heads
+        self.tape, h = [], x
+        for w, b, relu in rep:
+            pre = h @ w + b
+            out = np.maximum(pre, 0.0) if relu else pre
+            drawn = None
+            if rng is not None:
+                keep = 1.0 - rate
+                drawn = (rng.random(out.shape) < keep) / keep
+                out = out * drawn
+            self.tape.append((h, pre, drawn))
+            h = out
+        self.feat = h
+        self._heads = {}
+
+    def head(self, dup):
+        """(layer tape, log-probabilities, softmax) of the predictor or critic."""
+        if dup not in self._heads:
+            tape, h = [], self.feat
+            for w, b, relu in self.heads[dup]:
+                pre = h @ w + b
+                tape.append((h, pre))
+                h = np.maximum(pre, 0.0) if relu else pre
+            z = h - np.max(h, axis=1, keepdims=True)
+            e = np.exp(z)
+            s = np.sum(e, axis=1, keepdims=True)
+            self._heads[dup] = (tape, z - np.log(s), e / s)
+        return self._heads[dup]
+
+    def head_grads(self, dup, g_out):
+        """(head gradients, features' adjoint) from the log-probabilities'
+        adjoint g_out; the log-softmax adjoint uses the softmax kept by the
+        forward, which equals the one diffcore recomputes from the logits."""
+        tape, _, p = self.head(dup)
+        g = g_out - p * g_out.sum(axis=1, keepdims=True)
+        grads = {}
+        for i in reversed(range(len(tape))):
+            w, _, relu = self.heads[dup][i]
+            h, pre = tape[i]
+            if relu:
+                g = g * (pre > 0.0)
+            grads[f"w{i}"] = h.T @ g
+            grads[f"b{i}"] = g.sum(axis=0)
+            g = g @ w.T
+        return grads, g
+
+    def rep_grads(self, g):
+        """Representation gradients from the features' adjoint g."""
+        grads = {}
+        for i in reversed(range(len(self.rep))):
+            w, _, relu = self.rep[i]
+            h, pre, drawn = self.tape[i]
+            if drawn is not None:
+                g = g * drawn
+            if relu:
+                g = g * (pre > 0.0)
+            grads[f"w{i}"] = h.T @ g
+            grads[f"b{i}"] = g.sum(axis=0)
+            if i:
+                g = g @ w.T
+        return grads
+
+
+def _penalty_grads(layers, x_int):
+    """Critic gradients of the interpolation penalty at x_int: the batch
+    mean of the squared input-gradient norms of the critic's logits, with
+    the ReLU gates at x_int held fixed (risks.interp_penalty_graph)."""
+    gates, h = [], x_int
+    for w, b, relu in layers:
+        h = h @ w + b
+        gates.append((h > 0.0).astype(np.float64) if relu else None)
+        if relu:
+            h = np.maximum(h, 0.0)
+    n = x_int.shape[0]
+    g = np.ones((n, layers[-1][0].shape[1]))
+    inputs = [None] * len(layers)
+    for i in reversed(range(len(layers))):
+        inputs[i] = g
+        g = g @ layers[i][0].T
+        if i > 0 and gates[i - 1] is not None:
+            g = g * gates[i - 1]
+    adj = 2.0 * g * (1.0 * np.ones((n, x_int.shape[1])) / n)
+    grads = {}
+    for i in range(len(layers)):
+        grads[f"w{i}"] = (inputs[i].T @ adj).T
+        if i + 1 < len(layers):
+            adj = adj @ layers[i][0]
+            if gates[i] is not None:
+                adj = adj * gates[i]
+    return grads
+
+
+class _Step:
+    """Parameter views and forward passes shared by the terms of one step.
+
+    Without dropout each batch gets one forward, which every term and the
+    dropout-free evaluation forwards reuse.  With dropout every training
+    forward draws its own masks, as every graph did, and the evaluation
+    forward of a batch is a separate, mask-free pass."""
+
+    def __init__(self, model, rng_dropout):
+        arch = model.arch
+        rate = arch.dropout_rate
+        if rate > 0.0 and not rate < 1.0:
+            raise dc.GraphError(f"dropout rate {rate} outside [0, 1)")
+        self.rate = rate
+        self.rng = rng_dropout if rate > 0.0 else None
+        self.rep = _layers(model.rep, [a == "relu" for a in arch.rep_activations])
+        hidden = arch.pred_activations
+        flags = [i < len(hidden) and hidden[i] == "relu"
+                 for i in range(len(arch.pred_widths) - 1)]
+        self.heads = {False: _layers(model.pred, flags), True: _layers(model.dup, flags)}
+        self.n_classes = arch.n_outputs
+        self.widths = arch.rep_widths[1:]
+        self._passes = {}
+
+    def forward(self, key, x, train=True):
+        rng = self.rng if train else None
+        if rng is not None:
+            return _Pass(self.rep, self.heads, x, self.rate, rng)
+        if key not in self._passes:
+            self._passes[key] = _Pass(self.rep, self.heads, x, self.rate, None)
+        return self._passes[key]
+
+    def nll(self, fwd, dup, labels, coef=1.0, weight=1.0):
+        """(head gradients, features' adjoint) of weight * the batch mean
+        of -coef * log p(label) under the predictor (dup: the critic)."""
+        g_out = _nll_adjoint(labels, self.n_classes, coef, weight)
+        return fwd.head_grads(dup, g_out)
+
+    def last_source(self, source_batches):
+        """The forward a source-risk term's gradient is taken from.
+
+        Known fault, reproduced on purpose: dc.flatten_grads assigns each
+        named gradient instead of adding it, and risks.source_risk_graph
+        gives every source its own parameter nodes, so the graph path's
+        source-risk gradients hold only the last source's batch, scaled by
+        that source's weight.  Earlier sources only draw their dropout
+        masks, after the last source's and in reverse order, as the graph's
+        topological order draws them."""
+        fwd = self.forward("source", source_batches[-1][0])
+        if self.rng is not None:
+            for x, _ in reversed(source_batches[:-1]):
+                for width in self.widths:
+                    self.rng.random((x.shape[0], width))
+        return fwd
+
+
 def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
                        source_batches, cfg, rng_dropout, rng_penalty):
     """One step of mini-max gradient assembly; returns flat (g_u, g_v, g_vp),
-    each None when that block receives no gradient."""
+    each None when that block receives no gradient.
+
+    A hand-written forward and backward pass equal bit for bit to
+    reference_gradients, dropout masks and penalty interpolates included.
+    Batches are taken as finite: run checks them once, before training."""
+    if model.arch.mode != "classification":
+        raise risks.RiskError("the training step needs classification mode")
+    uses_v = coefs.target_main > 0.0 or coefs.pseudo > 0.0 or coefs.source_main > 0.0
+    uses_vp = coefs.critic_target > 0.0 or coefs.pseudo > 0.0 or coefs.critic_source > 0.0
+    for used, block, name in ((uses_v or uses_vp, model.rep, "representation"),
+                              (uses_v, model.pred, "predictor"),
+                              (uses_vp, model.dup, "critic")):
+        if used and not np.all(np.isfinite(block.values)):
+            raise dc.GraphShapeError(f"non-finite entries in the {name} parameters")
+    step = _Step(model, rng_dropout)
+    g_u = g_v = g_vp = None
+
+    if coefs.target_main > 0.0:
+        fwd = step.forward("target", target_batch[0])
+        grads, g_feat = step.nll(fwd, False, target_batch[1])
+        g_u = _acc(g_u, coefs.target_main, _flat(model.rep, fwd.rep_grads(g_feat)))
+        g_v = _acc(g_v, coefs.target_main, _flat(model.pred, grads))
+
+    if coefs.critic_target > 0.0:
+        fwd = step.forward("target", target_batch[0])
+        grads, g_feat = step.nll(fwd, True, target_batch[1])
+        g_u = _acc(g_u, coefs.critic_target, _flat(model.rep, fwd.rep_grads(g_feat)))
+        g_vp = _acc(g_vp, coefs.critic_target, _flat(model.dup, grads))
+
+    if coefs.pseudo > 0.0:
+        # pseudo labels from the dropout-free forward at the current parameters
+        evaluation = step.forward("unlabeled", unlabeled_x, train=False)
+        y_hat = np.argmax(evaluation.head(False)[1], axis=1)
+        y_hat_dup = np.argmax(evaluation.head(True)[1], axis=1)
+        fwd = step.forward("unlabeled", unlabeled_x)
+        dup_grads, g_feat_dup = step.nll(fwd, True, y_hat, coef=float(cfg.w1_discri_coef1))
+        grads, g_feat = step.nll(fwd, False, y_hat_dup, coef=float(cfg.w1_discri_coef2))
+        rep_grads = fwd.rep_grads(g_feat_dup + g_feat)
+        g_u = _acc(g_u, coefs.pseudo, _flat(model.rep, rep_grads))
+        g_v = _acc(g_v, coefs.pseudo, _flat(model.pred, grads))
+        g_vp = _acc(g_vp, coefs.pseudo, _flat(model.dup, dup_grads))
+
+    if coefs.source_main > 0.0 or coefs.critic_source > 0.0:
+        alpha = risks.check_simplex(alpha, n=len(source_batches))
+        y_last = source_batches[-1][1]
+
+    if coefs.source_main > 0.0:
+        fwd = step.last_source(source_batches)
+        grads, g_feat = step.nll(fwd, False, y_last, weight=float(alpha[-1]))
+        g_u = _acc(g_u, coefs.source_main, _flat(model.rep, fwd.rep_grads(g_feat)))
+        g_v = _acc(g_v, coefs.source_main, _flat(model.pred, grads))
+
+    if coefs.critic_source > 0.0:
+        # reversed for u (mini-max) under the learned weights
+        fwd = step.last_source(source_batches)
+        _, g_feat = step.nll(fwd, True, y_last, weight=float(alpha[-1]))
+        g_u = _acc(g_u, -coefs.critic_source, _flat(model.rep, fwd.rep_grads(g_feat)))
+        # the critic's own source term is unweighted (uniform over sources),
+        # so it stays calibrated on every source even when the weights
+        # concentrate; this is the update rule's literal source subscript
+        fwd = step.last_source(source_batches)
+        grads, _ = step.nll(fwd, True, y_last, weight=1.0 / len(source_batches))
+        g_vp = _acc(g_vp, -coefs.critic_source, _flat(model.dup, grads))
+
+    if g_vp is not None and cfg.interp_penalty_weight > 0.0:
+        if coefs.pseudo > 0.0 and unlabeled_x is not None:
+            tgt_feats = step.forward("unlabeled", unlabeled_x, train=False).feat
+        else:
+            tgt_feats = step.forward("target", target_batch[0], train=False).feat
+        src_x = np.concatenate([x for x, _ in source_batches])
+        src_feats = step.forward("all sources", src_x, train=False).feat
+        x_int = risks.interpolate_features(tgt_feats, src_feats, rng_penalty)
+        g_vp = _acc(g_vp, -cfg.interp_penalty_weight,
+                    _flat(model.dup, _penalty_grads(step.heads[True], x_int)))
+
+    return g_u, g_v, g_vp
+
+
+def reference_gradients(model, coefs, alpha, target_batch, unlabeled_x,
+                        source_batches, cfg, rng_dropout, rng_penalty):
+    """assemble_gradients on diffcore graphs built by the risks.*_graph
+    builders: the reference the fused step is tested against."""
     g_u = g_v = g_vp = None
     train_rng = rng_dropout if model.arch.dropout_rate > 0.0 else None
 
@@ -400,6 +677,17 @@ def run(cfg, datasets=None):
     needs_target = coefs.target_main > 0.0 or coefs.critic_target > 0.0
     if needs_target and (target_x is None or target_x.shape[0] == 0):
         raise ConfigError("this regime needs labeled target data")
+    # the step takes its batches as finite; check the arrays it draws from once
+    used = []
+    if coefs.source_main > 0.0 or coefs.critic_source > 0.0:
+        used += [(f"source {i + 1}", x) for i, (x, _) in enumerate(train.sources)]
+    if needs_target:
+        used.append(("labeled target", target_x))
+    if coefs.pseudo > 0.0:
+        used.append(("unlabeled target", unlabeled_x))
+    for name, x in used:
+        if not np.all(np.isfinite(x)):
+            raise RunError(f"non-finite entries in the {name} features")
 
     alpha_active = cfg.alignment and n_sources > 1 and cfg.epochs > cfg.warmup_epochs
     if cfg.noiseless and alpha_active and cfg.lambda_r is None:
@@ -504,15 +792,7 @@ def run(cfg, datasets=None):
             base = base / (1.0 + k / cfg.eta_decay_steps)
         return base
 
-    total_steps = cfg.epochs * steps
-    eta_u_sched = [_rate(cfg.eta_u, e, k, cfg.u_ramp_epochs)
-                   for e in range(1, cfg.epochs + 1) for k in
-                   range((e - 1) * steps, e * steps)] or cfg.eta_u
-    eta_v_sched = [_rate(cfg.eta_v, e, k, cfg.v_ramp_epochs)
-                   for e in range(1, cfg.epochs + 1) for k in
-                   range((e - 1) * steps, e * steps)] or cfg.eta_v
-    sgld = optimizer.SgldConfig(eta_u=eta_u_sched, eta_v=eta_v_sched,
-                                sigma=cfg.sigma, noiseless=cfg.noiseless)
+    sgld = optimizer.SgldConfig(sigma=cfg.sigma, noiseless=cfg.noiseless)
     last_batch_risks = None
     for epoch in range(1, cfg.epochs + 1):
         for _ in range(steps):
@@ -523,8 +803,8 @@ def run(cfg, datasets=None):
                 g_u, g_v, g_vp = assemble_gradients(
                     model, coefs, alpha, target_batch, unl_batch,
                     source_batches, cfg, rng_dropout, rng_penalty)
-                eta_u = sgld.rate("u", step_index)
-                eta_v = sgld.rate("v", step_index)
+                eta_u = _rate(cfg.eta_u, epoch, step_index, cfg.u_ramp_epochs)
+                eta_v = _rate(cfg.eta_v, epoch, step_index, cfg.v_ramp_epochs)
                 sigma = sgld.noise_std(step_index)
                 if g_vp is not None:
                     model.dup = optimizer.duplicate_ascent_step(

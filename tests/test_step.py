@@ -1,0 +1,185 @@
+"""The fused training step against its graph reference.
+
+harness.assemble_gradients is hand-written numpy; harness.reference_gradients
+builds and differentiates diffcore graphs.  They must agree bit for bit,
+including the dropout and penalty rng draws, on states that evolve through
+real training runs, and a run must write the same bytes with either.
+"""
+
+import copy
+import os
+
+import numpy as np
+import pytest
+
+from imda import cli, data, diffcore as dc, harness, models, risks
+from imda.harness import parse_config, run
+
+STEPS = ["domain_size=200", "labeled_target_size=60", "batch_size=20",
+         "epochs=3", "steps_per_epoch=70", "warmup_epochs=1"]
+
+REGIMES = {
+    "supervised": ["mode=supervised"],
+    "unsupervised": ["mode=unsupervised"],
+    "semi": ["mode=semi"],
+    "alignment_off": ["mode=semi", "alignment=off"],
+    "dropout": ["mode=semi", "dropout=0.1"],
+    "penalty_unsupervised_dropout": ["mode=unsupervised", "dropout=0.1",
+                                     "interp_penalty_weight=0.1"],
+    "penalty_supervised": ["mode=supervised", "interp_penalty_weight=0.2"],
+    "penalty_supervised_dropout": ["mode=supervised", "dropout=0.2",
+                                   "interp_penalty_weight=0.2"],
+    "one_source": ["mode=semi", "source_angles=15"],
+    "three_sources": ["mode=semi", "source_angles=15,45,75", "dropout=0.1"],
+}
+
+
+def same(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return np.array_equal(a, b)
+
+
+def compare_on_the_way(monkeypatch):
+    """Patch the run's step to compute both paths from identically seeded
+    rngs, record every disagreement, and train on the fused gradients."""
+    fused = harness.assemble_gradients
+    log = {"steps": 0, "diffs": []}
+
+    def both(model, coefs, alpha, target, unlabeled, sources, cfg, rng_dropout, rng_penalty):
+        ref_dropout, ref_penalty = copy.deepcopy(rng_dropout), copy.deepcopy(rng_penalty)
+        ref = harness.reference_gradients(model, coefs, alpha, target, unlabeled, sources,
+                                          cfg, ref_dropout, ref_penalty)
+        out = fused(model, coefs, alpha, target, unlabeled, sources, cfg,
+                    rng_dropout, rng_penalty)
+        for block, a, b in zip(("u", "v", "v'"), out, ref):
+            if not same(a, b):
+                log["diffs"].append((log["steps"], block))
+        for name, a, b in (("dropout", rng_dropout, ref_dropout),
+                           ("penalty", rng_penalty, ref_penalty)):
+            if a.bit_generator.state != b.bit_generator.state:
+                log["diffs"].append((log["steps"], f"rng {name}"))
+        log["steps"] += 1
+        return out
+
+    monkeypatch.setattr(harness, "assemble_gradients", both)
+    return log
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_fused_equals_reference_on_evolving_states(regime, tmp_path, monkeypatch):
+    log = compare_on_the_way(monkeypatch)
+    run(parse_config(overrides=STEPS + REGIMES[regime] + [f"outdir={tmp_path}"]))
+    assert log["steps"] >= 200
+    assert log["diffs"] == []
+
+
+@pytest.mark.parametrize("mode", ["supervised", "unsupervised", "semi"])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_fused_equals_reference_with_hidden_predictor_layers(mode, dropout):
+    """run builds a one-layer predictor; the step also takes deeper ones."""
+    cfg = parse_config(overrides=[f"mode={mode}", "interp_penalty_weight=0.3",
+                                  "source_angles=10,40,80"])
+    coefs = harness.StepCoefficients.from_config(cfg)
+    arch = models.ArchSpec(rep_widths=(2, 6, 5), pred_widths=(5, 7, 4, 3),
+                           dropout_rate=dropout)
+    for seed in range(20):
+        r = np.random.default_rng(seed)
+        sources = []
+        for _ in range(3):
+            n = int(r.integers(5, 9))
+            sources.append((r.standard_normal((n, 2)), r.integers(0, 3, n)))
+        args = (models.ModelTriple.init(arch, seed=seed), coefs, r.dirichlet(np.ones(3)),
+                (r.standard_normal((6, 2)), r.integers(0, 3, 6)),
+                r.standard_normal((7, 2)), sources, cfg)
+        rngs = [[np.random.default_rng([seed, k]) for k in range(2)] for _ in range(2)]
+        fused = harness.assemble_gradients(*args, *rngs[0])
+        ref = harness.reference_gradients(*args, *rngs[1])
+        assert all(same(a, b) for a, b in zip(fused, ref))
+        assert all(a.bit_generator.state == b.bit_generator.state for a, b in zip(*rngs))
+
+
+@pytest.mark.parametrize("mode", ["supervised", "unsupervised", "semi"])
+def test_run_outputs_byte_identical_to_reference_run(mode, tmp_path, monkeypatch):
+    overrides = [f"mode={mode}", "domain_size=200", "labeled_target_size=60",
+                 "batch_size=20", "epochs=3", "steps_per_epoch=30", "warmup_epochs=1"]
+    if mode == "unsupervised":
+        overrides.append("dropout=0.1")
+    run(parse_config(overrides=overrides + [f"outdir={tmp_path}/fused"]))
+    monkeypatch.setattr(harness, "assemble_gradients", harness.reference_gradients)
+    run(parse_config(overrides=overrides + [f"outdir={tmp_path}/reference"]))
+    for name in ("metrics.csv", "alpha.csv", "ledger.csv", "bound.csv"):
+        with open(tmp_path / "fused" / name, "rb") as fh:
+            fused = fh.read()
+        with open(tmp_path / "reference" / name, "rb") as fh:
+            assert fh.read() == fused, name
+
+
+# ---------------------------------------------------------------------------
+# bad inputs
+
+
+def step_args(mode="semi", dropout=0.0):
+    cfg = parse_config(overrides=[f"mode={mode}"])
+    arch = models.ArchSpec(rep_widths=(2, 4), pred_widths=(4, 2), dropout_rate=dropout)
+    r = np.random.default_rng(0)
+    batch = lambda: (r.standard_normal((5, 2)), r.integers(0, 2, 5))
+    return [models.ModelTriple.init(arch, seed=0), harness.StepCoefficients.from_config(cfg),
+            np.array([0.5, 0.5]), batch(), r.standard_normal((5, 2)), [batch(), batch()], cfg,
+            np.random.default_rng(1), np.random.default_rng(2)]
+
+
+@pytest.mark.parametrize("block", ["rep", "pred", "dup"])
+def test_non_finite_parameters_rejected(block):
+    args = step_args()
+    getattr(args[0], block).values[3] = np.inf
+    with pytest.raises(dc.GraphShapeError, match="non-finite"):
+        harness.assemble_gradients(*args)
+
+
+def test_off_simplex_weights_rejected():
+    args = step_args()
+    args[2] = np.array([0.7, 0.7])
+    with pytest.raises(risks.RiskError, match="simplex"):
+        harness.assemble_gradients(*args)
+
+
+def test_label_out_of_range_rejected():
+    args = step_args()
+    x, y = args[3]
+    args[3] = (x, np.where(np.arange(y.size) == 0, 2, y))
+    with pytest.raises(risks.RiskError, match="label outside"):
+        harness.assemble_gradients(*args)
+
+
+def test_dropout_rate_outside_unit_interval_rejected():
+    with pytest.raises(dc.GraphError, match="dropout rate"):
+        harness.assemble_gradients(*step_args(dropout=1.5))
+
+
+def test_nan_in_used_training_data_exits_three(tmp_path):
+    rng = np.random.default_rng(0)
+    for i in range(2):
+        x = rng.standard_normal((40, 2)) + i
+        if i == 1:
+            x[7, 0] = np.nan
+        data.write_csv(tmp_path / f"s{i}.csv", x, rng.integers(0, 2, 40))
+    data.write_csv(tmp_path / "t.csv", rng.standard_normal((30, 2)), rng.integers(0, 2, 30))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = supervised\ndata = csv\n"
+                   f"source_csvs = {tmp_path}/s0.csv,{tmp_path}/s1.csv\n"
+                   f"target_csv = {tmp_path}/t.csv\nepochs = 1\nwarmup_epochs = 1\n"
+                   f"outdir = {tmp_path}/out\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 3
+    with pytest.raises(harness.RunError, match="source 2"):
+        run(parse_config(str(cfg)))
+
+
+def test_overflowing_parameters_name_epoch_and_step(tmp_path):
+    cfg = parse_config(overrides=["mode=semi", "eta_u=1e300", "epochs=1",
+                                  "domain_size=100", "labeled_target_size=40",
+                                  f"outdir={tmp_path}"])
+    with np.errstate(all="ignore"), pytest.raises(harness.RunError,
+                                                  match=r"epoch 1, step \d+: "):
+        run(cfg)
+    assert not os.path.exists(tmp_path / "metrics.csv")
