@@ -84,7 +84,6 @@ _SCHEMA = {
     "steps_per_epoch": ("int", 0),
     "seed": ("int", 0),
     "alignment": ("bool", True),
-    "alpha_batch_risks": ("bool", False),
     "bound_sigma": ("float", 1.0),
     "r_star": ("float", 0.0),
     "r_star_rep": ("float", 0.0),
@@ -198,10 +197,19 @@ def parse_config(path=None, overrides=()):
     for key in ("eta_u", "eta_v", "eta_dup"):
         if values[key] <= 0:
             raise ConfigError(f"{key} must be > 0")
-    if not values["noiseless"] and values["sigma"] <= 0:
-        raise ConfigError("sigma must be > 0 unless noiseless")
+    sigma = values["sigma"]
+    if not values["noiseless"] and not (sigma > 0 and 2.0 * sigma * sigma > 0):
+        raise ConfigError("sigma must be > 0, with 2*sigma^2 > 0 in floating "
+                          "point, unless noiseless")
     if values["epochs"] < 0 or values["batch_size"] < 1:
         raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+    for key in ("steps_per_epoch", "warmup_epochs"):
+        if values[key] < 0:
+            raise ConfigError(f"{key} must be >= 0")
+    if not values["rep_widths"] or min(values["rep_widths"]) < 1:
+        raise ConfigError("rep_widths must list at least one width, each >= 1")
+    if not 0.0 <= values["dropout"] < 1.0:
+        raise ConfigError("dropout must be in [0, 1)")
     if not 0.0 < values["moving_average"] < 1.0:
         raise ConfigError("moving_average must be in (0, 1)")
     return ExperimentConfig(values=values)
@@ -312,12 +320,8 @@ def _flat(vector, grads):
 def _nll_adjoint(labels, n_classes, coef, weight):
     """Adjoint of the log-probabilities under weight * the batch mean of
     -coef * log p(label)."""
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise risks.RiskError(f"label outside [0, {n_classes})")
-    onehot = np.zeros((labels.shape[0], n_classes))
-    onehot[np.arange(labels.shape[0]), labels] = 1.0
-    return weight * (-coef * onehot) / labels.shape[0]
+    onehot = risks._onehot(labels, n_classes)
+    return weight * (-coef * onehot) / onehot.shape[0]
 
 
 class _Pass:
@@ -635,11 +639,6 @@ def reference_gradients(model, coefs, alpha, target_batch, unlabeled_x,
 # the run
 
 
-METRIC_BASE_COLUMNS = ("epoch", "acc_target", "r_target", "r_source_alpha",
-                       "w1_sup", "w1_pseudo", "combined", "lambda_r",
-                       "delta_u", "delta_v", "risk_bound_total")
-
-
 @dataclass
 class RunResult:
     model: models.ModelTriple
@@ -730,23 +729,38 @@ def run(cfg, datasets=None):
 
     metrics_rows, alpha_rows = [], []
 
-    def record(epoch):
+    def labeled_risks(x, y):
+        """(predictor risk, critic risk) on one labeled set from one
+        representation pass: the floats risks.empirical_risk_target gives."""
+        feat = model.represent(x)
+        return risks.nll(model.predict(feat), y), risks.nll(model.predict(feat, dup=True), y)
+
+    def source_risks():
+        """Per-source risks of v and v' at the current parameters; they do
+        not depend on alpha, so the alpha solve and record share them."""
+        return zip(*(labeled_risks(x, y) for x, y in train.sources))
+
+    def record(epoch, r_v, r_vp):
+        """Append the epoch's metrics and alpha rows; returns the epoch's
+        BoundReport (None without a ledger)."""
         row = {"epoch": epoch}
         row["acc_target"] = evaluate(model, *test.target)
         for i, (x, y) in enumerate(test.sources):
             row[f"acc_src_{i + 1}"] = evaluate(model, x, y)
-        rs, per_src = risks.empirical_risk_sources(model, train.sources, alpha)
+        # the operations of risks.empirical_risk_sources and w1_dual_*, in
+        # their order, so the row holds the floats they return
+        rs = float(np.dot(alpha, r_v))
+        rs_dup = float(np.dot(alpha, r_vp))
         row["r_source_alpha"] = rs
-        for i, r in enumerate(per_src):
+        for i, r in enumerate(r_v):
             row[f"r_src_{i + 1}"] = r
         rt = w1s = w1p = None
         if needs_target:
-            rt = risks.empirical_risk_target(model, target_x, target_y)
-            w1s = risks.w1_dual_supervised(model, (target_x, target_y),
-                                           train.sources, alpha)
+            rt, rt_dup = labeled_risks(target_x, target_y)
+            w1s = rt_dup - rs_dup
         if coefs.pseudo > 0.0:
-            w1p = risks.w1_dual_pseudo(model, unlabeled_x, train.sources, alpha,
-                                       cfg.w1_discri_coef1, cfg.w1_discri_coef2)
+            w1p = risks.pseudo_label_risk(model, unlabeled_x, cfg.w1_discri_coef1,
+                                          cfg.w1_discri_coef2) - rs_dup
         row["r_target"] = rt
         row["w1_sup"] = w1s
         row["w1_pseudo"] = w1p
@@ -755,7 +769,7 @@ def run(cfg, datasets=None):
         else:
             combined = None
         row["combined"] = combined
-        lam = du = dv = total = None
+        lam = du = dv = report = None
         if ledger is not None:
             du, dv = ledger.delta_u, ledger.delta_v
             lam = alpha_solver.adaptive_reg_weight(eps, tau, cfg.c1, du, dv)
@@ -766,20 +780,21 @@ def run(cfg, datasets=None):
                 m=m_sizes, epsilon=eps, tau=tau, alpha=alpha,
                 delta_u=du, delta_v=dv,
                 r_star=cfg.r_star, r_star_rep=cfg.r_star_rep)
-            total = theory.training_risk_bound(
-                consts, combined if combined is not None else rs).total
+            report = theory.training_risk_bound(
+                consts, combined if combined is not None else rs)
         elif cfg.lambda_r is not None:
             lam = cfg.lambda_r
         row["lambda_r"] = lam
         row["delta_u"] = du
         row["delta_v"] = dv
-        row["risk_bound_total"] = total
+        row["risk_bound_total"] = report.total if report is not None else None
         for i, a in enumerate(alpha):
             row[f"alpha_{i + 1}"] = float(a)
         metrics_rows.append(row)
         alpha_rows.append([epoch] + [float(a) for a in alpha] + [lam])
+        return report
 
-    record(0)
+    bound = record(0, *source_risks())
     step_index = 0
     # optional schedules: a ramp-in for the representation rate (keeps the
     # reversed source term from shredding features before the critic has
@@ -792,8 +807,7 @@ def run(cfg, datasets=None):
             base = base / (1.0 + k / cfg.eta_decay_steps)
         return base
 
-    sgld = optimizer.SgldConfig(sigma=cfg.sigma, noiseless=cfg.noiseless)
-    last_batch_risks = None
+    sigma = 0.0 if cfg.noiseless else cfg.sigma
     for epoch in range(1, cfg.epochs + 1):
         for _ in range(steps):
             try:
@@ -805,7 +819,6 @@ def run(cfg, datasets=None):
                     source_batches, cfg, rng_dropout, rng_penalty)
                 eta_u = _rate(cfg.eta_u, epoch, step_index, cfg.u_ramp_epochs)
                 eta_v = _rate(cfg.eta_v, epoch, step_index, cfg.v_ramp_epochs)
-                sigma = sgld.noise_std(step_index)
                 if g_vp is not None:
                     model.dup = optimizer.duplicate_ascent_step(
                         model.dup, g_vp, _rate(cfg.eta_dup, epoch, step_index, 0))
@@ -821,32 +834,21 @@ def run(cfg, datasets=None):
                     if ledger is not None:
                         ledger.accumulate("v", eta_v, sigma, float(g_v @ g_v),
                                           step=step_index)
-                if cfg.alpha_batch_risks:
-                    last_batch_risks = (
-                        [risks.empirical_risk_target(model, x, y)
-                         for x, y in source_batches],
-                        [risks.empirical_risk_target(model, x, y, dup=True)
-                         for x, y in source_batches])
                 step_index += 1
             except Exception as exc:
                 if isinstance(exc, (RunError, ConfigError)):
                     raise
                 raise RunError(f"epoch {epoch}, step {step_index}: {exc}") from exc
 
+        r_v, r_vp = source_risks()
         if alpha_active and epoch >= max(cfg.warmup_epochs, 1):
-            if cfg.alpha_batch_risks and last_batch_risks is not None:
-                r_v, r_vp = last_batch_risks
-            else:
-                _, r_v = risks.empirical_risk_sources(model, train.sources, alpha)
-                _, r_vp = risks.empirical_risk_sources(model, train.sources, alpha,
-                                                       dup=True)
             objective = alpha_solver.build_objective(
                 r_v, r_vp, eps, tau, cfg.c0, cfg.c1, ledger, m_sizes,
                 reg_weight_override=cfg.lambda_r)
             solved = alpha_solver.solve_alpha(objective, m_sizes)
             alpha = alpha_solver.moving_average_update(alpha, solved.alpha,
                                                        cfg.moving_average)
-        record(epoch)
+        bound = record(epoch, r_v, r_vp)
 
     outdir = cfg.outdir
     os.makedirs(outdir, exist_ok=True)
@@ -857,8 +859,7 @@ def run(cfg, datasets=None):
     else:
         with open(os.path.join(outdir, "ledger.csv"), "w", newline="") as fh:
             csv.writer(fh).writerow(optimizer.LEDGER_HEADER)
-    _write_bound(os.path.join(outdir, "bound.csv"), metrics_rows[-1], cfg,
-                 train, alpha, ledger, needs_target, coefs)
+    _write_bound(os.path.join(outdir, "bound.csv"), bound)
     return RunResult(model=model, metrics=metrics_rows, alpha_history=alpha_rows,
                      ledger=ledger, outdir=outdir)
 
@@ -892,21 +893,12 @@ def _write_alpha(path, rows, n_sources):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_bound(path, last_row, cfg, train, alpha, ledger, needs_target, coefs):
+def _write_bound(path, report):
+    """The last epoch's BoundReport, one row per term (header only
+    without a ledger)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["term", "value"])
-        if ledger is None:
-            return
-        consts = theory.BoundConstants(
-            sigma=cfg.bound_sigma,
-            m_t=train.target[0].shape[0] if needs_target else 1,
-            m_t_prime=train.target_unlabeled.shape[0] if coefs.pseudo > 0.0 else 1,
-            m=train.source_sizes, epsilon=cfg.epsilon, tau=cfg.tau, alpha=alpha,
-            delta_u=ledger.delta_u, delta_v=ledger.delta_v,
-            r_star=cfg.r_star, r_star_rep=cfg.r_star_rep)
-        empirical = last_row.get("combined")
-        report = theory.training_risk_bound(
-            consts, empirical if empirical is not None else last_row["r_source_alpha"])
-        for name, value in report.csv_rows():
-            writer.writerow([name, _fmt(float(value))])
+        if report is not None:
+            for name, value in report.csv_rows():
+                writer.writerow([name, _fmt(float(value))])

@@ -82,15 +82,6 @@ class ArchSpec:
     def n_outputs(self):
         return self.pred_widths[-1]
 
-    def config_block(self):
-        """key=value lines embeddable in an experiment config."""
-        return "\n".join([
-            "rep_widths = " + ",".join(str(w) for w in self.rep_widths),
-            "pred_widths = " + ",".join(str(w) for w in self.pred_widths),
-            f"dropout = {self.dropout_rate}",
-            f"model_mode = {self.mode}",
-        ])
-
 
 def _init_layers(widths, rng):
     named = []

@@ -30,33 +30,6 @@ class NoiselessLedgerError(OptimizerError):
     pass
 
 
-@dataclass
-class SgldConfig:
-    """Per-step learning rates and noise scale.  eta_u/eta_v/sigma may be
-    floats or sequences indexed by step.  With noiseless=True no noise is
-    injected and the ledger is undefined (reported as absent)."""
-
-    eta_u: object = 0.5
-    eta_v: object = 0.5
-    sigma: object = 1e-3
-    noiseless: bool = False
-
-    def rate(self, which, k):
-        sched = self.eta_u if which == "u" else self.eta_v
-        eta = float(sched[k]) if np.ndim(sched) else float(sched)
-        if eta <= 0:
-            raise OptimizerError(f"learning rate must be positive, got {eta}")
-        return eta
-
-    def noise_std(self, k):
-        if self.noiseless:
-            return 0.0
-        s = float(self.sigma[k]) if np.ndim(self.sigma) else float(self.sigma)
-        if s <= 0:
-            raise OptimizerError(f"noise std must be positive, got {s}")
-        return s
-
-
 def _check_update(params, gradient):
     p = params.values if hasattr(params, "values") else np.asarray(params, dtype=np.float64)
     g = gradient.values if hasattr(gradient, "values") else np.asarray(gradient, dtype=np.float64)

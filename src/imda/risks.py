@@ -100,14 +100,17 @@ def pseudo_labels(model, x):
 def pseudo_label_risk(model, x, coef1, coef2):
     """Two-term pseudo-risk surrogate on unlabeled inputs:
     coef1 * loss(dup predictions, labels from predictor)
-    + coef2 * loss(predictions, labels from dup)."""
+    + coef2 * loss(predictions, labels from dup).
+    The labels are those of pseudo_labels, taken from the same forward."""
     if coef1 < 0 or coef2 < 0:
         raise RiskError("surrogate coefficients must be non-negative")
     x = _check_batch(x)
-    y_hat, y_hat_dup = pseudo_labels(model, x)
+    if model.arch.mode != "classification":
+        raise RiskError("pseudo labels require classification mode")
     feat = model.represent(x)
-    term1 = nll(model.predict(feat, dup=True), y_hat)
-    term2 = nll(model.predict(feat), y_hat_dup)
+    out, out_dup = model.predict(feat), model.predict(feat, dup=True)
+    term1 = nll(out_dup, np.argmax(out, axis=1))
+    term2 = nll(out, np.argmax(out_dup, axis=1))
     return coef1 * term1 + coef2 * term2
 
 

@@ -36,6 +36,24 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, "mode = unsupervised\ntau = 1.0\n")
         assert cli.main(["run", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("rep_widths", ""),
+        ("rep_widths", "32,0"),
+        ("dropout", "1.5"),
+        ("dropout", "-0.1"),
+        ("steps_per_epoch", "-3"),
+        ("warmup_epochs", "-1"),
+        ("sigma", "1e-300"),
+    ])
+    def test_bad_value_exits_two_naming_the_key(self, tmp_path, capsys, key, value):
+        cfg = write_cfg(tmp_path, "mode = semi\n")
+        code = cli.main(["run", "--config", cfg, "--set", f"{key}={value}",
+                         "--set", "epochs=1", "--set", "domain_size=60",
+                         "--set", f"outdir={tmp_path}/out"])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
 
 class TestOracleW1Command:
     def test_known_instance(self, tmp_path, capsys):

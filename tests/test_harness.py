@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from imda import data, diffcore as dc, harness, models, optimizer, risks
+from imda import data, diffcore as dc, harness, models, optimizer, risks, theory
 from imda.harness import ConfigError, parse_config, run
 
 
@@ -150,6 +150,88 @@ class TestRunOutputs:
             rows = {name: float(v) for name, v in list(csv.reader(fh))[1:]}
         total = rows.pop("total")
         assert abs(total - sum(rows.values())) < 1e-9
+
+
+SHARED_EVALUATION_REGIMES = {
+    "supervised": ["mode=supervised"],
+    "unsupervised": ["mode=unsupervised"],
+    "semi": ["mode=semi"],
+    "alignment_off": ["mode=semi", "alignment=off"],
+    "three_sources": ["mode=semi", "source_angles=15,45,75"],
+    "dropout_penalty": ["mode=unsupervised", "dropout=0.1",
+                        "interp_penalty_weight=0.2"],
+}
+
+
+class TestSharedEvaluation:
+    """record(), the alpha solve and bound.csv share one evaluation pass per
+    epoch; its values must equal those of the risks value functions."""
+
+    @pytest.fixture(params=sorted(SHARED_EVALUATION_REGIMES))
+    def finished(self, request, tmp_path):
+        cfg = small_cfg(tmp_path, *SHARED_EVALUATION_REGIMES[request.param])
+        train, test = harness.build_datasets(cfg)
+        return cfg, train, run(cfg, datasets=(train, test))
+
+    def test_last_row_equals_value_functions(self, finished):
+        cfg, train, result = finished
+        model, last = result.model, result.metrics[-1]
+        alpha = np.array([last[f"alpha_{i + 1}"] for i in range(len(train.sources))])
+        rs, per_source = risks.empirical_risk_sources(model, train.sources, alpha)
+        assert last["r_source_alpha"] == rs
+        for i, r in enumerate(per_source):
+            assert last[f"r_src_{i + 1}"] == r
+        if cfg.tau > 0.0:
+            assert last["r_target"] == risks.empirical_risk_target(model, *train.target)
+            assert last["w1_sup"] == risks.w1_dual_supervised(
+                model, train.target, train.sources, alpha)
+        else:
+            assert last["r_target"] is None and last["w1_sup"] is None
+        if cfg.tau < 1.0 and cfg.alignment:
+            assert last["w1_pseudo"] == risks.w1_dual_pseudo(
+                model, train.target_unlabeled, train.sources, alpha,
+                cfg.w1_discri_coef1, cfg.w1_discri_coef2)
+        else:
+            assert last["w1_pseudo"] is None
+
+    def test_bound_csv_equals_recomputed_bound(self, finished):
+        cfg, train, result = finished
+        last = result.metrics[-1]
+        alpha = np.array([last[f"alpha_{i + 1}"] for i in range(len(train.sources))])
+        coefs = harness.StepCoefficients.from_config(cfg)
+        needs_target = coefs.target_main > 0.0 or coefs.critic_target > 0.0
+        consts = theory.BoundConstants(
+            sigma=cfg.bound_sigma,
+            m_t=train.target[0].shape[0] if needs_target else 1,
+            m_t_prime=train.target_unlabeled.shape[0] if coefs.pseudo > 0.0 else 1,
+            m=train.source_sizes, epsilon=cfg.epsilon, tau=cfg.tau, alpha=alpha,
+            delta_u=result.ledger.delta_u, delta_v=result.ledger.delta_v,
+            r_star=cfg.r_star, r_star_rep=cfg.r_star_rep)
+        empirical = (last["combined"] if last["combined"] is not None
+                     else last["r_source_alpha"])
+        report = theory.training_risk_bound(consts, empirical)
+        with open(os.path.join(result.outdir, "bound.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [[name, repr(float(value))] for name, value in report.csv_rows()]
+        assert last["risk_bound_total"] == report.total
+
+    def test_one_representation_pass_per_training_set_per_epoch(self, tmp_path,
+                                                                monkeypatch):
+        cfg = small_cfg(tmp_path, "mode=semi")
+        train, test = harness.build_datasets(cfg)
+        training_sets = [x for x, _ in train.sources] + [train.target[0],
+                                                        train.target_unlabeled]
+        calls = [0] * len(training_sets)
+        represent = models.ModelTriple.represent
+
+        def counting(model, x):
+            for i, s in enumerate(training_sets):
+                calls[i] += x is s
+            return represent(model, x)
+
+        monkeypatch.setattr(models.ModelTriple, "represent", counting)
+        run(cfg, datasets=(train, test))
+        assert calls == [cfg.epochs + 1] * len(training_sets)
 
 
 class TestRegimeGuards:

@@ -28,11 +28,6 @@ class TestArchitecture:
         assert m.predict(m.represent(x)).shape == (2, 2)
         assert m.predict(m.represent(x), dup=True).shape == (2, 2)
 
-    def test_config_block_round_trips_widths(self):
-        arch = ArchSpec(rep_widths=(5, 32, 16), pred_widths=(16, 3))
-        block = arch.config_block()
-        assert "rep_widths = 5,32,16" in block and "pred_widths = 16,3" in block
-
 
 class TestRepresent:
     def test_identity_layer_passes_nonnegative_input(self):

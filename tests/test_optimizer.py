@@ -148,19 +148,3 @@ class TestLedger:
             rows = list(csv.reader(fh))
         assert rows[0] == list(opt.LEDGER_HEADER)
         assert rows[1][0] == "7" and rows[1][1] == "u"
-
-
-class TestSgldConfig:
-    def test_scheduled_rates(self):
-        cfg = opt.SgldConfig(eta_u=[0.5, 0.25], eta_v=0.1, sigma=[0.1, 0.2])
-        assert cfg.rate("u", 1) == 0.25
-        assert cfg.rate("v", 1) == 0.1
-        assert cfg.noise_std(1) == 0.2
-
-    def test_noiseless_flag_zeroes_noise(self):
-        cfg = opt.SgldConfig(noiseless=True)
-        assert cfg.noise_std(0) == 0.0
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(opt.OptimizerError):
-            opt.SgldConfig(eta_u=0.0).rate("u", 0)
