@@ -2,6 +2,9 @@
 """SGLD updates, the gradient-norm ledger they feed, and the
 generalization-bound calculators evaluated from it."""
 
+import os
+import tempfile
+
 import numpy as np
 
 from imda import optimizer as opt, theory
@@ -23,8 +26,9 @@ for k in range(400):
     g = rng.standard_normal(30) / (1 + 0.05 * k)
     ledger.accumulate("u" if k % 2 == 0 else "v", eta=0.1, sigma=sigma,
                       grad_sq_norm=float(g @ g), step=k)
-ledger.write_csv("/tmp/demo_ledger.csv")
-du, dv = opt.replay_ledger_csv("/tmp/demo_ledger.csv")
+path = os.path.join(tempfile.gettempdir(), "demo_ledger.csv")
+ledger.write_csv(path)
+du, dv = opt.replay_ledger_csv(path)
 print(f"live deltas ({ledger.delta_u:.6f}, {ledger.delta_v:.6f}) == replay ({du:.6f}, {dv:.6f}): "
       f"{(du, dv) == (ledger.delta_u, ledger.delta_v)}")
 

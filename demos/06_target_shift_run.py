@@ -3,6 +3,8 @@
 alignment-disabled baseline, with the emitted CSV artifacts."""
 
 import csv
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -18,14 +20,16 @@ RECIPE = [
     "drop_rate=0.5", "seed=22",
 ]
 
+OUT = os.path.join(tempfile.gettempdir(), "demo_imda")
+BASE_OUT = os.path.join(tempfile.gettempdir(), "demo_base")
+
 print("training with joint alignment and learned domain weights ...")
-cfg = harness.parse_config(overrides=RECIPE + ["outdir=/tmp/demo_imda"])
+cfg = harness.parse_config(overrides=RECIPE + [f"outdir={OUT}"])
 result = harness.run(cfg)
 aligned = result.metrics[-1]["acc_target"]
 
 print("training the alignment-disabled uniform-weight baseline ...")
-cfg_base = harness.parse_config(overrides=RECIPE + ["outdir=/tmp/demo_base",
-                                                    "alignment=off"])
+cfg_base = harness.parse_config(overrides=RECIPE + [f"outdir={BASE_OUT}", "alignment=off"])
 baseline = harness.run(cfg_base).metrics[-1]["acc_target"]
 
 print(f"\ntarget accuracy: aligned {aligned:.3f} vs baseline {baseline:.3f} "
@@ -35,7 +39,7 @@ print("\nweight trajectory (epoch, alpha_1, alpha_2):")
 for row in result.alpha_history[::5]:
     print(f"  {row[0]:3d}  {row[1]:.3f}  {row[2]:.3f}")
 
-print("\nemitted files in /tmp/demo_imda: metrics.csv, alpha.csv, ledger.csv, bound.csv")
-with open("/tmp/demo_imda/metrics.csv", newline="") as fh:
+print(f"\nemitted files in {OUT}: metrics.csv, alpha.csv, ledger.csv, bound.csv")
+with open(os.path.join(OUT, "metrics.csv"), newline="") as fh:
     header = next(csv.reader(fh))
 print("metrics.csv columns:", ", ".join(header))

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import alpha_solver, data, diffcore as dc, harness, models, optimizer, risks, theory
 
-_NUMERIC_ERRORS = (optimizer.OptimizerError, alpha_solver.AlphaSolverError,
-                   models.PowerIterationError, theory.TheoryError,
-                   risks.RiskError, dc.GraphError, data.DataError)
+_NUMERIC_ERRORS = (harness.RunError, optimizer.OptimizerError,
+                   alpha_solver.AlphaSolverError, models.PowerIterationError,
+                   theory.TheoryError, risks.RiskError, dc.GraphError, data.DataError)
 
 
 def _cmd_run(args):
@@ -179,18 +179,8 @@ def _cmd_bound(args):
         if du is None or dv is None:
             raise harness.ConfigError(
                 "bound needs delta_u/delta_v config keys or --ledger ledger.csv")
-    if cfg.data == "synthetic":
-        m = np.full(len(cfg.source_angles), cfg.domain_size)
-        m_t, m_tp = max(cfg.labeled_target_size, 1), max(cfg.domain_size, 1)
-    else:
-        train, _ = harness.build_datasets(cfg)
-        m = train.source_sizes
-        m_t = max(train.target[0].shape[0], 1)
-        m_tp = max(train.target_unlabeled.shape[0], 1)
-    consts = theory.BoundConstants(sigma=cfg.bound_sigma, m_t=m_t, m_t_prime=m_tp,
-                                   m=m, epsilon=cfg.epsilon, tau=cfg.tau,
-                                   delta_u=du, delta_v=dv,
-                                   r_star=cfg.r_star, r_star_rep=cfg.r_star_rep)
+    train, _ = harness.build_datasets(cfg)
+    consts = harness.bound_constants(cfg, train, None, du, dv)
     report = theory.training_risk_bound(consts, cfg.empirical_risk)
     print("term,value")
     for name, value in report.csv_rows():
@@ -233,13 +223,6 @@ def main(argv=None):
     except (harness.ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except harness.RunError as exc:
-        cause = exc.__cause__
-        if isinstance(cause, harness.ConfigError):
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -1,8 +1,9 @@
 """Dense 64-bit compute graphs with reverse-mode differentiation.
 
-Small define-then-run engine: build a DAG of `Node` objects, call
-:func:`forward` with input feeds, then :func:`backward` to populate
-adjoints.  Supports exactly what MLP training and the adversarial
+Small define-then-run engine: build a DAG of `Node` objects over `param`
+and `const` leaves, call :func:`forward` to evaluate it, then
+:func:`backward` to populate adjoints (a `const` leaf's adjoint is the
+input gradient).  Supports exactly what MLP training and the adversarial
 objectives need -- affine layers, ReLU, log-softmax, means, masked
 means, constant masks (dropout), matmul/transpose (for input-gradient
 graphs) and a gradient-reversal node that is forward-identity and
@@ -34,9 +35,6 @@ class NonScalarOutputError(GraphError):
 
 
 _node_counter = itertools.count()
-
-# Kinds whose value is supplied rather than computed.
-_LEAF_KINDS = ("input", "param", "const")
 
 
 class Node:
@@ -70,11 +68,6 @@ def _as_f64(a):
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def input_node(name, shape):
-    """Placeholder fed at forward time; `shape` is (rows, cols)."""
-    return Node("input", name=name, shape=tuple(shape))
 
 
 def param(array, name=None):
@@ -239,32 +232,13 @@ def _eval(node, rng):
     raise GraphError(f"unknown op kind '{k}'")
 
 
-def forward(root, feeds=None, rng=None):
-    """Evaluate the graph under `feeds` (input name or node -> array).
-
-    Caches every intermediate value on the nodes for the backward pass
-    and returns the root value.
-    """
-    feeds = feeds or {}
-    named = {}
-    for key, val in feeds.items():
-        if isinstance(key, Node):
-            key.extras["fed"] = _as_f64(val)
-        else:
-            named[key] = _as_f64(val)
+def forward(root, rng=None):
+    """Evaluate the graph, caching every intermediate value on the nodes
+    for the backward pass, and return the root value.  `rng` draws the
+    dropout masks."""
     for node in topo_order(root):
         node.adjoint = None
-        if node.kind == "input":
-            if node.name in named:
-                node.extras["fed"] = named[node.name]
-            if "fed" not in node.extras:
-                _shape_err(node, "no value fed")
-            v = node.extras["fed"]
-            want = node.extras["shape"]
-            if v.shape != want:
-                _shape_err(node, f"fed shape {v.shape}, declared {want}")
-            node.value = v
-        elif node.kind in ("param", "const"):
+        if node.kind in ("param", "const"):
             node.value = node.extras["array"]
         else:
             node.value = _eval(node, rng)
@@ -275,8 +249,8 @@ def backward(root, seed=None):
     """Reverse sweep from root; returns {param node: gradient array}.
 
     `seed` is the adjoint of the root (defaults to 1.0, which requires
-    a scalar root).  Adjoints for every node, inputs included, are left
-    in node.adjoint.
+    a scalar root).  Adjoints for every node, const leaves included, are
+    left in node.adjoint.
     """
     if root.value is None:
         raise BackwardBeforeForwardError("backward called before forward")
@@ -302,7 +276,7 @@ def backward(root, seed=None):
         if k == "param":
             grads[node] = g
             continue
-        if k in ("input", "const"):
+        if k == "const":
             continue
         parents = node.inputs
         if k == "affine":
@@ -351,11 +325,11 @@ def _acc(node, g):
     node.adjoint = g if node.adjoint is None else node.adjoint + g
 
 
-def finite_diff_check(root, feeds=None, step=1e-6, rng=None):
+def finite_diff_check(root, step=1e-6):
     """Max relative error between backward() and central differences,
     taken over every coordinate of every param node of a scalar graph.
     """
-    forward(root, feeds, rng=rng)
+    forward(root)
     if root.value.size != 1:
         raise NonScalarOutputError("finite_diff_check requires a scalar-valued graph")
     grads = backward(root)
@@ -368,15 +342,15 @@ def finite_diff_check(root, feeds=None, step=1e-6, rng=None):
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + step
-            hi = float(forward(root, feeds))
+            hi = float(forward(root))
             flat[i] = keep - step
-            lo = float(forward(root, feeds))
+            lo = float(forward(root))
             flat[i] = keep
             central = (hi - lo) / (2.0 * step)
             an = float(analytic.ravel()[i])
             err = abs(an - central) / (abs(an) + abs(central) + 1e-12)
             worst = max(worst, err)
-    forward(root, feeds)
+    forward(root)
     return worst
 
 

@@ -212,6 +212,11 @@ def parse_config(path=None, overrides=()):
         raise ConfigError("dropout must be in [0, 1)")
     if not 0.0 < values["moving_average"] < 1.0:
         raise ConfigError("moving_average must be in (0, 1)")
+    if values["data"] not in ("synthetic", "csv"):
+        raise ConfigError(f"unknown data kind {values['data']!r} (synthetic | csv)")
+    if values["rep_activation"] not in ("relu", "linear"):
+        raise ConfigError(f"unknown rep_activation {values['rep_activation']!r} "
+                          "(relu | linear)")
     return ExperimentConfig(values=values)
 
 
@@ -229,8 +234,6 @@ def build_datasets(cfg):
             std=cfg.class_std, size=cfg.domain_size,
             labeled_target_size=cfg.labeled_target_size)
         return train, test
-    if cfg.data != "csv":
-        raise ConfigError(f"unknown data kind {cfg.data!r}")
     if not cfg.source_csvs:
         raise ConfigError("csv data needs source_csvs")
     sources = [data.load_csv(p) for p in cfg.source_csvs]
@@ -246,6 +249,9 @@ def build_datasets(cfg):
     train = data.MultiSourceDataset(sources=sources, target=target,
                                     target_unlabeled=unl, n_classes=n_classes, dim=dim)
     test_target = data.load_csv(cfg.test_target_csv) if cfg.test_target_csv else target
+    if test_target[0].shape[0] == 0:
+        raise ConfigError("no test target to evaluate on: test_target_csv (or, "
+                          "without it, target_csv) must hold at least one row")
     test_sources = ([data.load_csv(p) for p in cfg.test_source_csvs]
                     if cfg.test_source_csvs else sources)
     test = data.MultiSourceDataset(sources=test_sources, target=test_target,
@@ -302,11 +308,6 @@ def _acc(total, coef, grad):
 # graphs make that hold without following the graphs' own traversal: a node
 # with two consumers sums just two adjoints (floating-point addition
 # commutes), and masked_mean's adjoint is float(g) * mask / n.
-
-
-def _layers(vector, relu_flags):
-    return [(vector.view(f"w{i}"), vector.view(f"b{i}"), relu)
-            for i, relu in enumerate(relu_flags)]
 
 
 def _flat(vector, grads):
@@ -438,13 +439,9 @@ class _Step:
             raise dc.GraphError(f"dropout rate {rate} outside [0, 1)")
         self.rate = rate
         self.rng = rng_dropout if rate > 0.0 else None
-        self.rep = _layers(model.rep, [a == "relu" for a in arch.rep_activations])
-        hidden = arch.pred_activations
-        flags = [i < len(hidden) and hidden[i] == "relu"
-                 for i in range(len(arch.pred_widths) - 1)]
-        self.heads = {False: _layers(model.pred, flags), True: _layers(model.dup, flags)}
+        self.rep = model.layers("rep")
+        self.heads = {False: model.layers("pred"), True: model.layers("dup")}
         self.n_classes = arch.n_outputs
-        self.widths = arch.rep_widths[1:]
         self._passes = {}
 
     def forward(self, key, x, train=True):
@@ -474,8 +471,8 @@ class _Step:
         fwd = self.forward("source", source_batches[-1][0])
         if self.rng is not None:
             for x, _ in reversed(source_batches[:-1]):
-                for width in self.widths:
-                    self.rng.random((x.shape[0], width))
+                for w, _, _ in self.rep:
+                    self.rng.random((x.shape[0], w.shape[1]))
         return fwd
 
 
@@ -635,6 +632,21 @@ def reference_gradients(model, coefs, alpha, target_batch, unlabeled_x,
     return g_u, g_v, g_vp
 
 
+def bound_constants(cfg, train, alpha, delta_u, delta_v):
+    """theory.BoundConstants of a run of cfg on the training set `train`
+    (alpha None: uniform); the labeled and unlabeled target sizes count
+    only in the regimes that train on them, and are 1 otherwise."""
+    coefs = StepCoefficients.from_config(cfg)
+    uses_target = coefs.target_main > 0.0 or coefs.critic_target > 0.0
+    return theory.BoundConstants(
+        sigma=cfg.bound_sigma,
+        m_t=train.target[0].shape[0] if uses_target else 1,
+        m_t_prime=train.target_unlabeled.shape[0] if coefs.pseudo > 0.0 else 1,
+        m=train.source_sizes, epsilon=cfg.epsilon, tau=cfg.tau, alpha=alpha,
+        delta_u=delta_u, delta_v=delta_v,
+        r_star=cfg.r_star, r_star_rep=cfg.r_star_rep)
+
+
 # ---------------------------------------------------------------------------
 # the run
 
@@ -693,8 +705,6 @@ def run(cfg, datasets=None):
         raise ConfigError("noiseless runs have no ledger; set lambda_r to a "
                           "fixed regularizer weight to optimize domain weights")
 
-    if cfg.rep_activation not in ("relu", "linear"):
-        raise ConfigError(f"unknown rep_activation {cfg.rep_activation!r}")
     arch = models.ArchSpec(rep_widths=(train.dim,) + tuple(cfg.rep_widths),
                            pred_widths=(cfg.rep_widths[-1], train.n_classes),
                            rep_activations=(cfg.rep_activation,) * len(cfg.rep_widths),
@@ -773,15 +783,9 @@ def run(cfg, datasets=None):
         if ledger is not None:
             du, dv = ledger.delta_u, ledger.delta_v
             lam = alpha_solver.adaptive_reg_weight(eps, tau, cfg.c1, du, dv)
-            consts = theory.BoundConstants(
-                sigma=cfg.bound_sigma,
-                m_t=target_x.shape[0] if needs_target else 1,
-                m_t_prime=unlabeled_x.shape[0] if coefs.pseudo > 0.0 else 1,
-                m=m_sizes, epsilon=eps, tau=tau, alpha=alpha,
-                delta_u=du, delta_v=dv,
-                r_star=cfg.r_star, r_star_rep=cfg.r_star_rep)
             report = theory.training_risk_bound(
-                consts, combined if combined is not None else rs)
+                bound_constants(cfg, train, alpha, du, dv),
+                combined if combined is not None else rs)
         elif cfg.lambda_r is not None:
             lam = cfg.lambda_r
         row["lambda_r"] = lam
@@ -810,6 +814,7 @@ def run(cfg, datasets=None):
     sigma = 0.0 if cfg.noiseless else cfg.sigma
     for epoch in range(1, cfg.epochs + 1):
         for _ in range(steps):
+            block = None  # the parameter block being updated, for the error
             try:
                 source_batches = [next(s) for s in source_streams]
                 target_batch = next(target_stream) if target_stream else None
@@ -820,15 +825,18 @@ def run(cfg, datasets=None):
                 eta_u = _rate(cfg.eta_u, epoch, step_index, cfg.u_ramp_epochs)
                 eta_v = _rate(cfg.eta_v, epoch, step_index, cfg.v_ramp_epochs)
                 if g_vp is not None:
+                    block = "critic v'"
                     model.dup = optimizer.duplicate_ascent_step(
                         model.dup, g_vp, _rate(cfg.eta_dup, epoch, step_index, 0))
                 if g_u is not None:
+                    block = "representation u"
                     model.rep = optimizer.sgld_step(model.rep, g_u, eta_u, sigma,
                                                     rng_noise_u, cfg.noiseless)
                     if ledger is not None:
                         ledger.accumulate("u", eta_u, sigma, float(g_u @ g_u),
                                           step=step_index)
                 if g_v is not None:
+                    block = "predictor v"
                     model.pred = optimizer.sgld_step(model.pred, g_v, eta_v, sigma,
                                                      rng_noise_v, cfg.noiseless)
                     if ledger is not None:
@@ -838,7 +846,8 @@ def run(cfg, datasets=None):
             except Exception as exc:
                 if isinstance(exc, (RunError, ConfigError)):
                     raise
-                raise RunError(f"epoch {epoch}, step {step_index}: {exc}") from exc
+                what = f"updating the {block}: {exc}" if block else exc
+                raise RunError(f"epoch {epoch}, step {step_index}: {what}") from exc
 
         r_v, r_vp = source_risks()
         if alpha_active and epoch >= max(cfg.warmup_epochs, 1):

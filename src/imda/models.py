@@ -114,6 +114,18 @@ class ModelTriple:
     def copy(self):
         return ModelTriple(self.arch, self.rep.copy(), self.pred.copy(), self.dup.copy())
 
+    def layers(self, block):
+        """The layers of block "rep", "pred" or "dup" as [(w, b, relu), ...]:
+        views of each layer's weight and bias in the flat block, and whether
+        a ReLU follows the layer (never after the predictor's last layer)."""
+        if block == "rep":
+            acts = self.arch.rep_activations
+        else:
+            acts = self.arch.pred_activations + ("linear",)
+        vector = getattr(self, block)
+        return [(vector.view(f"w{i}"), vector.view(f"b{i}"), act == "relu")
+                for i, act in enumerate(acts)]
+
     # ------------------------------------------------------------------
     # functional forward (evaluation path; dropout disabled)
 
@@ -123,12 +135,7 @@ class ModelTriple:
         if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
             raise ArchitectureError(
                 f"input of shape {x.shape} does not match input_dim {self.arch.input_dim}")
-        h = x
-        for i, act in enumerate(self.arch.rep_activations):
-            h = h @ self.rep.view(f"w{i}") + self.rep.view(f"b{i}")
-            if act == "relu":
-                h = np.maximum(h, 0.0)
-        return h
+        return _forward(self.layers("rep"), x)
 
     def predict(self, feat, dup=False):
         """h(v, feat): log-probabilities in classification mode, raw scalar
@@ -138,13 +145,7 @@ class ModelTriple:
             raise ArchitectureError(
                 f"features of shape {feat.shape} do not match feature_dim "
                 f"{self.arch.feature_dim}")
-        block = self.dup if dup else self.pred
-        h = feat
-        n_layers = len(self.arch.pred_widths) - 1
-        for i in range(n_layers):
-            h = h @ block.view(f"w{i}") + block.view(f"b{i}")
-            if i < n_layers - 1 and self.arch.pred_activations[i] == "relu":
-                h = np.maximum(h, 0.0)
+        h = _forward(self.layers("dup" if dup else "pred"), feat)
         if self.arch.mode == "classification":
             m = np.max(h, axis=1, keepdims=True)
             z = h - m
@@ -161,36 +162,41 @@ class ModelTriple:
         is given and dropout_rate > 0, a dropout mask node follows every
         activation; masks are drawn at forward time.
         """
-        pnodes = []
-        h = x_node
-        for i, act in enumerate(self.arch.rep_activations):
-            w = dc.param(self.rep.view(f"w{i}"), name=f"rep.w{i}")
-            b = dc.param(self.rep.view(f"b{i}"), name=f"rep.b{i}")
-            pnodes += [(f"w{i}", w), (f"b{i}", b)]
-            h = dc.affine(h, w, b, name=f"rep.l{i}")
-            if act == "relu":
-                h = dc.relu(h, name=f"rep.relu{i}")
-            if train_rng is not None and self.arch.dropout_rate > 0.0:
-                h = dc.dropout(h, self.arch.dropout_rate, name=f"rep.drop{i}")
-        return h, pnodes
+        rate = self.arch.dropout_rate if train_rng is not None else 0.0
+        return self._layer_graph("rep", x_node, rate)
+
+    def logit_graph(self, feat_node, dup=False):
+        """Predictor sub-graph up to the logits (before any log-softmax);
+        returns (logit node, [(name, node), ...])."""
+        return self._layer_graph("dup" if dup else "pred", feat_node, 0.0)
 
     def pred_graph(self, feat_node, dup=False):
         """Predictor sub-graph; returns (output node, [(name, node), ...])."""
-        block = self.dup if dup else self.pred
-        tag = "dup" if dup else "pred"
-        pnodes = []
-        h = feat_node
-        n_layers = len(self.arch.pred_widths) - 1
-        for i in range(n_layers):
-            w = dc.param(block.view(f"w{i}"), name=f"{tag}.w{i}")
-            b = dc.param(block.view(f"b{i}"), name=f"{tag}.b{i}")
-            pnodes += [(f"w{i}", w), (f"b{i}", b)]
-            h = dc.affine(h, w, b, name=f"{tag}.l{i}")
-            if i < n_layers - 1 and self.arch.pred_activations[i] == "relu":
-                h = dc.relu(h, name=f"{tag}.relu{i}")
+        h, pnodes = self.logit_graph(feat_node, dup=dup)
         if self.arch.mode == "classification":
-            h = dc.log_softmax(h, name=f"{tag}.logsoftmax")
+            h = dc.log_softmax(h, name="dup.logsoftmax" if dup else "pred.logsoftmax")
         return h, pnodes
+
+    def _layer_graph(self, block, h, dropout_rate):
+        pnodes = []
+        for i, (w, b, relu) in enumerate(self.layers(block)):
+            w = dc.param(w, name=f"{block}.w{i}")
+            b = dc.param(b, name=f"{block}.b{i}")
+            pnodes += [(f"w{i}", w), (f"b{i}", b)]
+            h = dc.affine(h, w, b, name=f"{block}.l{i}")
+            if relu:
+                h = dc.relu(h, name=f"{block}.relu{i}")
+            if dropout_rate > 0.0:
+                h = dc.dropout(h, dropout_rate, name=f"{block}.drop{i}")
+        return h, pnodes
+
+
+def _forward(layers, h):
+    for w, b, relu in layers:
+        h = h @ w + b
+        if relu:
+            h = np.maximum(h, 0.0)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +256,23 @@ def spectral_norm_upper_bound(w, tol=1e-8, max_iter=1000, seed=0):
         f"power iteration did not reach tol={tol} in {max_iter} rounds", sigma)
 
 
-def _block_bound(vector, n_layers, **kw):
+def _block_bound(model, block, **kw):
     bound = 1.0
-    for i in range(n_layers):
-        bound *= spectral_norm_upper_bound(vector.view(f"w{i}"), **kw)
+    for w, _, _ in model.layers(block):
+        bound *= spectral_norm_upper_bound(w, **kw)
     return bound
 
 
 def rep_lipschitz_bound(model, **kw):
     """Certified K: product of the representation weight spectral norms
     (ReLU layers are 1-Lipschitz, biases are isometries)."""
-    return _block_bound(model.rep, len(model.arch.rep_widths) - 1, **kw)
+    return _block_bound(model, "rep", **kw)
 
 
 def pred_lipschitz_bound(model, dup=False, **kw):
     """Certified L for the predictor (dup=True for the critic); in
     classification mode this covers the logit network before log-softmax."""
-    block = model.dup if dup else model.pred
-    return _block_bound(block, len(model.arch.pred_widths) - 1, **kw)
+    return _block_bound(model, "dup" if dup else "pred", **kw)
 
 
 def certify(model, **kw):

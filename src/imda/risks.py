@@ -257,24 +257,6 @@ def pseudo_risk_graph(model, x, coef1, coef2, train_rng=None):
 # gradient penalties
 
 
-def _critic_logit_graph(model, x_node, dup=True):
-    """Predictor sub-graph stopping at the logits (no log-softmax), the map
-    whose input gradients the interpolation penalty measures."""
-    block = model.dup if dup else model.pred
-    tag = "dup" if dup else "pred"
-    pnodes = []
-    h = x_node
-    n_layers = len(model.arch.pred_widths) - 1
-    for i in range(n_layers):
-        w = dc.param(block.view(f"w{i}"), name=f"{tag}.w{i}")
-        b = dc.param(block.view(f"b{i}"), name=f"{tag}.b{i}")
-        pnodes += [(f"w{i}", w), (f"b{i}", b)]
-        h = dc.affine(h, w, b)
-        if i < n_layers - 1 and model.arch.pred_activations[i] == "relu":
-            h = dc.relu(h)
-    return h, pnodes
-
-
 def interpolate_features(feats_a, feats_b, rng):
     """lambda * a + (1 - lambda) * b pairwise, lambda ~ Unif[0,1] per pair;
     pairs are taken index-wise up to the shorter batch."""
@@ -289,10 +271,10 @@ def interpolate_features(feats_a, feats_b, rng):
 def critic_input_gradients(model, feats, dup=True):
     """d(sum of critic logits)/d(input) per row, via a backward pass."""
     feats = _check_batch(feats)
-    xn = dc.input_node("penalty.x", feats.shape)
-    out, _ = _critic_logit_graph(model, xn, dup=dup)
+    xn = dc.const(feats, name="penalty.x")
+    out, _ = model.logit_graph(xn, dup=dup)
     root = dc.scale(dc.mean(out), float(feats.shape[0] * model.arch.n_outputs))
-    dc.forward(root, {"penalty.x": feats})
+    dc.forward(root)
     dc.backward(root)
     return np.array(xn.adjoint)
 
@@ -314,27 +296,24 @@ def interp_penalty_graph(model, x_int, dup=True):
     Returns (penalty node, predictor param node list).
     """
     x_int = _check_batch(x_int)
-    block = model.dup if dup else model.pred
     tag = "dup" if dup else "pred"
-    n_layers = len(model.arch.pred_widths) - 1
+    layers = model.layers(tag)
     # evaluation forward to capture gating patterns
     gates, h = [], x_int
-    for i in range(n_layers):
-        h = h @ block.view(f"w{i}") + block.view(f"b{i}")
-        if i < n_layers - 1 and model.arch.pred_activations[i] == "relu":
-            gates.append((h > 0.0).astype(np.float64))
+    for w, b, relu in layers:
+        h = h @ w + b
+        gates.append((h > 0.0).astype(np.float64) if relu else None)
+        if relu:
             h = np.maximum(h, 0.0)
-        else:
-            gates.append(None)
-    w_nodes = [dc.param(block.view(f"w{i}"), name=f"{tag}.w{i}") for i in range(n_layers)]
+    w_nodes = [dc.param(w, name=f"{tag}.w{i}") for i, (w, _, _) in enumerate(layers)]
     g = dc.const(np.ones((x_int.shape[0], model.arch.n_outputs)), name="penalty.seed")
-    for i in reversed(range(n_layers)):
+    for i in reversed(range(len(layers))):
         g = dc.matmul(g, dc.transpose(w_nodes[i]))
         if i > 0 and gates[i - 1] is not None:
             g = dc.mask(g, gates[i - 1])
     ones = np.ones((x_int.shape[0], model.arch.feature_dim))
     penalty = dc.masked_mean(dc.square(g), ones, name="penalty")
-    return penalty, [(f"w{i}", w_nodes[i]) for i in range(n_layers)]
+    return penalty, [(f"w{i}", w) for i, w in enumerate(w_nodes)]
 
 
 def gradient_penalty_param(gradient):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from imda import cli
+from imda import cli, data
 
 
 def write_cfg(tmp_path, text):
@@ -44,6 +44,8 @@ class TestRunCommand:
         ("steps_per_epoch", "-3"),
         ("warmup_epochs", "-1"),
         ("sigma", "1e-300"),
+        ("rep_activation", "tanh"),
+        ("data", "foo"),
     ])
     def test_bad_value_exits_two_naming_the_key(self, tmp_path, capsys, key, value):
         cfg = write_cfg(tmp_path, "mode = semi\n")
@@ -52,6 +54,20 @@ class TestRunCommand:
                          "--set", f"outdir={tmp_path}/out"])
         assert code == 2
         assert key in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+
+    def test_csv_run_without_a_test_target_exits_two(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        for name, shift in (("s0", 0.0), ("s1", 1.0), ("u", 0.5)):
+            data.write_csv(tmp_path / f"{name}.csv", rng.standard_normal((40, 2)) + shift,
+                           rng.integers(0, 2, 40))
+        cfg = write_cfg(tmp_path, "mode = unsupervised\ndata = csv\n"
+                                  f"source_csvs = {tmp_path}/s0.csv,{tmp_path}/s1.csv\n"
+                                  f"target_unlabeled_csv = {tmp_path}/u.csv\n"
+                                  f"epochs = 1\noutdir = {tmp_path}/out\n")
+        assert cli.main(["run", "--config", cfg]) == 2
+        assert "test_target_csv" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
 
@@ -107,6 +123,24 @@ class TestBoundCommand:
         code = cli.main(["bound", "--config", cfg, "--ledger", str(tmp_path / "ledger.csv")])
         assert code == 0
         assert "total" in capsys.readouterr().out
+
+
+    def test_bound_prints_the_runs_bound_csv(self, tmp_path, capsys):
+        """With alpha held uniform (warmup covers every epoch), the bound
+        from the run's ledger and last combined risk is the run's bound.csv."""
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, "mode = semi\nepochs = 2\nwarmup_epochs = 2\n"
+                                  f"steps_per_epoch = 10\noutdir = {out}\n")
+        assert cli.main(["run", "--config", cfg]) == 0
+        with open(out / "metrics.csv", newline="") as fh:
+            combined = list(csv.DictReader(fh))[-1]["combined"]
+        capsys.readouterr()
+        code = cli.main(["bound", "--config", cfg, "--ledger", str(out / "ledger.csv"),
+                         "--set", f"empirical_risk={combined}"])
+        assert code == 0
+        with open(out / "bound.csv", newline="") as fh:
+            expected = [",".join(row) for row in csv.reader(fh)]
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 class TestCheckCommand:

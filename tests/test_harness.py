@@ -337,6 +337,17 @@ class TestEvaluate:
             harness.evaluate(m, np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
+class TestStepErrors:
+    def test_non_finite_gradient_names_epoch_step_and_block(self, tmp_path):
+        cfg = parse_config(overrides=["mode=semi", "eta_u=1e6", f"outdir={tmp_path}"])
+        with np.errstate(all="ignore"), pytest.raises(
+                harness.RunError, match=r"epoch 1, step \d+: updating the "
+                                        r"(representation u|predictor v|critic v'): "
+                                        r"non-finite gradient"):
+            run(cfg)
+        assert not os.path.exists(tmp_path / "metrics.csv")
+
+
 class TestCsvDataPath:
     def test_run_from_csv_files(self, tmp_path):
         rng = np.random.default_rng(0)

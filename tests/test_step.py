@@ -31,6 +31,7 @@ REGIMES = {
                                    "interp_penalty_weight=0.2"],
     "one_source": ["mode=semi", "source_angles=15"],
     "three_sources": ["mode=semi", "source_angles=15,45,75", "dropout=0.1"],
+    "linear_rep": ["mode=semi", "rep_activation=linear"],
 }
 
 
