@@ -144,6 +144,24 @@ def neg_grad(x, lam=1.0, name=None):
     return Node("neg_grad", (x,), name=name, lam=float(lam))
 
 
+def row_sum(x):
+    """Row sums of a 2-D (rows, classes) array, over a class-major copy:
+    numpy then adds whole columns left to right, where axis=1 runs one
+    short loop per row.  Below 8 classes axis=1 also adds left to right,
+    so the bits agree; from 8 on it adds pairwise."""
+    return x.T.copy().sum(axis=0)
+
+
+def log_softmax_rows(x):
+    """(log-probabilities, probabilities) of the rows of 2-D logits x; the
+    one log-softmax of the graph node, ModelTriple.predict and the fused
+    training step."""
+    z = x - x.T.copy().max(axis=0)[:, None]
+    e = np.exp(z)
+    s = row_sum(e)[:, None]
+    return z - np.log(s), e / s
+
+
 # ---------------------------------------------------------------------------
 # execution
 
@@ -193,9 +211,7 @@ def _eval(node, rng):
         x = vals[0]
         if x.ndim != 2:
             _shape_err(node, f"expected 2-D logits, got {x.shape}")
-        m = np.max(x, axis=1, keepdims=True)
-        z = x - m
-        return z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+        return log_softmax_rows(x)[0]
     if k == "mean":
         return np.asarray(np.mean(vals[0]))
     if k == "masked_mean":
@@ -293,11 +309,8 @@ def backward(root, seed=None):
         elif k == "relu":
             _acc(parents[0], g * (parents[0].value > 0.0))
         elif k == "log_softmax":
-            x = parents[0].value
-            m = np.max(x, axis=1, keepdims=True)
-            e = np.exp(x - m)
-            p = e / e.sum(axis=1, keepdims=True)
-            _acc(parents[0], g - p * g.sum(axis=1, keepdims=True))
+            p = log_softmax_rows(parents[0].value)[1]
+            _acc(parents[0], g - p * row_sum(g)[:, None])
         elif k == "mean":
             _acc(parents[0], np.full(parents[0].value.shape, float(g) / parents[0].value.size))
         elif k == "masked_mean":

@@ -335,13 +335,17 @@ class _Pass:
         self.rep, self.heads = rep, heads
         self.tape, h = [], x
         for w, b, relu in rep:
-            pre = h @ w + b
+            pre = h @ w
+            pre += b
             out = np.maximum(pre, 0.0) if relu else pre
             drawn = None
             if rng is not None:
                 keep = 1.0 - rate
-                drawn = (rng.random(out.shape) < keep) / keep
-                out = out * drawn
+                drawn = rng.random(out.shape)
+                np.less(drawn, keep, out=drawn)
+                drawn /= keep
+                # in place, unless out is pre, which the tape keeps
+                out = np.multiply(out, drawn, out=None if out is pre else out)
             self.tape.append((h, pre, drawn))
             h = out
         self.feat = h
@@ -352,13 +356,11 @@ class _Pass:
         if dup not in self._heads:
             tape, h = [], self.feat
             for w, b, relu in self.heads[dup]:
-                pre = h @ w + b
+                pre = h @ w
+                pre += b
                 tape.append((h, pre))
                 h = np.maximum(pre, 0.0) if relu else pre
-            z = h - np.max(h, axis=1, keepdims=True)
-            e = np.exp(z)
-            s = np.sum(e, axis=1, keepdims=True)
-            self._heads[dup] = (tape, z - np.log(s), e / s)
+            self._heads[dup] = (tape, *dc.log_softmax_rows(h))
         return self._heads[dup]
 
     def head_grads(self, dup, g_out):
@@ -366,7 +368,7 @@ class _Pass:
         adjoint g_out; the log-softmax adjoint uses the softmax kept by the
         forward, which equals the one diffcore recomputes from the logits."""
         tape, _, p = self.head(dup)
-        g = g_out - p * g_out.sum(axis=1, keepdims=True)
+        g = g_out - p * dc.row_sum(g_out)[:, None]
         grads = {}
         for i in reversed(range(len(tape))):
             w, _, relu = self.heads[dup][i]
@@ -400,11 +402,12 @@ def _penalty_grads(layers, x_int):
     mean of the squared input-gradient norms of the critic's logits, with
     the ReLU gates at x_int held fixed (risks.interp_penalty_graph)."""
     gates, h = [], x_int
-    for w, b, relu in layers:
-        h = h @ w + b
+    for w, b, relu in layers[:-1]:  # no gate follows the logits
+        h = h @ w
+        h += b
         gates.append((h > 0.0).astype(np.float64) if relu else None)
         if relu:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     n = x_int.shape[0]
     g = np.ones((n, layers[-1][0].shape[1]))
     inputs = [None] * len(layers)
@@ -465,14 +468,17 @@ class _Step:
         named gradient instead of adding it, and risks.source_risk_graph
         gives every source its own parameter nodes, so the graph path's
         source-risk gradients hold only the last source's batch, scaled by
-        that source's weight.  Earlier sources only draw their dropout
-        masks, after the last source's and in reverse order, as the graph's
-        topological order draws them."""
+        that source's weight.  For earlier sources the dropout generator
+        only advances past the draws of their masks, after the last
+        source's, as the graph's topological order draws them."""
         fwd = self.forward("source", source_batches[-1][0])
         if self.rng is not None:
-            for x, _ in reversed(source_batches[:-1]):
+            # data.stream_rng builds PCG64, whose random() spends one 64-bit
+            # output per double, so advancing by the draw count skips
+            # exactly the draws the masks would take
+            for x, _ in source_batches[:-1]:
                 for w, _, _ in self.rep:
-                    self.rng.random((x.shape[0], w.shape[1]))
+                    self.rng.bit_generator.advance(x.shape[0] * w.shape[1])
         return fwd
 
 
@@ -544,6 +550,12 @@ def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
         g_vp = _acc(g_vp, -coefs.critic_source, _flat(model.dup, grads))
 
     if g_vp is not None and cfg.interp_penalty_weight > 0.0:
+        # With run's one-layer critic the penalty gradient is a function of
+        # the critic's weights alone: the interpolates below only advance
+        # rng_penalty.  With a hidden critic layer they set the ReLU gates,
+        # but interpolate_features pairs the target batch only with the
+        # first rows of the concatenated sources (source 1's batch when the
+        # batch sizes are equal).
         if coefs.pseudo > 0.0 and unlabeled_x is not None:
             tgt_feats = step.forward("unlabeled", unlabeled_x, train=False).feat
         else:

@@ -147,9 +147,7 @@ class ModelTriple:
                 f"{self.arch.feature_dim}")
         h = _forward(self.layers("dup" if dup else "pred"), feat)
         if self.arch.mode == "classification":
-            m = np.max(h, axis=1, keepdims=True)
-            z = h - m
-            h = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+            h = dc.log_softmax_rows(h)[0]
         return h
 
     # ------------------------------------------------------------------
@@ -192,10 +190,13 @@ class ModelTriple:
 
 
 def _forward(layers, h):
+    """The layers applied to h; the bias add and the ReLU work in place on
+    each layer's fresh product, so h itself is never written."""
     for w, b, relu in layers:
-        h = h @ w + b
+        h = h @ w
+        h += b
         if relu:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     return h
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from imda import alpha_solver as a
 from imda.optimizer import GradNormLedger, NoiselessLedgerError
@@ -38,6 +40,17 @@ class TestSimplexProject:
     def test_empty_rejected(self):
         with pytest.raises(a.AlphaSolverError):
             a.simplex_project(np.zeros(0))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 8), elements=st.floats(-10.0, 10.0)))
+    def test_projection_properties(self, v):
+        p = a.simplex_project(v)
+        assert p.min() >= 0.0 and abs(p.sum() - 1.0) <= 1e-12
+        assert np.allclose(a.simplex_project(p), p, rtol=0.0, atol=1e-12)
+        # no farther from v than any vertex or the uniform point
+        dist = np.sum((p - v) ** 2)
+        for q in [*np.eye(v.size), np.full(v.size, 1.0 / v.size)]:
+            assert dist <= np.sum((q - v) ** 2) + 1e-12
 
 
 class TestBuildObjective:

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from imda import diffcore as dc
+
+PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def logits(classes):
+    """Strategy: 2-D logits with 1..40 rows and `classes` columns."""
+    return hnp.arrays(np.float64, st.tuples(st.integers(1, 40), classes),
+                      elements=st.floats(-1e3, 1e3))
 
 
 def mlp_nll_graph(rng, n=4, din=3, hidden=5, classes=2, with_dropout=False):
@@ -142,6 +152,34 @@ class TestFiniteDiffCheck:
         # first forward draws the mask, probes reuse it
         dc.forward(root, rng=np.random.default_rng(99))
         assert dc.finite_diff_check(root) < 1e-5
+
+
+class TestLogSoftmaxRows:
+    @PROPERTY
+    @given(logits(st.integers(2, 7)))
+    def test_equals_the_axis_one_formula_below_eight_classes(self, x):
+        z = x - np.max(x, axis=1, keepdims=True)
+        e = np.exp(z)
+        s = np.sum(e, axis=1, keepdims=True)
+        logp, p = dc.log_softmax_rows(x)
+        assert np.array_equal(logp, z - np.log(s))
+        assert np.array_equal(p, e / s)
+        assert np.array_equal(dc.row_sum(x), np.sum(x, axis=1))
+
+    @PROPERTY
+    @given(logits(st.integers(1, 40)))
+    def test_rows_are_distributions(self, x):
+        logp, _ = dc.log_softmax_rows(x)
+        assert np.all(np.abs(np.exp(logp).sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all(logp.max(axis=1) <= 0.0)
+
+    @PROPERTY
+    @given(st.data())
+    def test_unchanged_by_a_per_row_shift(self, data):
+        x = data.draw(logits(st.integers(1, 40)))
+        shift = data.draw(hnp.arrays(np.float64, (x.shape[0], 1),
+                                     elements=st.floats(-1e3, 1e3)))
+        assert np.allclose(dc.log_softmax_rows(x + shift)[0], dc.log_softmax_rows(x)[0])
 
 
 class TestAllOpKinds:

@@ -83,6 +83,20 @@ class TestPredict:
         assert not np.allclose(m.predict(feat), m.predict(feat, dup=True))
 
 
+class TestInputsUntouched:
+    def test_represent_and_predict_leave_their_input_unmodified(self):
+        rng = np.random.default_rng(4)
+        m = small_model(seed=4)
+        x = rng.standard_normal((30, 3))
+        kept = x.copy()
+        feat = m.represent(x)
+        assert np.array_equal(x, kept)
+        kept = feat.copy()
+        m.predict(feat)
+        m.predict(feat, dup=True)
+        assert np.array_equal(feat, kept)
+
+
 class TestSpectralBound:
     def test_identity_matrix_bound_is_one(self):
         assert abs(models.spectral_norm_upper_bound(np.eye(4)) - 1.0) < 1e-6

@@ -7,6 +7,7 @@ real training runs, and a run must write the same bytes with either.
 """
 
 import copy
+import itertools
 import os
 
 import numpy as np
@@ -78,20 +79,24 @@ def test_fused_equals_reference_on_evolving_states(regime, tmp_path, monkeypatch
 @pytest.mark.parametrize("mode", ["supervised", "unsupervised", "semi"])
 @pytest.mark.parametrize("dropout", [0.0, 0.2])
 def test_fused_equals_reference_with_hidden_predictor_layers(mode, dropout):
-    """run builds a one-layer predictor; the step also takes deeper ones."""
+    """run builds a one-layer predictor; the step also takes deeper ones.  The
+    second predictor has 9 classes, where numpy would sum a row pairwise
+    instead of left to right, so the two paths agree only if they reduce
+    the classes the same way."""
     cfg = parse_config(overrides=[f"mode={mode}", "interp_penalty_weight=0.3",
                                   "source_angles=10,40,80"])
     coefs = harness.StepCoefficients.from_config(cfg)
-    arch = models.ArchSpec(rep_widths=(2, 6, 5), pred_widths=(5, 7, 4, 3),
-                           dropout_rate=dropout)
-    for seed in range(20):
+    for pred_widths, seed in itertools.product([(5, 7, 4, 3), (5, 7, 9)], range(20)):
+        arch = models.ArchSpec(rep_widths=(2, 6, 5), pred_widths=pred_widths,
+                               dropout_rate=dropout)
+        classes = pred_widths[-1]
         r = np.random.default_rng(seed)
         sources = []
         for _ in range(3):
             n = int(r.integers(5, 9))
-            sources.append((r.standard_normal((n, 2)), r.integers(0, 3, n)))
+            sources.append((r.standard_normal((n, 2)), r.integers(0, classes, n)))
         args = (models.ModelTriple.init(arch, seed=seed), coefs, r.dirichlet(np.ones(3)),
-                (r.standard_normal((6, 2)), r.integers(0, 3, 6)),
+                (r.standard_normal((6, 2)), r.integers(0, classes, 6)),
                 r.standard_normal((7, 2)), sources, cfg)
         rngs = [[np.random.default_rng([seed, k]) for k in range(2)] for _ in range(2)]
         fused = harness.assemble_gradients(*args, *rngs[0])
