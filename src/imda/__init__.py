@@ -2,7 +2,7 @@
 
 Joint representation alignment with learned domain weights, SGLD training
 with gradient-norm ledgers, generalization-bound calculators, and exact
-small-instance optimal-transport oracles for verification.
+optimal-transport oracles for verification.
 """
 
 from . import alpha_solver, data, diffcore, harness, models, optimizer, risks, theory

@@ -2,7 +2,7 @@
 
     imda run --config cfg [--set key=value ...]   full training run
     imda check                                    fast property battery
-    imda oracle-w1 tiny.csv [--scale S] [--label-cost zero_one|absolute]
+    imda oracle-w1 measures.csv [--scale S] [--label-cost zero_one|absolute]
     imda bound --config cfg [--set ...] [--ledger ledger.csv]
 
 Exit codes: 0 success, 2 config error, 3 numeric failure.
@@ -201,7 +201,8 @@ def build_parser():
     p_check = sub.add_parser("check", help="run the fast property battery")
     p_check.set_defaults(fn=_cmd_check)
 
-    p_w1 = sub.add_parser("oracle-w1", help="exact W1 of a tiny labeled instance")
+    p_w1 = sub.add_parser("oracle-w1",
+                          help="exact W1 between two equal-size labeled measures")
     p_w1.add_argument("csv", help="columns: measure(a|b),label,f0,f1,...")
     p_w1.add_argument("--scale", type=float, default=1.0)
     p_w1.add_argument("--label-cost", choices=("zero_one", "absolute"),

@@ -137,40 +137,54 @@ def test_c2_alpha_solver_vs_oracle():
 # 3. duality lower bound against the exact oracle
 
 
+def ascended_critic_and_w1(seed, rng, n):
+    """C3's recipe: 30 steps of critic ascent on n seeded points per side,
+    then the critic value and the exact W1 under the certified metric."""
+    arch = models.ArchSpec(rep_widths=(2, 4), pred_widths=(4, 1), mode="regression")
+    m = models.ModelTriple.init(arch, seed=seed)
+    xt, yt = rng.standard_normal((n, 2)) + 0.8, rng.standard_normal(n)
+    xs, ys = rng.standard_normal((n, 2)) - 0.8, rng.standard_normal(n)
+    # some critic ascent tightens the value without breaking the bound
+    alpha = np.array([1.0])
+    for _ in range(30):
+        root, _, pn = risks.target_risk_graph(m, xt, yt, dup=True)
+        dc.forward(root)
+        g_t = dc.flatten_grads(dc.backward(root), pn, m.dup)
+        root, _, pn, _ = risks.source_risk_graph(m, [(xs, ys)], alpha, dup=True)
+        dc.forward(root)
+        g_s = dc.flatten_grads(dc.backward(root), pn, m.dup)
+        m.dup.values += 0.1 * (g_t - g_s)
+    value = (risks.empirical_risk_target(m, xt, yt, dup=True)
+             - risks.empirical_risk_target(m, xs, ys, dup=True))
+    cert = models.certify_critic(m)
+    pair = theory.DiscreteMeasurePair(xs_a=m.represent(xt), ys_a=yt,
+                                      xs_b=m.represent(xs), ys_b=ys)
+    metric = theory.GroundMetric(kind="representation", label_cost="absolute",
+                                 scale=cert.L * cert.M)
+    return value, theory.exact_w1(pair, metric)
+
+
 def test_c3_duality_lower_bound():
     start = time.time()
     margins = []
     for seed in range(50):
         rng = np.random.default_rng(seed)
-        arch = models.ArchSpec(rep_widths=(2, 4), pred_widths=(4, 1), mode="regression")
-        m = models.ModelTriple.init(arch, seed=seed)
-        n = int(rng.integers(2, 7))
-        xt, yt = rng.standard_normal((n, 2)) + 0.8, rng.standard_normal(n)
-        xs, ys = rng.standard_normal((n, 2)) - 0.8, rng.standard_normal(n)
-        # some critic ascent tightens the value without breaking the bound
-        alpha = np.array([1.0])
-        for _ in range(30):
-            root, _, pn = risks.target_risk_graph(m, xt, yt, dup=True)
-            dc.forward(root)
-            g_t = dc.flatten_grads(dc.backward(root), pn, m.dup)
-            root, _, pn, _ = risks.source_risk_graph(m, [(xs, ys)], alpha, dup=True)
-            dc.forward(root)
-            g_s = dc.flatten_grads(dc.backward(root), pn, m.dup)
-            m.dup.values += 0.1 * (g_t - g_s)
-        value = (risks.empirical_risk_target(m, xt, yt, dup=True)
-                 - risks.empirical_risk_target(m, xs, ys, dup=True))
-        cert = models.certify_critic(m)
-        pair = theory.DiscreteMeasurePair(xs_a=m.represent(xt), ys_a=yt,
-                                          xs_b=m.represent(xs), ys_b=ys)
-        metric = theory.GroundMetric(kind="representation", label_cost="absolute",
-                                     scale=cert.L * cert.M)
-        w1 = theory.exact_w1(pair, metric)
+        value, w1 = ascended_critic_and_w1(seed, rng, int(rng.integers(2, 7)))
         assert value <= w1 + 1e-9
         margins.append(w1 - value)
     elapsed = time.time() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     announce("C3", f"50 instances, min W1-minus-critic margin {min(margins):.3e}, "
                    f"{elapsed:.1f}s")
+
+
+def test_c3_duality_lower_bound_at_batch_size_20():
+    margins = []
+    for seed in range(20):
+        value, w1 = ascended_critic_and_w1(seed, np.random.default_rng(seed), 20)
+        assert value <= w1 + 1e-9
+        margins.append(w1 - value)
+    announce("C3 at n = 20", f"20 instances, min W1-minus-critic margin {min(margins):.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from imda import cli, data
 
@@ -95,6 +96,39 @@ class TestOracleW1Command:
         path = tmp_path / "bad.csv"
         path.write_text("measure,label,f0\nq,0,0.0\n")
         assert cli.main(["oracle-w1", str(path)]) == 3
+
+    def test_empty_measures_exit_three_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("measure,label,f0\n")
+        assert cli.main(["oracle-w1", str(path)]) == 3
+        assert "empty" in capsys.readouterr().err
+
+    def test_ten_point_measures_print_the_assignment_value(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        xa, xb = rng.standard_normal((10, 2)), rng.standard_normal((10, 2)) + 0.5
+        ya, yb = rng.integers(0, 2, 10), rng.integers(0, 2, 10)
+        path = tmp_path / "ten.csv"
+        path.write_text("measure,label,f0,f1\n" + "".join(
+            f"{side},{y},{x[0]!r},{x[1]!r}\n"
+            for side, xs, ys in (("a", xa, ya), ("b", xb, yb))
+            for x, y in zip(xs.tolist(), ys.tolist())))
+        assert cli.main(["oracle-w1", str(path), "--scale", "0.5"]) == 0
+        cost = (ya[:, None] != yb[None, :]) + 0.5 * np.linalg.norm(
+            xa[:, None, :] - xb[None, :, :], axis=2)
+        rows, cols = linear_sum_assignment(cost)
+        expected = cost[rows, cols].sum() / 10
+        assert abs(float(capsys.readouterr().out.strip()) - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("row, flags", [
+        ("a,0,nan", []),
+        ("a,inf,0.0", []),
+        ("a,0,0.0", ["--scale", "nan"]),
+    ], ids=["nan_point", "infinite_label", "nan_scale"])
+    def test_non_finite_input_exits_three_naming_it(self, tmp_path, capsys, row, flags):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"measure,label,f0\n{row}\nb,0,1.0\n")
+        assert cli.main(["oracle-w1", str(path), *flags]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestBoundCommand:

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import linear_sum_assignment
 
 from imda import models, theory
 from imda.models import ArchSpec, ModelTriple
@@ -27,6 +30,43 @@ def brute_force_w1(pair, metric):
                    for i, j in zip(range(n), perm))
         best = min(best, cost / n)
     return best
+
+
+def subset_dp_w1(pair, metric):
+    # exhaustive search over all matchings by dynamic programming over the
+    # set of matched columns, O(n 2^n): reaches n = 12, where enumerating
+    # 12! permutations does not finish
+    n = pair.size
+    d = [[metric.distance(pair.xs_a[i], pair.ys_a[i], pair.xs_b[j], pair.ys_b[j])
+          for j in range(n)] for i in range(n)]
+    best = {0: 0.0}
+    for mask in range(1 << n):
+        row = bin(mask).count("1")
+        if row < n:
+            for j in range(n):
+                if not mask & (1 << j):
+                    cand = best[mask] + d[row][j]
+                    if cand < best.get(mask | (1 << j), np.inf):
+                        best[mask | (1 << j)] = cand
+    return best[(1 << n) - 1] / n
+
+
+@st.composite
+def instances(draw, max_n, count):
+    """Strategy: a ground metric and `count` labeled supports of the same
+    n <= max_n points, with labels suited to the metric's label cost."""
+    n, dim = draw(st.integers(1, max_n)), draw(st.integers(1, 3))
+    label_cost = draw(st.sampled_from(["zero_one", "absolute"]))
+    labels = (hnp.arrays(np.int64, n, elements=st.integers(0, 2))
+              if label_cost == "zero_one"
+              else hnp.arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
+    points = hnp.arrays(np.float64, (n, dim), elements=st.floats(-10.0, 10.0))
+    metric = GroundMetric(kind="example", label_cost=label_cost,
+                          scale=draw(st.floats(0.0, 3.0)))
+    return metric, draw(st.lists(st.tuples(points, labels), min_size=count, max_size=count))
+
+
+PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
 
 class TestExactW1:
@@ -58,16 +98,52 @@ class TestExactW1:
             assert abs(theory.exact_w1(pair, metric)
                        - brute_force_w1(pair, metric)) < 1e-12
 
-    def test_support_cap(self):
+    def test_past_seven_matches_exhaustive_search(self):
         rng = np.random.default_rng(2)
-        pair = random_pair(rng, 8)
-        with pytest.raises(theory.TheoryError):
-            theory.exact_w1(pair, GroundMetric())
+        metric = GroundMetric(kind="example", label_cost="absolute", scale=0.7)
+        pair = random_pair(rng, 8, label_kind="real")
+        assert abs(theory.exact_w1(pair, metric) - brute_force_w1(pair, metric)) < 1e-12
+        for n in range(8, 13):
+            pair = random_pair(rng, n)
+            for label_cost in ("zero_one", "absolute"):
+                metric = GroundMetric(kind="example", label_cost=label_cost, scale=0.7)
+                assert abs(theory.exact_w1(pair, metric)
+                           - subset_dp_w1(pair, metric)) < 1e-12
+
+    @pytest.mark.parametrize("n", [20, 50, 200])
+    def test_matches_scipy_assignment(self, n):
+        rng = np.random.default_rng(n)
+        pair = random_pair(rng, n, dim=3, label_kind="real")
+        metric = GroundMetric(kind="representation", label_cost="absolute", scale=1.3)
+        c = metric.cost_matrix(pair)
+        rows, cols = linear_sum_assignment(c)
+        expected = c[rows, cols].sum() / n
+        assert abs(theory.exact_w1(pair, metric) - expected) <= 1e-12 * expected
 
     def test_unequal_sizes_rejected(self):
         with pytest.raises(theory.TheoryError):
             DiscreteMeasurePair(xs_a=np.zeros((2, 1)), ys_a=[0, 0],
                                 xs_b=np.zeros((3, 1)), ys_b=[0, 0, 0])
+
+    def test_overflowing_costs_rejected(self):
+        pair = DiscreteMeasurePair(xs_a=[[-1e300], [0.0]], ys_a=[0, 0],
+                                   xs_b=[[1e300], [0.0]], ys_b=[0, 0])
+        with pytest.raises(theory.TheoryError, match="non-finite"):
+            theory.exact_w1(pair, GroundMetric(kind="example", scale=1e10))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("build", [
+        lambda: DiscreteMeasurePair(np.zeros((0, 2)), [], np.zeros((0, 2)), []),
+        lambda: DiscreteMeasurePair([[0.0, np.nan]], [0], [[0.0, 1.0]], [0]),
+        lambda: DiscreteMeasurePair([[0.0]], [np.inf], [[1.0]], [0.0]),
+        lambda: GroundMetric(scale=np.nan),
+        lambda: GroundMetric(label_cost=lambda y, y_prime: 0.0),
+    ], ids=["empty_supports", "nan_point", "infinite_label", "nan_scale",
+            "callable_label_cost"])
+    def test_rejected_at_construction(self, build):
+        with pytest.raises(theory.TheoryError):
+            build()
 
 
 class TestMetricProperties:
@@ -98,6 +174,24 @@ class TestMetricProperties:
             assert abs(dab - dba) < 1e-9
             assert dab <= dac + dcb + 1e-9
             assert theory.exact_w1(DiscreteMeasurePair(xa, ya, xa, ya), metric) < 1e-12
+
+    @PROPERTY
+    @given(instances(max_n=9, count=3))
+    def test_w1_metric_axioms(self, instance):
+        metric, ((xa, ya), (xb, yb), (xc, yc)) = instance
+        w1 = lambda xs, ys, xs_p, ys_p: theory.exact_w1(
+            DiscreteMeasurePair(xs, ys, xs_p, ys_p), metric)
+        dab = w1(xa, ya, xb, yb)
+        assert abs(dab - w1(xb, yb, xa, ya)) <= 1e-12 * max(dab, 1.0)
+        assert w1(xa, ya, xa, ya) == 0.0
+        assert dab <= w1(xa, ya, xc, yc) + w1(xc, yc, xb, yb) + 1e-9
+
+    @PROPERTY
+    @given(instances(max_n=6, count=2))
+    def test_matches_brute_force_up_to_six_points(self, instance):
+        metric, ((xa, ya), (xb, yb)) = instance
+        pair = DiscreteMeasurePair(xa, ya, xb, yb)
+        assert abs(theory.exact_w1(pair, metric) - brute_force_w1(pair, metric)) < 1e-12
 
 
 class TestRiskGapBound:
