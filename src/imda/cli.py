@@ -62,11 +62,14 @@ def _cmd_check(args):
         worst = max(worst, dc.finite_diff_check(root))
     report("backward matches central differences", worst < 1e-5, f"max rel err {worst:.2e}")
 
-    # the fused training step against its graph reference, rng draws included
+    # the fused training step against its graph reference, rng draws included;
+    # the regimes exercise every row of the term table, and alignment=off has
+    # no critic term, so no penalty
     ok = True
-    for mode, dropout in (("supervised", 0.0), ("unsupervised", 0.0), ("semi", 0.0),
-                          ("semi", 0.2)):
-        cfg = harness.parse_config(overrides=[f"mode={mode}", "interp_penalty_weight=0.1"])
+    for regime, dropout in ((["mode=supervised"], 0.0), (["mode=unsupervised"], 0.0),
+                            (["mode=semi"], 0.0), (["mode=semi"], 0.2),
+                            (["mode=semi", "alignment=off"], 0.0)):
+        cfg = harness.parse_config(overrides=regime + ["interp_penalty_weight=0.1"])
         coefs = harness.StepCoefficients.from_config(cfg)
         arch = models.ArchSpec(rep_widths=(2, 8, 4), pred_widths=(4, 5, 3),
                                dropout_rate=dropout)

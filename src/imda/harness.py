@@ -2,17 +2,28 @@
 mini-max gradient assembly, the ledger, the per-epoch domain-weight solve,
 and CSV metric emission.
 
-Gradient assembly per step (coefficients in brackets; skipped when zero):
+Gradient assembly per step: a sum of named terms, each a coefficient (in
+brackets) times one risk's gradient.  StepCoefficients.terms() lists them
+in this order, which is the order they are accumulated in, and drops a
+term whose coefficient is zero:
 
-    G_u  = [tau(1-eps)]      d/du target risk(u, v)
-         + [tau*eps*w1_sup]  d/du target risk(u, v')
-         + [1-tau]           d/du pseudo risk(u, v, v')
-         + [tau*eps]         d/du source risk(u, v)
+    G_u  = [tau(1-eps)]      d/du target risk(u, v)        target
+         + [tau*eps*w1_sup]  d/du target risk(u, v')       critic target
+         + [1-tau]           d/du pseudo risk(u, v, v')    pseudo
+         + [tau*eps]         d/du source risk(u, v)        source
          - [tau*eps*w1_sup + (1-tau)] d/du source risk(u, v')
-    G_v  = the (u, v) terms above, w.r.t. v
-    G_v' = [tau*eps*w1_sup] (d target risk(v') - d source risk(v'))
-         + [1-tau]          (d pseudo risk(v') - d source risk(v'))
-         - [interp penalty weight] d penalty(v')
+                                                           reversed critic source
+    G_v  = the (u, v) terms above, w.r.t. v                target, pseudo, source
+    G_v' = [tau*eps*w1_sup]  d target risk(v')             critic target
+         + [1-tau]           d pseudo risk(v')             pseudo
+         - [tau*eps*w1_sup + (1-tau)] d uniform source risk(v')
+                                                           critic source
+         - [interp penalty weight] d penalty(v')           penalty
+
+The source risks are alpha-weighted, except the critic source term's,
+which is the uniform mean over sources.  The penalty joins only when a
+term above reached v'.  With alignment off the critic terms and pseudo
+are dropped and source takes [tau*eps + (1-tau)].
 
 u and v descend with noise injection, v' ascends without; the ledger
 accumulates eta^2 ||G||^2 / (2 sigma^2) for the u and v blocks.
@@ -203,9 +214,24 @@ def parse_config(path=None, overrides=()):
                           "point, unless noiseless")
     if values["epochs"] < 0 or values["batch_size"] < 1:
         raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-    for key in ("steps_per_epoch", "warmup_epochs"):
-        if values[key] < 0:
+    # a negative coefficient would silently flip or switch off its term
+    for key in ("steps_per_epoch", "warmup_epochs", "eta_decay_steps", "u_ramp_epochs",
+                "v_ramp_epochs", "w1_sup_coef", "w1_discri_coef1", "w1_discri_coef2",
+                "interp_penalty_weight", "c0", "c1", "lambda_r", "bound_sigma",
+                "r_star", "r_star_rep", "labeled_target_size"):
+        if values[key] is not None and not values[key] >= 0:
             raise ConfigError(f"{key} must be >= 0")
+    if not 0.0 <= values["drop_rate"] < 1.0:
+        raise ConfigError("drop_rate must be in [0, 1)")
+    if values["domain_size"] < 1:
+        raise ConfigError("domain_size must be >= 1")
+    if not values["source_angles"]:
+        raise ConfigError("source_angles must list at least one angle")
+    std = values["class_std"]
+    if len(std) not in (1, 2) or not all(s > 0 for s in std):
+        raise ConfigError("class_std must be one or two positive values")
+    if not math.isfinite(values["radius"]):
+        raise ConfigError("radius must be finite")
     if not values["rep_widths"] or min(values["rep_widths"]) < 1:
         raise ConfigError("rep_widths must list at least one width, each >= 1")
     if not 0.0 <= values["dropout"] < 1.0:
@@ -294,11 +320,55 @@ class StepCoefficients:
         return cls(target_main=tau * (1.0 - eps), critic_target=0.0, pseudo=0.0,
                    source_main=tau * eps + (1.0 - tau), critic_source=0.0)
 
+    @property
+    def uses_target(self):
+        """The step reads the labeled target set."""
+        return self.target_main > 0.0 or self.critic_target > 0.0
 
-def _acc(total, coef, grad):
-    if total is None:
-        return coef * grad
-    return total + coef * grad
+    @property
+    def uses_unlabeled(self):
+        """The step reads the unlabeled target set."""
+        return self.pseudo > 0.0
+
+    @property
+    def uses_sources(self):
+        """The step's gradient depends on the source batches."""
+        return self.source_main > 0.0 or self.critic_source > 0.0
+
+    def terms(self):
+        """The active terms in accumulation order, each as (name,
+        (coefficient on G_u, on G_v, on G_v')), None where the term does
+        not reach the block; the module docstring's formula, row by row."""
+        tm, ct, ps = self.target_main, self.critic_target, self.pseudo
+        sm, cs = self.source_main, self.critic_source
+        table = (("target", tm, (tm, tm, None)),
+                 ("critic target", ct, (ct, None, ct)),
+                 ("pseudo", ps, (ps, ps, ps)),
+                 ("source", sm, (sm, sm, None)),
+                 # reversed for u (mini-max) under the learned weights
+                 ("reversed critic source", cs, (-cs, None, None)),
+                 # the critic's own source term is unweighted (uniform over
+                 # sources), so it stays calibrated on every source even when
+                 # the weights concentrate; the update rule's literal subscript
+                 ("critic source", cs, (None, None, -cs)))
+        return [(name, weights) for name, coef, weights in table if coef > 0.0]
+
+
+def _assemble(coefs, cfg, share):
+    """(g_u, g_v, g_vp): every active term's shares scaled by its
+    coefficients and summed in table order, then the interpolation penalty
+    when a term reached the critic.  share(name) gives one term's
+    unweighted (g_u, g_v, g_vp) shares; a block the term does not reach is
+    never read."""
+    terms = coefs.terms()
+    if cfg.interp_penalty_weight > 0.0 and any(w[2] is not None for _, w in terms):
+        terms.append(("penalty", (None, None, -cfg.interp_penalty_weight)))
+    totals = [None, None, None]
+    for name, weights in terms:
+        for i, (coef, grad) in enumerate(zip(weights, share(name))):
+            if coef is not None:
+                totals[i] = coef * grad if totals[i] is None else totals[i] + coef * grad
+    return tuple(totals)
 
 
 # The fused step below performs, array for array, the operations that
@@ -492,156 +562,98 @@ def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
     Batches are taken as finite: run checks them once, before training."""
     if model.arch.mode != "classification":
         raise risks.RiskError("the training step needs classification mode")
-    uses_v = coefs.target_main > 0.0 or coefs.pseudo > 0.0 or coefs.source_main > 0.0
-    uses_vp = coefs.critic_target > 0.0 or coefs.pseudo > 0.0 or coefs.critic_source > 0.0
-    for used, block, name in ((uses_v or uses_vp, model.rep, "representation"),
-                              (uses_v, model.pred, "predictor"),
-                              (uses_vp, model.dup, "critic")):
-        if used and not np.all(np.isfinite(block.values)):
+    reached = {i for _, weights in coefs.terms() for i, c in enumerate(weights)
+               if c is not None}
+    for i, block, name in ((0, model.rep, "representation"), (1, model.pred, "predictor"),
+                           (2, model.dup, "critic")):
+        if i in reached and not np.all(np.isfinite(block.values)):
             raise dc.GraphShapeError(f"non-finite entries in the {name} parameters")
-    step = _Step(model, rng_dropout)
-    g_u = g_v = g_vp = None
-
-    if coefs.target_main > 0.0:
-        fwd = step.forward("target", target_batch[0])
-        grads, g_feat = step.nll(fwd, False, target_batch[1])
-        g_u = _acc(g_u, coefs.target_main, _flat(model.rep, fwd.rep_grads(g_feat)))
-        g_v = _acc(g_v, coefs.target_main, _flat(model.pred, grads))
-
-    if coefs.critic_target > 0.0:
-        fwd = step.forward("target", target_batch[0])
-        grads, g_feat = step.nll(fwd, True, target_batch[1])
-        g_u = _acc(g_u, coefs.critic_target, _flat(model.rep, fwd.rep_grads(g_feat)))
-        g_vp = _acc(g_vp, coefs.critic_target, _flat(model.dup, grads))
-
-    if coefs.pseudo > 0.0:
-        # pseudo labels from the dropout-free forward at the current parameters
-        evaluation = step.forward("unlabeled", unlabeled_x, train=False)
-        y_hat = np.argmax(evaluation.head(False)[1], axis=1)
-        y_hat_dup = np.argmax(evaluation.head(True)[1], axis=1)
-        fwd = step.forward("unlabeled", unlabeled_x)
-        dup_grads, g_feat_dup = step.nll(fwd, True, y_hat, coef=float(cfg.w1_discri_coef1))
-        grads, g_feat = step.nll(fwd, False, y_hat_dup, coef=float(cfg.w1_discri_coef2))
-        rep_grads = fwd.rep_grads(g_feat_dup + g_feat)
-        g_u = _acc(g_u, coefs.pseudo, _flat(model.rep, rep_grads))
-        g_v = _acc(g_v, coefs.pseudo, _flat(model.pred, grads))
-        g_vp = _acc(g_vp, coefs.pseudo, _flat(model.dup, dup_grads))
-
-    if coefs.source_main > 0.0 or coefs.critic_source > 0.0:
+    if coefs.uses_sources:
         alpha = risks.check_simplex(alpha, n=len(source_batches))
-        y_last = source_batches[-1][1]
+    step = _Step(model, rng_dropout)
 
-    if coefs.source_main > 0.0:
-        fwd = step.last_source(source_batches)
-        grads, g_feat = step.nll(fwd, False, y_last, weight=float(alpha[-1]))
-        g_u = _acc(g_u, coefs.source_main, _flat(model.rep, fwd.rep_grads(g_feat)))
-        g_v = _acc(g_v, coefs.source_main, _flat(model.pred, grads))
-
-    if coefs.critic_source > 0.0:
-        # reversed for u (mini-max) under the learned weights
-        fwd = step.last_source(source_batches)
-        _, g_feat = step.nll(fwd, True, y_last, weight=float(alpha[-1]))
-        g_u = _acc(g_u, -coefs.critic_source, _flat(model.rep, fwd.rep_grads(g_feat)))
-        # the critic's own source term is unweighted (uniform over sources),
-        # so it stays calibrated on every source even when the weights
-        # concentrate; this is the update rule's literal source subscript
-        fwd = step.last_source(source_batches)
-        grads, _ = step.nll(fwd, True, y_last, weight=1.0 / len(source_batches))
-        g_vp = _acc(g_vp, -coefs.critic_source, _flat(model.dup, grads))
-
-    if g_vp is not None and cfg.interp_penalty_weight > 0.0:
-        # With run's one-layer critic the penalty gradient is a function of
-        # the critic's weights alone: the interpolates below only advance
-        # rng_penalty.  With a hidden critic layer they set the ReLU gates,
-        # but interpolate_features pairs the target batch only with the
-        # first rows of the concatenated sources (source 1's batch when the
-        # batch sizes are equal).
-        if coefs.pseudo > 0.0 and unlabeled_x is not None:
-            tgt_feats = step.forward("unlabeled", unlabeled_x, train=False).feat
+    def share(name):
+        if name == "pseudo":
+            # pseudo labels from the dropout-free forward at the current parameters
+            evaluation = step.forward("unlabeled", unlabeled_x, train=False)
+            y_hat = np.argmax(evaluation.head(False)[1], axis=1)
+            y_hat_dup = np.argmax(evaluation.head(True)[1], axis=1)
+            fwd = step.forward("unlabeled", unlabeled_x)
+            dup_grads, g_feat_dup = step.nll(fwd, True, y_hat, coef=float(cfg.w1_discri_coef1))
+            grads, g_feat = step.nll(fwd, False, y_hat_dup, coef=float(cfg.w1_discri_coef2))
+            return (_flat(model.rep, fwd.rep_grads(g_feat_dup + g_feat)),
+                    _flat(model.pred, grads), _flat(model.dup, dup_grads))
+        if name == "penalty":
+            # With run's one-layer critic the penalty gradient is a function
+            # of the critic's weights alone: the interpolates below only
+            # advance rng_penalty.  With a hidden critic layer they set the
+            # ReLU gates, but interpolate_features pairs the target batch
+            # only with the first rows of the concatenated sources (source
+            # 1's batch when the batch sizes are equal).
+            if coefs.uses_unlabeled:
+                tgt_feats = step.forward("unlabeled", unlabeled_x, train=False).feat
+            else:
+                tgt_feats = step.forward("target", target_batch[0], train=False).feat
+            src_x = np.concatenate([x for x, _ in source_batches])
+            src_feats = step.forward("all sources", src_x, train=False).feat
+            x_int = risks.interpolate_features(tgt_feats, src_feats, rng_penalty)
+            return None, None, _flat(model.dup, _penalty_grads(step.heads[True], x_int))
+        # the four risk terms: "... target" on the labeled target batch,
+        # "... source" on the sources; "critic ..." under the critic's head
+        dup = "critic" in name
+        if name.endswith("target"):
+            fwd, labels, weight = step.forward("target", target_batch[0]), target_batch[1], 1.0
         else:
-            tgt_feats = step.forward("target", target_batch[0], train=False).feat
-        src_x = np.concatenate([x for x, _ in source_batches])
-        src_feats = step.forward("all sources", src_x, train=False).feat
-        x_int = risks.interpolate_features(tgt_feats, src_feats, rng_penalty)
-        g_vp = _acc(g_vp, -cfg.interp_penalty_weight,
-                    _flat(model.dup, _penalty_grads(step.heads[True], x_int)))
+            fwd, labels = step.last_source(source_batches), source_batches[-1][1]
+            weight = 1.0 / len(source_batches) if name == "critic source" else float(alpha[-1])
+        grads, g_feat = step.nll(fwd, dup, labels, weight=weight)
+        g_u = None if name == "critic source" else _flat(model.rep, fwd.rep_grads(g_feat))
+        if name == "reversed critic source":
+            return g_u, None, None
+        head = _flat(model.dup if dup else model.pred, grads)
+        return (g_u, None, head) if dup else (g_u, head, None)
 
-    return g_u, g_v, g_vp
+    return _assemble(coefs, cfg, share)
 
 
 def reference_gradients(model, coefs, alpha, target_batch, unlabeled_x,
                         source_batches, cfg, rng_dropout, rng_penalty):
     """assemble_gradients on diffcore graphs built by the risks.*_graph
     builders: the reference the fused step is tested against."""
-    g_u = g_v = g_vp = None
     train_rng = rng_dropout if model.arch.dropout_rate > 0.0 else None
 
-    def flat(grads, nodes, vector):
-        return dc.flatten_grads(grads, nodes, vector)
-
-    if coefs.target_main > 0.0:
-        root, rn, pn = risks.target_risk_graph(model, *target_batch, train_rng=train_rng)
-        dc.forward(root, rng=train_rng)
-        grads = dc.backward(root)
-        g_u = _acc(g_u, coefs.target_main, flat(grads, rn, model.rep))
-        g_v = _acc(g_v, coefs.target_main, flat(grads, pn, model.pred))
-
-    if coefs.critic_target > 0.0:
-        root, rn, pn = risks.target_risk_graph(model, *target_batch, dup=True,
-                                               train_rng=train_rng)
-        dc.forward(root, rng=train_rng)
-        grads = dc.backward(root)
-        g_u = _acc(g_u, coefs.critic_target, flat(grads, rn, model.rep))
-        g_vp = _acc(g_vp, coefs.critic_target, flat(grads, pn, model.dup))
-
-    if coefs.pseudo > 0.0:
-        root, rn, pn, dn = risks.pseudo_risk_graph(
-            model, unlabeled_x, cfg.w1_discri_coef1, cfg.w1_discri_coef2,
-            train_rng=train_rng)
-        dc.forward(root, rng=train_rng)
-        grads = dc.backward(root)
-        g_u = _acc(g_u, coefs.pseudo, flat(grads, rn, model.rep))
-        g_v = _acc(g_v, coefs.pseudo, flat(grads, pn, model.pred))
-        g_vp = _acc(g_vp, coefs.pseudo, flat(grads, dn, model.dup))
-
-    if coefs.source_main > 0.0:
-        root, rn, pn, _ = risks.source_risk_graph(model, source_batches, alpha,
-                                                  train_rng=train_rng)
-        dc.forward(root, rng=train_rng)
-        grads = dc.backward(root)
-        g_u = _acc(g_u, coefs.source_main, flat(grads, rn, model.rep))
-        g_v = _acc(g_v, coefs.source_main, flat(grads, pn, model.pred))
-
-    if coefs.critic_source > 0.0:
-        # reversed for u (mini-max) under the learned weights
-        root, rn, pn, _ = risks.source_risk_graph(model, source_batches, alpha,
-                                                  dup=True, train_rng=train_rng)
-        dc.forward(root, rng=train_rng)
-        grads = dc.backward(root)
-        g_u = _acc(g_u, -coefs.critic_source, flat(grads, rn, model.rep))
-        # the critic's own source term is unweighted (uniform over sources),
-        # so it stays calibrated on every source even when the weights
-        # concentrate; this is the update rule's literal source subscript
-        uniform = np.full(len(source_batches), 1.0 / len(source_batches))
-        root, _, pn, _ = risks.source_risk_graph(model, source_batches, uniform,
-                                                 dup=True, train_rng=train_rng)
-        dc.forward(root, rng=train_rng)
-        grads = dc.backward(root)
-        g_vp = _acc(g_vp, -coefs.critic_source, flat(grads, pn, model.dup))
-
-    if g_vp is not None and cfg.interp_penalty_weight > 0.0:
-        if coefs.pseudo > 0.0 and unlabeled_x is not None:
-            tgt_feats = model.represent(unlabeled_x)
+    def share(name):
+        rn = pn = dn = None
+        if name == "penalty":
+            if coefs.uses_unlabeled:
+                tgt_feats = model.represent(unlabeled_x)
+            else:
+                tgt_feats = model.represent(target_batch[0])
+            src_feats = model.represent(np.concatenate([x for x, _ in source_batches]))
+            x_int = risks.interpolate_features(tgt_feats, src_feats, rng_penalty)
+            root, dn = risks.interp_penalty_graph(model, x_int, dup=True)
+        elif name == "pseudo":
+            root, rn, pn, dn = risks.pseudo_risk_graph(
+                model, unlabeled_x, cfg.w1_discri_coef1, cfg.w1_discri_coef2,
+                train_rng=train_rng)
         else:
-            tgt_feats = model.represent(target_batch[0])
-        src_feats = model.represent(np.concatenate([x for x, _ in source_batches]))
-        x_int = risks.interpolate_features(tgt_feats, src_feats, rng_penalty)
-        pen, wn = risks.interp_penalty_graph(model, x_int, dup=True)
-        dc.forward(pen)
-        grads = dc.backward(pen)
-        g_vp = _acc(g_vp, -cfg.interp_penalty_weight, flat(grads, wn, model.dup))
+            dup = "critic" in name
+            if name.endswith("target"):
+                root, rn, head = risks.target_risk_graph(model, *target_batch, dup=dup,
+                                                         train_rng=train_rng)
+            else:
+                n = len(source_batches)
+                weights = np.full(n, 1.0 / n) if name == "critic source" else alpha
+                root, rn, head, _ = risks.source_risk_graph(model, source_batches, weights,
+                                                            dup=dup, train_rng=train_rng)
+            pn, dn = (None, head) if dup else (head, None)
+        dc.forward(root, rng=train_rng)
+        grads = dc.backward(root)
+        return tuple(None if nodes is None else dc.flatten_grads(grads, nodes, vector)
+                     for nodes, vector in ((rn, model.rep), (pn, model.pred),
+                                           (dn, model.dup)))
 
-    return g_u, g_v, g_vp
+    return _assemble(coefs, cfg, share)
 
 
 def bound_constants(cfg, train, alpha, delta_u, delta_v):
@@ -649,11 +661,10 @@ def bound_constants(cfg, train, alpha, delta_u, delta_v):
     (alpha None: uniform); the labeled and unlabeled target sizes count
     only in the regimes that train on them, and are 1 otherwise."""
     coefs = StepCoefficients.from_config(cfg)
-    uses_target = coefs.target_main > 0.0 or coefs.critic_target > 0.0
     return theory.BoundConstants(
         sigma=cfg.bound_sigma,
-        m_t=train.target[0].shape[0] if uses_target else 1,
-        m_t_prime=train.target_unlabeled.shape[0] if coefs.pseudo > 0.0 else 1,
+        m_t=train.target[0].shape[0] if coefs.uses_target else 1,
+        m_t_prime=train.target_unlabeled.shape[0] if coefs.uses_unlabeled else 1,
         m=train.source_sizes, epsilon=cfg.epsilon, tau=cfg.tau, alpha=alpha,
         delta_u=delta_u, delta_v=delta_v,
         r_star=cfg.r_star, r_star_rep=cfg.r_star_rep)
@@ -689,26 +700,20 @@ def run(cfg, datasets=None):
     tau, eps = cfg.tau, cfg.epsilon
     coefs = StepCoefficients.from_config(cfg)
 
-    # regime guards: data the regime must not touch is physically dropped
-    target_x, target_y = train.target
-    if tau == 0.0:
-        assert coefs.target_main == 0.0 and coefs.critic_target == 0.0
-        target_x, target_y = None, None
-    unlabeled_x = train.target_unlabeled if tau < 1.0 else None
-    if coefs.pseudo > 0.0 and (unlabeled_x is None or unlabeled_x.shape[0] == 0):
-        raise ConfigError("this regime needs unlabeled target data")
-    needs_target = coefs.target_main > 0.0 or coefs.critic_target > 0.0
-    if needs_target and (target_x is None or target_x.shape[0] == 0):
-        raise ConfigError("this regime needs labeled target data")
+    # the training sets the run draws batches from: every source (record and
+    # the alpha solve read them too) and the target sets the regime uses;
+    # the others are never touched
+    sets = {f"source {i + 1}": (x, y, TAG_SRC_BATCH + i)
+            for i, (x, y) in enumerate(train.sources)}
+    if coefs.uses_target:
+        sets["labeled target"] = (*train.target, TAG_TGT_BATCH)
+    if coefs.uses_unlabeled:
+        sets["unlabeled target"] = (train.target_unlabeled, None, TAG_UNL_BATCH)
+    for name, (x, _, _) in sets.items():
+        if x.shape[0] == 0:
+            raise ConfigError(f"this regime needs {name} data, and the set is empty")
     # the step takes its batches as finite; check the arrays it draws from once
-    used = []
-    if coefs.source_main > 0.0 or coefs.critic_source > 0.0:
-        used += [(f"source {i + 1}", x) for i, (x, _) in enumerate(train.sources)]
-    if needs_target:
-        used.append(("labeled target", target_x))
-    if coefs.pseudo > 0.0:
-        used.append(("unlabeled target", unlabeled_x))
-    for name, x in used:
+    for name, (x, _, _) in sets.items():
         if not np.all(np.isfinite(x)):
             raise RunError(f"non-finite entries in the {name} features")
 
@@ -728,22 +733,10 @@ def run(cfg, datasets=None):
     rng_dropout = data.stream_rng(cfg.seed, TAG_DROPOUT)
     rng_penalty = data.stream_rng(cfg.seed, TAG_PENALTY)
 
-    source_streams = [data.batch_stream(x, y, cfg.batch_size, cfg.seed,
-                                        tag=TAG_SRC_BATCH + i)
-                      for i, (x, y) in enumerate(train.sources)]
-    target_stream = (data.batch_stream(target_x, target_y, cfg.batch_size,
-                                       cfg.seed, tag=TAG_TGT_BATCH)
-                     if needs_target else None)
-    unl_stream = (data.batch_stream(unlabeled_x, None, cfg.batch_size, cfg.seed,
-                                    tag=TAG_UNL_BATCH)
-                  if coefs.pseudo > 0.0 else None)
-
-    sizes = [x.shape[0] for x, _ in train.sources]
-    if needs_target:
-        sizes.append(target_x.shape[0])
-    if coefs.pseudo > 0.0:
-        sizes.append(unlabeled_x.shape[0])
-    steps = cfg.steps_per_epoch or int(math.ceil(max(sizes) / cfg.batch_size))
+    streams = {name: data.batch_stream(x, y, cfg.batch_size, cfg.seed, tag=tag)
+               for name, (x, y, tag) in sets.items()}
+    steps = cfg.steps_per_epoch or int(math.ceil(
+        max(x.shape[0] for x, _, _ in sets.values()) / cfg.batch_size))
 
     ledger = None if cfg.noiseless else optimizer.GradNormLedger()
     alpha = np.full(n_sources, 1.0 / n_sources)
@@ -777,12 +770,12 @@ def run(cfg, datasets=None):
         for i, r in enumerate(r_v):
             row[f"r_src_{i + 1}"] = r
         rt = w1s = w1p = None
-        if needs_target:
-            rt, rt_dup = labeled_risks(target_x, target_y)
+        if coefs.uses_target:
+            rt, rt_dup = labeled_risks(*train.target)
             w1s = rt_dup - rs_dup
-        if coefs.pseudo > 0.0:
-            w1p = risks.pseudo_label_risk(model, unlabeled_x, cfg.w1_discri_coef1,
-                                          cfg.w1_discri_coef2) - rs_dup
+        if coefs.uses_unlabeled:
+            w1p = risks.pseudo_label_risk(model, train.target_unlabeled,
+                                          cfg.w1_discri_coef1, cfg.w1_discri_coef2) - rs_dup
         row["r_target"] = rt
         row["w1_sup"] = w1s
         row["w1_pseudo"] = w1p
@@ -828,9 +821,10 @@ def run(cfg, datasets=None):
         for _ in range(steps):
             block = None  # the parameter block being updated, for the error
             try:
-                source_batches = [next(s) for s in source_streams]
-                target_batch = next(target_stream) if target_stream else None
-                unl_batch = next(unl_stream)[0] if unl_stream else None
+                batch = {name: next(s) for name, s in streams.items()}
+                source_batches = [batch[f"source {i + 1}"] for i in range(n_sources)]
+                target_batch = batch.get("labeled target")
+                unl_batch = batch["unlabeled target"][0] if coefs.uses_unlabeled else None
                 g_u, g_v, g_vp = assemble_gradients(
                     model, coefs, alpha, target_batch, unl_batch,
                     source_batches, cfg, rng_dropout, rng_penalty)

@@ -184,21 +184,27 @@ def combined_objective(model, source_batches, alpha, eps, tau,
 # graph builders for the training loop
 
 
+def _loss_graph(model, x, y, dup, train_rng, name):
+    """(loss node, rep nodes, predictor nodes): the batch-mean loss of the
+    (duplicate) predictor on one labeled batch, nodes named after `name`."""
+    xn = dc.const(_check_batch(x), name=f"{name}.x")
+    feat, rep_nodes = model.rep_graph(xn, train_rng=train_rng)
+    out, pred_nodes = model.pred_graph(feat, dup=dup)
+    if model.arch.mode == "classification":
+        loss = dc.masked_mean(out, -_onehot(y, model.arch.n_outputs), name=f"{name}.risk")
+    else:
+        diff = dc.add(out, dc.const(-np.asarray(y, dtype=np.float64).reshape(-1, 1)))
+        loss = dc.mean(dc.add(dc.relu(diff), dc.relu(dc.scale(diff, -1.0))),
+                       name=f"{name}.risk")
+    return loss, rep_nodes, pred_nodes
+
+
 def target_risk_graph(model, x, y, dup=False, train_rng=None):
     """Loss graph of the (duplicate) predictor on a labeled batch.
 
     Returns (root, rep param node list, predictor param node list).
     """
-    x = _check_batch(x)
-    xn = dc.const(x, name="batch.x")
-    feat, rep_nodes = model.rep_graph(xn, train_rng=train_rng)
-    out, pred_nodes = model.pred_graph(feat, dup=dup)
-    if model.arch.mode == "classification":
-        root = dc.masked_mean(out, -_onehot(y, model.arch.n_outputs), name="nll")
-    else:
-        diff = dc.add(out, dc.const(-np.asarray(y, dtype=np.float64).reshape(-1, 1)))
-        root = dc.mean(dc.add(dc.relu(diff), dc.relu(dc.scale(diff, -1.0))), name="abs")
-    return root, rep_nodes, pred_nodes
+    return _loss_graph(model, x, y, dup, train_rng, "batch")
 
 
 def source_risk_graph(model, source_batches, alpha, dup=False, train_rng=None):
@@ -208,26 +214,13 @@ def source_risk_graph(model, source_batches, alpha, dup=False, train_rng=None):
     The per-source nodes hold the unweighted batch means after forward().
     """
     alpha = check_simplex(alpha, n=len(source_batches))
-    rep_nodes = pred_nodes = None
-    risk_nodes, weighted = [], []
+    rep_nodes, pred_nodes, risk_nodes, weighted = [], [], [], []
     for i, (x, y) in enumerate(source_batches):
-        x = _check_batch(x)
-        xn = dc.const(x, name=f"src{i}.x")
-        feat, rn = model.rep_graph(xn, train_rng=train_rng)
-        out, pn = model.pred_graph(feat, dup=dup)
-        if model.arch.mode == "classification":
-            ri = dc.masked_mean(out, -_onehot(y, model.arch.n_outputs), name=f"src{i}.risk")
-        else:
-            diff = dc.add(out, dc.const(-np.asarray(y, dtype=np.float64).reshape(-1, 1)))
-            ri = dc.mean(dc.add(dc.relu(diff), dc.relu(dc.scale(diff, -1.0))),
-                         name=f"src{i}.risk")
+        ri, rn, pn = _loss_graph(model, x, y, dup, train_rng, f"src{i}")
         risk_nodes.append(ri)
         weighted.append(dc.scale(ri, float(alpha[i])))
-        if rep_nodes is None:
-            rep_nodes, pred_nodes = rn, pn
-        else:
-            rep_nodes += rn
-            pred_nodes += pn
+        rep_nodes += rn
+        pred_nodes += pn
     root = weighted[0]
     for term in weighted[1:]:
         root = dc.add(root, term)

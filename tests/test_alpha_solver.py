@@ -118,6 +118,18 @@ class TestSolveAlpha:
             oracle = a.grid_oracle(obj, m, step=0.005)
             assert obj.value(got.alpha) <= obj.value(oracle) + 1e-6
 
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+        hnp.arrays(np.float64, n, elements=st.floats(-5.0, 5.0)),
+        st.floats(0.0, 3.0),
+        hnp.arrays(np.int64, n, elements=st.integers(20, 2000)))))
+    def test_within_tolerance_of_grid_oracle(self, case):
+        linear, reg_weight, m = case
+        obj = a.AlphaObjective(linear=linear, reg_weight=reg_weight, m=m)
+        got = a.solve_alpha(obj, m)
+        oracle = a.grid_oracle(obj, m, step=0.005)
+        assert obj.value(got.alpha) <= obj.value(oracle) + 1e-6
+
     def test_output_is_domain_weights(self):
         obj = a.AlphaObjective(linear=np.array([1.0, -1.0]), reg_weight=0.5,
                                m=np.array([10, 20]))

@@ -47,12 +47,26 @@ class TestRunCommand:
         ("sigma", "1e-300"),
         ("rep_activation", "tanh"),
         ("data", "foo"),
+        *[(key, "-1") for key in (
+            "w1_sup_coef", "w1_discri_coef1", "w1_discri_coef2", "interp_penalty_weight",
+            "c0", "c1", "lambda_r", "bound_sigma", "r_star", "r_star_rep",
+            "eta_decay_steps", "u_ramp_epochs", "v_ramp_epochs", "labeled_target_size")],
+        ("w1_sup_coef", "nan"),
+        ("drop_rate", "1"),
+        ("drop_rate", "-0.5"),
+        ("domain_size", "0"),
+        ("source_angles", ""),
+        ("class_std", "1,2,3"),
+        ("class_std", "0.85,0"),
+        ("class_std", ""),
+        ("radius", "inf"),
+        ("radius", "nan"),
     ])
     def test_bad_value_exits_two_naming_the_key(self, tmp_path, capsys, key, value):
         cfg = write_cfg(tmp_path, "mode = semi\n")
-        code = cli.main(["run", "--config", cfg, "--set", f"{key}={value}",
+        code = cli.main(["run", "--config", cfg,
                          "--set", "epochs=1", "--set", "domain_size=60",
-                         "--set", f"outdir={tmp_path}/out"])
+                         "--set", f"outdir={tmp_path}/out", "--set", f"{key}={value}"])
         assert code == 2
         assert key in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")

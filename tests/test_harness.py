@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imda import data, diffcore as dc, harness, models, optimizer, risks, theory
 from imda.harness import ConfigError, parse_config, run
@@ -20,6 +21,34 @@ SMALL = ["batch_size=50", "domain_size=300", "labeled_target_size=100",
 
 def small_cfg(outdir, *extra):
     return parse_config(overrides=SMALL + [f"outdir={outdir}"] + list(extra))
+
+
+# characters str.strip() and the list kinds' comma split leave alone
+_WORD = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zs", "Zl", "Zp"),
+                              exclude_characters=","), min_size=1)
+
+
+def _joined(values):
+    return st.just(",".join(map(repr, values)))
+
+
+def _spelled(flag):
+    return st.sampled_from(("true", "On", "1", "YES") if flag else ("false", "OFF", "0", "no"))
+
+
+# parser kind -> (a key of that kind the parse-time checks accept any drawn
+# value for, the drawn values, the strategy spelling a value for --set)
+ROUND_TRIPS = {
+    "str": ("outdir", _WORD, st.just),
+    "float": ("empirical_risk", st.floats(allow_nan=False), lambda v: st.just(repr(v))),
+    "int": ("seed", st.integers(-10**12, 10**12), lambda v: st.just(str(v))),
+    "bool": ("noiseless", st.booleans(), _spelled),
+    "floats": ("source_angles", st.lists(st.floats(allow_nan=False), min_size=1)
+               .map(tuple), _joined),
+    "ints": ("rep_widths", st.lists(st.integers(1, 512), min_size=1).map(tuple), _joined),
+    "strs": ("source_csvs", st.lists(_WORD, min_size=1).map(tuple),
+             lambda v: st.just(",".join(v))),
+}
 
 
 class TestParseConfig:
@@ -69,6 +98,19 @@ class TestParseConfig:
     def test_rates_must_be_positive(self):
         with pytest.raises(ConfigError):
             parse_config(overrides=["mode=semi", "eta_v=0"])
+
+    @pytest.mark.parametrize("kind", sorted(ROUND_TRIPS))
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_set_round_trip(self, kind, data):
+        key, values, spell = ROUND_TRIPS[kind]
+        assert harness._SCHEMA[key][0] == kind
+        value = data.draw(values)
+        raw = data.draw(spell(value))
+        assert parse_config(overrides=["mode=semi", f"{key}={raw}"]).values[key] == value
+
+    def test_round_trips_cover_every_kind(self):
+        assert set(ROUND_TRIPS) == {kind for kind, _ in harness._SCHEMA.values()}
 
     def test_noiseless_alpha_needs_lambda(self, tmp_path):
         cfg = parse_config(overrides=["mode=unsupervised", "noiseless=true",
@@ -198,12 +240,13 @@ class TestSharedEvaluation:
         cfg, train, result = finished
         last = result.metrics[-1]
         alpha = np.array([last[f"alpha_{i + 1}"] for i in range(len(train.sources))])
-        coefs = harness.StepCoefficients.from_config(cfg)
-        needs_target = coefs.target_main > 0.0 or coefs.critic_target > 0.0
+        # the regimes above read the labeled target when tau > 0 and the
+        # unlabeled target when tau < 1 under alignment
         consts = theory.BoundConstants(
             sigma=cfg.bound_sigma,
-            m_t=train.target[0].shape[0] if needs_target else 1,
-            m_t_prime=train.target_unlabeled.shape[0] if coefs.pseudo > 0.0 else 1,
+            m_t=train.target[0].shape[0] if cfg.tau > 0.0 else 1,
+            m_t_prime=(train.target_unlabeled.shape[0]
+                       if cfg.tau < 1.0 and cfg.alignment else 1),
             m=train.source_sizes, epsilon=cfg.epsilon, tau=cfg.tau, alpha=alpha,
             delta_u=result.ledger.delta_u, delta_v=result.ledger.delta_v,
             r_star=cfg.r_star, r_star_rep=cfg.r_star_rep)
@@ -254,6 +297,17 @@ class TestRegimeGuards:
         result = run(cfg, datasets=(poisoned, test))  # nan would explode if touched
         assert result.metrics[-1]["w1_pseudo"] is None
         assert np.all(np.isfinite(result.model.rep.values))
+
+    def test_empty_training_set_named_before_training(self, tmp_path):
+        cfg = small_cfg(tmp_path, "mode=semi")
+        train, test = harness.build_datasets(cfg)
+        emptied = data.MultiSourceDataset(
+            sources=[train.sources[0], (np.zeros((0, train.dim)), np.zeros(0, dtype=int))],
+            target=train.target, target_unlabeled=train.target_unlabeled,
+            n_classes=train.n_classes, dim=train.dim)
+        with pytest.raises(ConfigError, match="source 2"):
+            run(cfg, datasets=(emptied, test))
+        assert not os.path.exists(tmp_path / "metrics.csv")
 
     def test_semi_uses_both(self, tmp_path):
         result = run(small_cfg(tmp_path, "mode=semi", "tau=0.5"))

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imda import optimizer as opt
 from imda.diffcore import ParameterVector
@@ -135,6 +136,18 @@ class TestLedger:
                            sigma=float(rng.uniform(0.001, 0.1)),
                            grad_sq_norm=float(rng.uniform(0, 10)), step=k)
         path = tmp_path / "ledger.csv"
+        led.write_csv(path)
+        du, dv = opt.replay_ledger_csv(path)
+        assert du == led.delta_u and dv == led.delta_v
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("uv"), st.floats(1e-6, 10.0),
+                              st.floats(1e-4, 1.0), st.floats(0.0, 1e6)), max_size=40))
+    def test_csv_replay_is_bit_exact_for_any_log(self, tmp_path_factory, steps):
+        led = opt.GradNormLedger()
+        for k, (which, eta, sigma, gsq) in enumerate(steps):
+            led.accumulate(which, eta, sigma, gsq, step=k)
+        path = tmp_path_factory.mktemp("ledger") / "ledger.csv"
         led.write_csv(path)
         du, dv = opt.replay_ledger_csv(path)
         assert du == led.delta_u and dv == led.delta_v

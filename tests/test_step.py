@@ -189,3 +189,46 @@ def test_overflowing_parameters_name_epoch_and_step(tmp_path):
                                                   match=r"epoch 1, step \d+: "):
         run(cfg)
     assert not os.path.exists(tmp_path / "metrics.csv")
+
+
+# ---------------------------------------------------------------------------
+# the term table both paths share
+
+
+# StepCoefficients.terms() for each regime, written out from the harness
+# docstring's G_u / G_v / G_v' formula at tau = 0.5 (semi), epsilon = 0.5,
+# w1_sup_coef = 0.25, where every coefficient is exact in binary
+TERM_TABLES = {
+    "supervised": (["mode=supervised"], [
+        ("target", (0.5, 0.5, None)),
+        ("critic target", (0.125, None, 0.125)),
+        ("source", (0.5, 0.5, None)),
+        ("reversed critic source", (-0.125, None, None)),
+        ("critic source", (None, None, -0.125))]),
+    "unsupervised": (["mode=unsupervised"], [
+        ("pseudo", (1.0, 1.0, 1.0)),
+        ("reversed critic source", (-1.0, None, None)),
+        ("critic source", (None, None, -1.0))]),
+    "semi": (["mode=semi"], [
+        ("target", (0.25, 0.25, None)),
+        ("critic target", (0.0625, None, 0.0625)),
+        ("pseudo", (0.5, 0.5, 0.5)),
+        ("source", (0.25, 0.25, None)),
+        ("reversed critic source", (-0.5625, None, None)),
+        ("critic source", (None, None, -0.5625))]),
+    "alignment_off": (["mode=semi", "alignment=off"], [
+        ("target", (0.25, 0.25, None)),
+        ("source", (0.75, 0.75, None))]),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(TERM_TABLES))
+def test_term_table_matches_the_documented_formula(regime):
+    overrides, expected = TERM_TABLES[regime]
+    cfg = parse_config(overrides=overrides + ["epsilon=0.5", "w1_sup_coef=0.25"])
+    coefs = harness.StepCoefficients.from_config(cfg)
+    assert coefs.terms() == expected
+    names = [name for name, _ in expected]
+    assert coefs.uses_target == ("target" in names or "critic target" in names)
+    assert coefs.uses_unlabeled == ("pseudo" in names)
+    assert coefs.uses_sources == any(name.endswith("source") for name in names)
