@@ -66,10 +66,12 @@ def _cmd_check(args):
     # the regimes exercise every row of the term table, and alignment=off has
     # no critic term, so no penalty
     ok = True
-    for regime, dropout in ((["mode=supervised"], 0.0), (["mode=unsupervised"], 0.0),
-                            (["mode=semi"], 0.0), (["mode=semi"], 0.2),
+    penalty = "interp_penalty_weight=0.1"
+    for regime, dropout in ((["mode=supervised", penalty], 0.0),
+                            (["mode=unsupervised", penalty], 0.0),
+                            (["mode=semi", penalty], 0.0), (["mode=semi", penalty], 0.2),
                             (["mode=semi", "alignment=off"], 0.0)):
-        cfg = harness.parse_config(overrides=regime + ["interp_penalty_weight=0.1"])
+        cfg = harness.parse_config(overrides=regime)
         coefs = harness.StepCoefficients.from_config(cfg)
         arch = models.ArchSpec(rep_widths=(2, 8, 4), pred_widths=(4, 5, 3),
                                dropout_rate=dropout)
@@ -85,6 +87,20 @@ def _cmd_check(args):
                       and np.array_equal(a, b) for a, b in zip(fused, ref))
             ok &= all(a.bit_generator.state == b.bit_generator.state for a, b in zip(*rngs))
     report("fused step equals the graph reference bit for bit", ok)
+
+    # blocked evaluation against the whole-set forward, on a set whose last
+    # row joins the block before it
+    ok = True
+    n = 2 * models.EVAL_ROWS + 1
+    for mode, width in (("classification", 2), ("regression", 1)):
+        arch = models.ArchSpec(rep_widths=(2, 32, 16), pred_widths=(16, width), mode=mode)
+        model = models.ModelTriple.init(arch, seed=0)
+        x = np.random.default_rng(1).standard_normal((n, 2))
+        feat = model.represent(x)
+        ok &= all(np.array_equal(out, model.predict(feat, dup=dup))
+                  for out, dup in zip(model.outputs(x, dups=(False, True)), (False, True)))
+    report("blocked evaluation equals the whole-set forward bit for bit", ok,
+           f"{n} rows, blocks of {models.EVAL_ROWS}")
 
     # simplex projection feasibility + idempotence
     ok = True

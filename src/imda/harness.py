@@ -22,7 +22,8 @@ term whose coefficient is zero:
 
 The source risks are alpha-weighted, except the critic source term's,
 which is the uniform mean over sources.  The penalty joins only when a
-term above reached v'.  With alignment off the critic terms and pseudo
+term above reached v' (parse_config rejects a positive penalty weight
+otherwise).  With alignment off the critic terms and pseudo
 are dropped and source takes [tau*eps + (1-tau)].
 
 u and v descend with noise injection, v' ascends without; the ledger
@@ -243,7 +244,14 @@ def parse_config(path=None, overrides=()):
     if values["rep_activation"] not in ("relu", "linear"):
         raise ConfigError(f"unknown rep_activation {values['rep_activation']!r} "
                           "(relu | linear)")
-    return ExperimentConfig(values=values)
+    cfg = ExperimentConfig(values=values)
+    # the penalty joins only a step that trains the critic; elsewhere it would
+    # be silently ignored
+    if (values["interp_penalty_weight"] > 0.0
+            and not StepCoefficients.from_config(cfg).uses_critic):
+        raise ConfigError("interp_penalty_weight > 0 needs a step term that trains the "
+                          "critic: alignment on, with tau < 1 or epsilon * w1_sup_coef > 0")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +295,12 @@ def build_datasets(cfg):
 
 
 def evaluate(model, x, y):
-    """Fraction of argmax predictions equal to labels (dropout disabled)."""
+    """Fraction of argmax predictions equal to labels (dropout disabled),
+    from one ModelTriple.outputs pass in blocks of models.EVAL_ROWS rows."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] == 0:
         raise RunError("cannot evaluate on an empty set")
-    pred = np.argmax(model.predict(model.represent(x)), axis=1)
+    pred = np.argmax(model.outputs(x)[0], axis=1)
     return float(np.mean(pred == np.asarray(y)))
 
 
@@ -335,6 +344,11 @@ class StepCoefficients:
         """The step's gradient depends on the source batches."""
         return self.source_main > 0.0 or self.critic_source > 0.0
 
+    @property
+    def uses_critic(self):
+        """A term of the step reaches the critic v'."""
+        return any(weights[2] is not None for _, weights in self.terms())
+
     def terms(self):
         """The active terms in accumulation order, each as (name,
         (coefficient on G_u, on G_v, on G_v')), None where the term does
@@ -361,7 +375,7 @@ def _assemble(coefs, cfg, share):
     unweighted (g_u, g_v, g_vp) shares; a block the term does not reach is
     never read."""
     terms = coefs.terms()
-    if cfg.interp_penalty_weight > 0.0 and any(w[2] is not None for _, w in terms):
+    if cfg.interp_penalty_weight > 0.0 and coefs.uses_critic:
         terms.append(("penalty", (None, None, -cfg.interp_penalty_weight)))
     totals = [None, None, None]
     for name, weights in terms:
@@ -700,15 +714,18 @@ def run(cfg, datasets=None):
     tau, eps = cfg.tau, cfg.epsilon
     coefs = StepCoefficients.from_config(cfg)
 
-    # the training sets the run draws batches from: every source (record and
-    # the alpha solve read them too) and the target sets the regime uses;
-    # the others are never touched
-    sets = {f"source {i + 1}": (x, y, TAG_SRC_BATCH + i)
-            for i, (x, y) in enumerate(train.sources)}
+    # the training sets of the run: every source (record and the alpha solve
+    # read them, and they count toward the steps per epoch) and the target
+    # sets the regime uses; the others are never touched.  Batches are cut
+    # only from the sets the step reads.
+    sources = {f"source {i + 1}": (x, y, TAG_SRC_BATCH + i)
+               for i, (x, y) in enumerate(train.sources)}
+    drawn = dict(sources) if coefs.uses_sources else {}
     if coefs.uses_target:
-        sets["labeled target"] = (*train.target, TAG_TGT_BATCH)
+        drawn["labeled target"] = (*train.target, TAG_TGT_BATCH)
     if coefs.uses_unlabeled:
-        sets["unlabeled target"] = (train.target_unlabeled, None, TAG_UNL_BATCH)
+        drawn["unlabeled target"] = (train.target_unlabeled, None, TAG_UNL_BATCH)
+    sets = {**sources, **drawn}
     for name, (x, _, _) in sets.items():
         if x.shape[0] == 0:
             raise ConfigError(f"this regime needs {name} data, and the set is empty")
@@ -734,7 +751,7 @@ def run(cfg, datasets=None):
     rng_penalty = data.stream_rng(cfg.seed, TAG_PENALTY)
 
     streams = {name: data.batch_stream(x, y, cfg.batch_size, cfg.seed, tag=tag)
-               for name, (x, y, tag) in sets.items()}
+               for name, (x, y, tag) in drawn.items()}
     steps = cfg.steps_per_epoch or int(math.ceil(
         max(x.shape[0] for x, _, _ in sets.values()) / cfg.batch_size))
 
@@ -747,8 +764,8 @@ def run(cfg, datasets=None):
     def labeled_risks(x, y):
         """(predictor risk, critic risk) on one labeled set from one
         representation pass: the floats risks.empirical_risk_target gives."""
-        feat = model.represent(x)
-        return risks.nll(model.predict(feat), y), risks.nll(model.predict(feat, dup=True), y)
+        out, out_dup = model.outputs(x, dups=(False, True))
+        return risks.nll(out, y), risks.nll(out_dup, y)
 
     def source_risks():
         """Per-source risks of v and v' at the current parameters; they do
@@ -822,7 +839,7 @@ def run(cfg, datasets=None):
             block = None  # the parameter block being updated, for the error
             try:
                 batch = {name: next(s) for name, s in streams.items()}
-                source_batches = [batch[f"source {i + 1}"] for i in range(n_sources)]
+                source_batches = [batch[name] for name in sources if name in batch]
                 target_batch = batch.get("labeled target")
                 unl_batch = batch["unlabeled target"][0] if coefs.uses_unlabeled else None
                 g_u, g_v, g_vp = assemble_gradients(

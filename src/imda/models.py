@@ -11,6 +11,11 @@ import numpy as np
 
 from . import diffcore as dc
 
+# rows per block of ModelTriple.outputs: one 32-wide float64 activation of
+# a block is 1 MB, so a block's working set stays in cache and a whole-set
+# evaluation never holds more than one block of hidden activations
+EVAL_ROWS = 4096
+
 
 class ArchitectureError(Exception):
     pass
@@ -131,11 +136,37 @@ class ModelTriple:
 
     def represent(self, x):
         """g(u, x) for a batch x of shape (n, input_dim)."""
+        return _forward(self.layers("rep"), self._inputs(x))
+
+    def outputs(self, x, dups=(False,)):
+        """[predict(represent(x), dup=d) for d in dups], each a full
+        (n, n_outputs) array, computed over blocks of EVAL_ROWS rows (the
+        last block takes up to EVAL_ROWS + 1).
+
+        Every operation of the forward is row-wise, so each block's rows
+        are the bytes the whole-set forward gives them, as long as BLAS
+        multiplies the block with the kernel it uses for the whole set;
+        only the working set shrinks, to one block's activations.  A
+        one-row block would take numpy's vector-matrix product, which
+        rounds differently, so a last row joins the block before it."""
+        x = self._inputs(x)
+        n = x.shape[0]
+        outs = [np.empty((n, self.arch.n_outputs)) for _ in dups]
+        start = 0
+        while start < n:
+            stop = n if n - start <= EVAL_ROWS + 1 else start + EVAL_ROWS
+            feat = self.represent(x[start:stop])
+            for out, dup in zip(outs, dups):
+                out[start:stop] = self.predict(feat, dup=dup)
+            start = stop
+        return outs
+
+    def _inputs(self, x):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
             raise ArchitectureError(
                 f"input of shape {x.shape} does not match input_dim {self.arch.input_dim}")
-        return _forward(self.layers("rep"), x)
+        return x
 
     def predict(self, feat, dup=False):
         """h(v, feat): log-probabilities in classification mode, raw scalar

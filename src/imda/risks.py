@@ -71,8 +71,7 @@ def _loss_value(model, out, y):
 
 def empirical_risk_target(model, x, y, dup=False):
     """Batch mean of the loss of the (duplicate) predictor on labeled data."""
-    x = _check_batch(x)
-    out = model.predict(model.represent(x), dup=dup)
+    out = model.outputs(_check_batch(x), dups=(dup,))[0]
     return _loss_value(model, out, y)
 
 
@@ -92,23 +91,23 @@ def pseudo_labels(model, x):
     recomputed from the current parameters; argmax ties break low."""
     if model.arch.mode != "classification":
         raise RiskError("pseudo labels require classification mode")
-    feat = model.represent(_check_batch(x))
-    return (np.argmax(model.predict(feat), axis=1),
-            np.argmax(model.predict(feat, dup=True), axis=1))
+    out, out_dup = model.outputs(_check_batch(x), dups=(False, True))
+    return np.argmax(out, axis=1), np.argmax(out_dup, axis=1)
 
 
 def pseudo_label_risk(model, x, coef1, coef2):
     """Two-term pseudo-risk surrogate on unlabeled inputs:
     coef1 * loss(dup predictions, labels from predictor)
     + coef2 * loss(predictions, labels from dup).
-    The labels are those of pseudo_labels, taken from the same forward."""
+    The labels are those of pseudo_labels, taken from the same forward: one
+    ModelTriple.outputs pass, in blocks of models.EVAL_ROWS rows, whose
+    full log-probability arrays each term's one batch mean reads."""
     if coef1 < 0 or coef2 < 0:
         raise RiskError("surrogate coefficients must be non-negative")
     x = _check_batch(x)
     if model.arch.mode != "classification":
         raise RiskError("pseudo labels require classification mode")
-    feat = model.represent(x)
-    out, out_dup = model.predict(feat), model.predict(feat, dup=True)
+    out, out_dup = model.outputs(x, dups=(False, True))
     term1 = nll(out_dup, np.argmax(out, axis=1))
     term2 = nll(out, np.argmax(out_dup, axis=1))
     return coef1 * term1 + coef2 * term2

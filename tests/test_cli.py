@@ -14,6 +14,39 @@ def write_cfg(tmp_path, text):
     return str(path)
 
 
+# (key, bad value, other --set items the case needs); the key must appear
+# in the error
+BAD_VALUES = [
+    ("rep_widths", ""),
+    ("rep_widths", "32,0"),
+    ("dropout", "1.5"),
+    ("dropout", "-0.1"),
+    ("steps_per_epoch", "-3"),
+    ("warmup_epochs", "-1"),
+    ("sigma", "1e-300"),
+    ("rep_activation", "tanh"),
+    ("data", "foo"),
+    *[(key, "-1") for key in (
+        "w1_sup_coef", "w1_discri_coef1", "w1_discri_coef2", "interp_penalty_weight",
+        "c0", "c1", "lambda_r", "bound_sigma", "r_star", "r_star_rep",
+        "eta_decay_steps", "u_ramp_epochs", "v_ramp_epochs", "labeled_target_size")],
+    ("w1_sup_coef", "nan"),
+    ("drop_rate", "1"),
+    ("drop_rate", "-0.5"),
+    ("domain_size", "0"),
+    ("source_angles", ""),
+    ("class_std", "1,2,3"),
+    ("class_std", "0.85,0"),
+    ("class_std", ""),
+    ("radius", "inf"),
+    ("radius", "nan"),
+    # a penalty no step term carries to the critic
+    ("interp_penalty_weight", "0.1", "alignment=off"),
+    ("interp_penalty_weight", "0.1", "mode=supervised", "epsilon=0"),
+    ("interp_penalty_weight", "0.1", "mode=supervised", "w1_sup_coef=0"),
+]
+
+
 class TestRunCommand:
     def test_run_writes_outputs_and_exits_zero(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "mode = supervised\n")
@@ -37,40 +70,19 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, "mode = unsupervised\ntau = 1.0\n")
         assert cli.main(["run", "--config", cfg]) == 2
 
-    @pytest.mark.parametrize("key, value", [
-        ("rep_widths", ""),
-        ("rep_widths", "32,0"),
-        ("dropout", "1.5"),
-        ("dropout", "-0.1"),
-        ("steps_per_epoch", "-3"),
-        ("warmup_epochs", "-1"),
-        ("sigma", "1e-300"),
-        ("rep_activation", "tanh"),
-        ("data", "foo"),
-        *[(key, "-1") for key in (
-            "w1_sup_coef", "w1_discri_coef1", "w1_discri_coef2", "interp_penalty_weight",
-            "c0", "c1", "lambda_r", "bound_sigma", "r_star", "r_star_rep",
-            "eta_decay_steps", "u_ramp_epochs", "v_ramp_epochs", "labeled_target_size")],
-        ("w1_sup_coef", "nan"),
-        ("drop_rate", "1"),
-        ("drop_rate", "-0.5"),
-        ("domain_size", "0"),
-        ("source_angles", ""),
-        ("class_std", "1,2,3"),
-        ("class_std", "0.85,0"),
-        ("class_std", ""),
-        ("radius", "inf"),
-        ("radius", "nan"),
-    ])
-    def test_bad_value_exits_two_naming_the_key(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("key, value, context", [(k, v, c) for k, v, *c in BAD_VALUES],
+                             ids=["-".join(case) for case in BAD_VALUES])
+    def test_bad_value_exits_two_naming_the_key(self, tmp_path, capsys, key, value,
+                                                 context):
         cfg = write_cfg(tmp_path, "mode = semi\n")
         code = cli.main(["run", "--config", cfg,
                          "--set", "epochs=1", "--set", "domain_size=60",
-                         "--set", f"outdir={tmp_path}/out", "--set", f"{key}={value}"])
+                         "--set", f"outdir={tmp_path}/out",
+                         *[arg for item in context for arg in ("--set", item)],
+                         "--set", f"{key}={value}"])
         assert code == 2
         assert key in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
-
 
     def test_csv_run_without_a_test_target_exits_two(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

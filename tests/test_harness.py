@@ -1,5 +1,6 @@
 import csv
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,14 +266,15 @@ class TestSharedEvaluation:
         training_sets = [x for x, _ in train.sources] + [train.target[0],
                                                         train.target_unlabeled]
         calls = [0] * len(training_sets)
-        represent = models.ModelTriple.represent
+        outputs = models.ModelTriple.outputs
 
-        def counting(model, x):
+        # the blocked pass slices its input, so count whole-set passes
+        def counting(model, x, dups=(False,)):
             for i, s in enumerate(training_sets):
                 calls[i] += x is s
-            return represent(model, x)
+            return outputs(model, x, dups)
 
-        monkeypatch.setattr(models.ModelTriple, "represent", counting)
+        monkeypatch.setattr(models.ModelTriple, "outputs", counting)
         run(cfg, datasets=(train, test))
         assert calls == [cfg.epochs + 1] * len(training_sets)
 
@@ -297,6 +299,27 @@ class TestRegimeGuards:
         result = run(cfg, datasets=(poisoned, test))  # nan would explode if touched
         assert result.metrics[-1]["w1_pseudo"] is None
         assert np.all(np.isfinite(result.model.rep.values))
+
+    def test_source_batches_cut_only_when_the_step_reads_them(self, tmp_path, monkeypatch):
+        cfg = small_cfg(tmp_path, "mode=supervised", "epsilon=0")
+        assert not harness.StepCoefficients.from_config(cfg).uses_sources
+        train, test = harness.build_datasets(cfg)
+        cut = []
+        epoch_batches = data.epoch_batches
+
+        def recording(x, *args, **kwargs):
+            cut.append(x)
+            return epoch_batches(x, *args, **kwargs)
+
+        monkeypatch.setattr(data, "epoch_batches", recording)
+        result = run(cfg, datasets=(train, test))
+        assert cut and all(x is train.target[0] for x in cut)
+        # the sources still set the steps per epoch (the target alone gives
+        # fewer) and are still evaluated
+        steps = cfg.epochs * -(-train.source_sizes.max() // cfg.batch_size)
+        per_pass = -(-train.target[0].shape[0] // cfg.batch_size)
+        assert per_pass * (len(cut) - 1) < steps <= per_pass * len(cut)
+        assert result.metrics[-1]["r_src_1"] is not None
 
     def test_empty_training_set_named_before_training(self, tmp_path):
         cfg = small_cfg(tmp_path, "mode=semi")
@@ -389,6 +412,25 @@ class TestEvaluate:
         m = models.ModelTriple.init(arch, seed=0)
         with pytest.raises(harness.RunError):
             harness.evaluate(m, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    def test_whole_set_passes_peak_in_blocks(self):
+        """200 000 rows at run's widths: a whole-set forward holds 200 000 x
+        32 activations (51 MB); the blocked pass holds one block of them
+        plus the (n, 2) outputs and the per-row labels."""
+        arch = models.ArchSpec(rep_widths=(2, 32, 16), pred_widths=(16, 2))
+        m = models.ModelTriple.init(arch, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((200_000, 2))
+        y = rng.integers(0, 2, 200_000)
+        for evaluation in (lambda: harness.evaluate(m, x, y),
+                           lambda: risks.pseudo_label_risk(m, x, 0.06, 1.2)):
+            tracemalloc.start()
+            try:
+                evaluation()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16e6
 
 
 class TestStepErrors:

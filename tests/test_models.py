@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from imda import models
-from imda.models import ArchSpec, ModelTriple
+from imda.models import EVAL_ROWS, ArchSpec, ModelTriple
 
 
 def small_model(seed=0, mode="classification", dropout=0.0):
@@ -81,6 +82,63 @@ class TestPredict:
         m = small_model(seed=1)
         feat = np.ones((2, 4))
         assert not np.allclose(m.predict(feat), m.predict(feat, dup=True))
+
+
+class TestBlockedOutputs:
+    """ModelTriple.outputs against the whole-set predict(represent(x)), at
+    run's widths; the sizes cover a part block, one row past a whole block
+    and random sizes up to three blocks."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 3 * EVAL_ROWS + 2),
+           mode=st.sampled_from(["classification", "regression"]),
+           seed=st.integers(0, 2**16))
+    @example(n=1, mode="classification", seed=0)
+    @example(n=EVAL_ROWS - 1, mode="classification", seed=1)
+    @example(n=EVAL_ROWS, mode="classification", seed=2)
+    @example(n=EVAL_ROWS + 1, mode="classification", seed=3)
+    @example(n=2 * EVAL_ROWS + 3, mode="classification", seed=4)
+    @example(n=1, mode="regression", seed=5)
+    @example(n=EVAL_ROWS - 1, mode="regression", seed=6)
+    @example(n=EVAL_ROWS, mode="regression", seed=7)
+    @example(n=EVAL_ROWS + 1, mode="regression", seed=8)
+    @example(n=2 * EVAL_ROWS + 3, mode="regression", seed=9)
+    def test_equals_whole_set_forward_bit_for_bit(self, n, mode, seed):
+        arch = ArchSpec(rep_widths=(2, 32, 16), pred_widths=(16, 2 if mode == "classification"
+                                                             else 1), mode=mode)
+        m = ModelTriple.init(arch, seed=seed)
+        x = 3.0 * np.random.default_rng(seed).standard_normal((n, 2))
+        feat = m.represent(x)
+        out, out_dup = m.outputs(x, dups=(False, True))
+        assert np.array_equal(out, m.predict(feat))
+        assert np.array_equal(out_dup, m.predict(feat, dup=True))
+        assert np.array_equal(m.outputs(x)[0], out)
+        assert np.array_equal(m.outputs(x, dups=(True,))[0], out_dup)
+
+    def test_blocks_cover_the_rows_once_without_a_one_row_block(self, monkeypatch):
+        seen = []
+        represent = ModelTriple.represent
+
+        def recording(model, x):
+            seen.append(x.shape[0])
+            return represent(model, x)
+
+        monkeypatch.setattr(ModelTriple, "represent", recording)
+        m = small_model()
+        for n in (1, EVAL_ROWS, EVAL_ROWS + 1, EVAL_ROWS + 2, 3 * EVAL_ROWS + 1):
+            seen.clear()
+            m.outputs(np.zeros((n, 3)), dups=(False, True))
+            assert sum(seen) == n
+            assert max(seen) <= EVAL_ROWS + 1 and (min(seen) > 1 or n == 1)
+
+    def test_empty_and_malformed_inputs(self):
+        m = small_model()
+        out, out_dup = m.outputs(np.zeros((0, 3)), dups=(False, True))
+        assert out.shape == out_dup.shape == (0, 2)
+        with pytest.raises(models.ArchitectureError):
+            m.outputs(np.zeros((5, 7)))
+        with pytest.raises(models.ArchitectureError):
+            m.outputs(np.zeros(3))
 
 
 class TestInputsUntouched:
