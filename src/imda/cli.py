@@ -64,17 +64,20 @@ def _cmd_check(args):
 
     # the fused training step against its graph reference, rng draws included;
     # the regimes exercise every row of the term table, and alignment=off has
-    # no critic term, so no penalty
+    # no critic term, so no penalty.  A linear layer with dropout is the one
+    # layer whose output is its taped pre-activation.
     ok = True
     penalty = "interp_penalty_weight=0.1"
-    for regime, dropout in ((["mode=supervised", penalty], 0.0),
-                            (["mode=unsupervised", penalty], 0.0),
-                            (["mode=semi", penalty], 0.0), (["mode=semi", penalty], 0.2),
-                            (["mode=semi", "alignment=off"], 0.0)):
+    for regime, dropout, activation in (
+            (["mode=supervised", penalty], 0.0, "relu"),
+            (["mode=unsupervised", penalty], 0.0, "relu"),
+            (["mode=semi", penalty], 0.0, "relu"), (["mode=semi", penalty], 0.2, "relu"),
+            (["mode=semi", penalty], 0.2, "linear"),
+            (["mode=semi", "alignment=off"], 0.0, "relu")):
         cfg = harness.parse_config(overrides=regime)
         coefs = harness.StepCoefficients.from_config(cfg)
         arch = models.ArchSpec(rep_widths=(2, 8, 4), pred_widths=(4, 5, 3),
-                               dropout_rate=dropout)
+                               rep_activations=(activation,) * 2, dropout_rate=dropout)
         for seed in range(3):
             r = np.random.default_rng(seed)
             batch = lambda: (r.standard_normal((6, 2)), r.integers(0, 3, 6))
@@ -162,11 +165,13 @@ def _cmd_oracle_w1(args):
     with open(args.csv, newline="") as fh:
         reader = _csv.reader(fh)
         header = next(reader, None)
-        if not header or header[0].strip() != "measure" or header[1].strip() != "label":
+        if [h.strip() for h in (header or [])[:2]] != ["measure", "label"]:
             raise data.CsvFormatError("header must be measure,label,f0,...", 1)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) < 2:
+                raise data.CsvFormatError("expected measure,label,f0,...", line_no)
             side = row[0].strip().lower()
             if side not in ("a", "b"):
                 raise data.CsvFormatError(f"measure must be 'a' or 'b', got {row[0]!r}",

@@ -3,11 +3,13 @@
 Small define-then-run engine: build a DAG of `Node` objects over `param`
 and `const` leaves, call :func:`forward` to evaluate it, then
 :func:`backward` to populate adjoints (a `const` leaf's adjoint is the
-input gradient).  Supports exactly what MLP training and the adversarial
-objectives need -- affine layers, ReLU, log-softmax, means, masked
-means, constant masks (dropout), matmul/transpose (for input-gradient
-graphs) and a gradient-reversal node that is forward-identity and
-negates adjoints on the way back.
+input gradient).  Serves the graph reference of the training step
+(harness.reference_gradients), `imda check` and the benchmark's
+`oracle_audit` workload, and supports exactly what their MLP losses and
+adversarial objectives need -- affine layers, ReLU, log-softmax, means,
+masked means, constant masks (dropout), matmul/transpose (for
+input-gradient graphs) and a gradient-reversal node that is
+forward-identity and negates adjoints on the way back.
 """
 
 from __future__ import annotations

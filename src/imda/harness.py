@@ -184,6 +184,17 @@ def parse_config(path=None, overrides=()):
         if key not in _SCHEMA:
             raise ConfigError(f"{where}: unknown key '{key}'")
         values[key] = _parse_value(key, raw)
+    # one rule for every float key: an infinity or a NaN slips past most
+    # of the range checks below
+    for key, (kind, _) in _SCHEMA.items():
+        if kind == "float" and values[key] is not None:
+            finite = math.isfinite(values[key])
+        elif kind == "floats":
+            finite = all(map(math.isfinite, values[key]))
+        else:
+            continue
+        if not finite:
+            raise ConfigError(f"{key} must be finite")
 
     mode = values["mode"]
     if mode is None:
@@ -219,7 +230,7 @@ def parse_config(path=None, overrides=()):
     for key in ("steps_per_epoch", "warmup_epochs", "eta_decay_steps", "u_ramp_epochs",
                 "v_ramp_epochs", "w1_sup_coef", "w1_discri_coef1", "w1_discri_coef2",
                 "interp_penalty_weight", "c0", "c1", "lambda_r", "bound_sigma",
-                "r_star", "r_star_rep", "labeled_target_size"):
+                "r_star", "r_star_rep", "labeled_target_size", "seed"):
         if values[key] is not None and not values[key] >= 0:
             raise ConfigError(f"{key} must be >= 0")
     if not 0.0 <= values["drop_rate"] < 1.0:
@@ -231,8 +242,6 @@ def parse_config(path=None, overrides=()):
     std = values["class_std"]
     if len(std) not in (1, 2) or not all(s > 0 for s in std):
         raise ConfigError("class_std must be one or two positive values")
-    if not math.isfinite(values["radius"]):
-        raise ConfigError("radius must be finite")
     if not values["rep_widths"] or min(values["rep_widths"]) < 1:
         raise ConfigError("rep_widths must list at least one width, each >= 1")
     if not 0.0 <= values["dropout"] < 1.0:
@@ -244,6 +253,11 @@ def parse_config(path=None, overrides=()):
     if values["rep_activation"] not in ("relu", "linear"):
         raise ConfigError(f"unknown rep_activation {values['rep_activation']!r} "
                           "(relu | linear)")
+    n_sources = len(values["source_csvs" if values["data"] == "csv" else "source_angles"])
+    if (values["noiseless"] and values["lambda_r"] is None and values["alignment"]
+            and n_sources > 1 and values["epochs"] > values["warmup_epochs"]):
+        raise ConfigError("noiseless runs have no ledger; set lambda_r to a "
+                          "fixed regularizer weight to optimize domain weights")
     cfg = ExperimentConfig(values=values)
     # the penalty joins only a step that trains the critic; elsewhere it would
     # be silently ignored
@@ -279,6 +293,8 @@ def build_datasets(cfg):
     else:
         unl = np.zeros((0, dim))
     labeled_sets = [y for _, y in sources] + [target[1]]
+    if not any(y.size for y in labeled_sets):
+        raise ConfigError("csv data needs a labeled row in source_csvs or target_csv")
     n_classes = int(max(y.max() for y in labeled_sets if y.size)) + 1
     train = data.MultiSourceDataset(sources=sources, target=target,
                                     target_unlabeled=unl, n_classes=n_classes, dim=dim)
@@ -402,96 +418,76 @@ def _flat(vector, grads):
                            for name, shape, _ in vector.layout])
 
 
-def _nll_adjoint(labels, n_classes, coef, weight):
-    """Adjoint of the log-probabilities under weight * the batch mean of
-    -coef * log p(label)."""
-    onehot = risks._onehot(labels, n_classes)
-    return weight * (-coef * onehot) / onehot.shape[0]
+def _taped(layers, h, rate=0.0, rng=None):
+    """(tape, output) of the layers applied to h, one tape row (input,
+    pre-activation, mask or None) per layer.  With an rng, an
+    inverted-dropout mask is drawn after every layer, as the
+    representation graph draws them."""
+    tape = []
+    for w, b, relu in layers:
+        pre = h @ w
+        pre += b
+        out = np.maximum(pre, 0.0) if relu else pre
+        drawn = None
+        if rng is not None:
+            keep = 1.0 - rate
+            drawn = rng.random(out.shape)
+            np.less(drawn, keep, out=drawn)
+            drawn /= keep
+            # in place, unless out is pre, which the tape keeps
+            out = np.multiply(out, drawn, out=None if out is pre else out)
+        tape.append((h, pre, drawn))
+        h = out
+    return tape, h
+
+
+def _backprop(layers, tape, g, to_input=True):
+    """(named gradients, input adjoint) of the taped layers from the
+    output adjoint g; a layer's mask multiplies g before its ReLU gate, as
+    in the graph.  to_input=False skips the input adjoint (None)."""
+    grads = {}
+    for i in reversed(range(len(layers))):
+        w, _, relu = layers[i]
+        h, pre, drawn = tape[i]
+        if drawn is not None:
+            g = g * drawn
+        if relu:
+            g = g * (pre > 0.0)
+        grads[f"w{i}"] = h.T @ g
+        grads[f"b{i}"] = g.sum(axis=0)
+        g = g @ w.T if i or to_input else None
+    return grads, g
 
 
 class _Pass:
     """g(u, x) on one batch, with the predictor and critic applied on demand.
 
-    With an rng, an inverted-dropout mask is drawn after every layer, as
-    the representation graph draws them."""
+    With an rng, the representation draws its dropout masks (_taped)."""
 
     def __init__(self, rep, heads, x, rate, rng):
         self.rep, self.heads = rep, heads
-        self.tape, h = [], x
-        for w, b, relu in rep:
-            pre = h @ w
-            pre += b
-            out = np.maximum(pre, 0.0) if relu else pre
-            drawn = None
-            if rng is not None:
-                keep = 1.0 - rate
-                drawn = rng.random(out.shape)
-                np.less(drawn, keep, out=drawn)
-                drawn /= keep
-                # in place, unless out is pre, which the tape keeps
-                out = np.multiply(out, drawn, out=None if out is pre else out)
-            self.tape.append((h, pre, drawn))
-            h = out
-        self.feat = h
+        self.tape, self.feat = _taped(rep, x, rate, rng)
         self._heads = {}
 
     def head(self, dup):
         """(layer tape, log-probabilities, softmax) of the predictor or critic."""
         if dup not in self._heads:
-            tape, h = [], self.feat
-            for w, b, relu in self.heads[dup]:
-                pre = h @ w
-                pre += b
-                tape.append((h, pre))
-                h = np.maximum(pre, 0.0) if relu else pre
-            self._heads[dup] = (tape, *dc.log_softmax_rows(h))
+            tape, logits = _taped(self.heads[dup], self.feat)
+            self._heads[dup] = (tape, *dc.log_softmax_rows(logits))
         return self._heads[dup]
-
-    def head_grads(self, dup, g_out):
-        """(head gradients, features' adjoint) from the log-probabilities'
-        adjoint g_out; the log-softmax adjoint uses the softmax kept by the
-        forward, which equals the one diffcore recomputes from the logits."""
-        tape, _, p = self.head(dup)
-        g = g_out - p * dc.row_sum(g_out)[:, None]
-        grads = {}
-        for i in reversed(range(len(tape))):
-            w, _, relu = self.heads[dup][i]
-            h, pre = tape[i]
-            if relu:
-                g = g * (pre > 0.0)
-            grads[f"w{i}"] = h.T @ g
-            grads[f"b{i}"] = g.sum(axis=0)
-            g = g @ w.T
-        return grads, g
 
     def rep_grads(self, g):
         """Representation gradients from the features' adjoint g."""
-        grads = {}
-        for i in reversed(range(len(self.rep))):
-            w, _, relu = self.rep[i]
-            h, pre, drawn = self.tape[i]
-            if drawn is not None:
-                g = g * drawn
-            if relu:
-                g = g * (pre > 0.0)
-            grads[f"w{i}"] = h.T @ g
-            grads[f"b{i}"] = g.sum(axis=0)
-            if i:
-                g = g @ w.T
-        return grads
+        return _backprop(self.rep, self.tape, g, to_input=False)[0]
 
 
 def _penalty_grads(layers, x_int):
     """Critic gradients of the interpolation penalty at x_int: the batch
     mean of the squared input-gradient norms of the critic's logits, with
     the ReLU gates at x_int held fixed (risks.interp_penalty_graph)."""
-    gates, h = [], x_int
-    for w, b, relu in layers[:-1]:  # no gate follows the logits
-        h = h @ w
-        h += b
-        gates.append((h > 0.0).astype(np.float64) if relu else None)
-        if relu:
-            np.maximum(h, 0.0, out=h)
+    tape, _ = _taped(layers[:-1], x_int)  # no gate follows the logits
+    gates = [(pre > 0.0).astype(np.float64) if relu else None
+             for (_, pre, _), (_, _, relu) in zip(tape, layers)]
     n = x_int.shape[0]
     g = np.ones((n, layers[-1][0].shape[1]))
     inputs = [None] * len(layers)
@@ -541,9 +537,13 @@ class _Step:
 
     def nll(self, fwd, dup, labels, coef=1.0, weight=1.0):
         """(head gradients, features' adjoint) of weight * the batch mean
-        of -coef * log p(label) under the predictor (dup: the critic)."""
-        g_out = _nll_adjoint(labels, self.n_classes, coef, weight)
-        return fwd.head_grads(dup, g_out)
+        of -coef * log p(label) under the predictor (dup: the critic).  The
+        log-softmax adjoint uses the softmax kept by the forward, which
+        equals the one diffcore recomputes from the logits."""
+        onehot = risks._onehot(labels, self.n_classes)
+        g_out = weight * (-coef * onehot) / onehot.shape[0]
+        tape, _, p = fwd.head(dup)
+        return _backprop(self.heads[dup], tape, g_out - p * dc.row_sum(g_out)[:, None])
 
     def last_source(self, source_batches):
         """The forward a source-risk term's gradient is taken from.
@@ -735,9 +735,6 @@ def run(cfg, datasets=None):
             raise RunError(f"non-finite entries in the {name} features")
 
     alpha_active = cfg.alignment and n_sources > 1 and cfg.epochs > cfg.warmup_epochs
-    if cfg.noiseless and alpha_active and cfg.lambda_r is None:
-        raise ConfigError("noiseless runs have no ledger; set lambda_r to a "
-                          "fixed regularizer weight to optimize domain weights")
 
     arch = models.ArchSpec(rep_widths=(train.dim,) + tuple(cfg.rep_widths),
                            pred_widths=(cfg.rep_widths[-1], train.n_classes),

@@ -182,7 +182,7 @@ class ModelTriple:
         return h
 
     # ------------------------------------------------------------------
-    # graph builders (training path)
+    # graph builders (the graph reference, `imda check` and `oracle_audit`)
 
     def rep_graph(self, x_node, train_rng=None):
         """Representation sub-graph on top of x_node.

@@ -1,7 +1,9 @@
 """Empirical risks, dual Wasserstein-1 estimates, and gradient penalties.
 
 Value functions are pure numpy on evaluation-mode forwards; the *_graph
-builders produce differentiable compute graphs for the training loop.
+builders produce differentiable compute graphs for the graph reference
+(harness.reference_gradients), `imda check` and the benchmark's
+`oracle_audit` workload; the training loop runs harness's fused step.
 The max over the duplicate predictor in the two W1 estimates is realized
 by the training loop's ascent, so each call here reports the current
 critic value.

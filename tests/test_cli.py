@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from imda import cli, data
+from imda import cli, data, harness
 
 
 def write_cfg(tmp_path, text):
@@ -29,8 +29,8 @@ BAD_VALUES = [
     *[(key, "-1") for key in (
         "w1_sup_coef", "w1_discri_coef1", "w1_discri_coef2", "interp_penalty_weight",
         "c0", "c1", "lambda_r", "bound_sigma", "r_star", "r_star_rep",
-        "eta_decay_steps", "u_ramp_epochs", "v_ramp_epochs", "labeled_target_size")],
-    ("w1_sup_coef", "nan"),
+        "eta_decay_steps", "u_ramp_epochs", "v_ramp_epochs", "labeled_target_size",
+        "seed")],
     ("drop_rate", "1"),
     ("drop_rate", "-0.5"),
     ("domain_size", "0"),
@@ -38,12 +38,13 @@ BAD_VALUES = [
     ("class_std", "1,2,3"),
     ("class_std", "0.85,0"),
     ("class_std", ""),
-    ("radius", "inf"),
-    ("radius", "nan"),
     # a penalty no step term carries to the critic
     ("interp_penalty_weight", "0.1", "alignment=off"),
     ("interp_penalty_weight", "0.1", "mode=supervised", "epsilon=0"),
     ("interp_penalty_weight", "0.1", "mode=supervised", "w1_sup_coef=0"),
+    # every float key, present and future, must be finite
+    *[(key, value) for key, (kind, _) in harness._SCHEMA.items()
+      if kind in ("float", "floats") for value in ("nan", "inf")],
 ]
 
 
@@ -97,6 +98,17 @@ class TestRunCommand:
         assert "test_target_csv" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    def test_csv_run_without_labeled_rows_exits_two(self, tmp_path, capsys):
+        for name in ("s0", "s1", "t"):
+            data.write_csv(tmp_path / f"{name}.csv", np.zeros((0, 2)), np.zeros(0))
+        cfg = write_cfg(tmp_path, "mode = supervised\ndata = csv\n"
+                                  f"source_csvs = {tmp_path}/s0.csv,{tmp_path}/s1.csv\n"
+                                  f"target_csv = {tmp_path}/t.csv\n"
+                                  f"epochs = 1\noutdir = {tmp_path}/out\n")
+        assert cli.main(["run", "--config", cfg]) == 2
+        assert "source_csvs" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
 
 class TestOracleW1Command:
     def test_known_instance(self, tmp_path, capsys):
@@ -118,10 +130,16 @@ class TestOracleW1Command:
         path.write_text("measure,label,f0\na,0,0.0\nb,0,0.5\nb,0,1.5\n")
         assert cli.main(["oracle-w1", str(path)]) == 3
 
-    def test_malformed_rows_exit_three(self, tmp_path):
+    @pytest.mark.parametrize("text, line", [
+        ("measure,label,f0\nq,0,0.0\n", 2),
+        ("measure\na\nb\n", 1),
+        ("measure,label,f0\na\nb,0,1.0\n", 2),
+    ], ids=["unknown_measure", "one_field_header", "one_field_row"])
+    def test_malformed_rows_exit_three(self, tmp_path, capsys, text, line):
         path = tmp_path / "bad.csv"
-        path.write_text("measure,label,f0\nq,0,0.0\n")
+        path.write_text(text)
         assert cli.main(["oracle-w1", str(path)]) == 3
+        assert f"line {line}:" in capsys.readouterr().err
 
     def test_empty_measures_exit_three_naming_it(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

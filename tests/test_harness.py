@@ -41,11 +41,12 @@ def _spelled(flag):
 # value for, the drawn values, the strategy spelling a value for --set)
 ROUND_TRIPS = {
     "str": ("outdir", _WORD, st.just),
-    "float": ("empirical_risk", st.floats(allow_nan=False), lambda v: st.just(repr(v))),
-    "int": ("seed", st.integers(-10**12, 10**12), lambda v: st.just(str(v))),
-    "bool": ("noiseless", st.booleans(), _spelled),
-    "floats": ("source_angles", st.lists(st.floats(allow_nan=False), min_size=1)
-               .map(tuple), _joined),
+    "float": ("empirical_risk", st.floats(allow_nan=False, allow_infinity=False),
+              lambda v: st.just(repr(v))),
+    "int": ("seed", st.integers(0, 10**12), lambda v: st.just(str(v))),
+    "bool": ("alignment", st.booleans(), _spelled),
+    "floats": ("source_angles", st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                         min_size=1).map(tuple), _joined),
     "ints": ("rep_widths", st.lists(st.integers(1, 512), min_size=1).map(tuple), _joined),
     "strs": ("source_csvs", st.lists(_WORD, min_size=1).map(tuple),
              lambda v: st.just(",".join(v))),
@@ -114,12 +115,11 @@ class TestParseConfig:
         assert set(ROUND_TRIPS) == {kind for kind, _ in harness._SCHEMA.values()}
 
     def test_noiseless_alpha_needs_lambda(self, tmp_path):
-        cfg = parse_config(overrides=["mode=unsupervised", "noiseless=true",
-                                      "epochs=8", "warmup_epochs=1",
-                                      "domain_size=120", "batch_size=40",
-                                      f"outdir={tmp_path}"])
         with pytest.raises(ConfigError, match="lambda_r"):
-            run(cfg)
+            parse_config(overrides=["mode=unsupervised", "noiseless=true",
+                                    "epochs=8", "warmup_epochs=1",
+                                    "domain_size=120", "batch_size=40",
+                                    f"outdir={tmp_path}"])
 
 
 class TestRunOutputs:

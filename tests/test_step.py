@@ -33,6 +33,7 @@ REGIMES = {
     "one_source": ["mode=semi", "source_angles=15"],
     "three_sources": ["mode=semi", "source_angles=15,45,75", "dropout=0.1"],
     "linear_rep": ["mode=semi", "rep_activation=linear"],
+    "linear_rep_dropout": ["mode=semi", "rep_activation=linear", "dropout=0.1"],
 }
 
 
@@ -119,6 +120,17 @@ def test_run_outputs_byte_identical_to_reference_run(mode, tmp_path, monkeypatch
             fused = fh.read()
         with open(tmp_path / "reference" / name, "rb") as fh:
             assert fh.read() == fused, name
+
+
+def test_tape_keeps_a_linear_layers_pre_activation_under_dropout():
+    """A linear layer's output is its pre-activation until the mask
+    multiplies it; the tape row must keep the unmasked pre-activation."""
+    r = np.random.default_rng(0)
+    w, b, x = r.standard_normal((3, 4)), r.standard_normal(4), r.standard_normal((5, 3))
+    tape, out = harness._taped([(w, b, False)], x, 0.5, np.random.default_rng(1))
+    (h, pre, drawn), = tape
+    assert h is x and np.array_equal(pre, x @ w + b)
+    assert np.array_equal(out, pre * drawn)
 
 
 # ---------------------------------------------------------------------------
