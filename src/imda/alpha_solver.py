@@ -201,11 +201,12 @@ def simplex_grid(n, step):
         a = np.arange(k + 1) / k
         return np.stack([a, 1.0 - a], axis=1)
     if n == 3:
-        pts = []
-        for i in range(k + 1):
-            for j in range(k + 1 - i):
-                pts.append((i / k, j / k, (k - i - j) / k))
-        return np.asarray(pts)
+        # rows (i/k, j/k, (k-i-j)/k) for i = 0..k and, within each i,
+        # j = 0..k-i: the first minimum of grid_oracle depends on this order
+        counts = np.arange(k + 1, 0, -1)
+        i = np.repeat(np.arange(k + 1), counts)
+        j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        return np.stack([i / k, j / k, (k - i - j) / k], axis=1)
     raise AlphaSolverError("grid oracle supports at most 3 sources")
 
 

@@ -15,6 +15,7 @@ forward-identity and negates adjoints on the way back.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,7 @@ class Node:
     pass) the cached value; after a backward pass, the cached adjoint.
     """
 
-    __slots__ = ("kind", "inputs", "name", "extras", "value", "adjoint", "uid")
+    __slots__ = ("kind", "inputs", "name", "extras", "value", "adjoint", "uid", "order")
 
     def __init__(self, kind, inputs=(), name=None, **extras):
         self.kind = kind
@@ -56,6 +57,7 @@ class Node:
         self.extras = extras
         self.value = None
         self.adjoint = None
+        self.order = None  # its ancestors in topo_order, once forwarded as a root
 
     def __repr__(self):
         return f"<Node {self.name} kind={self.kind}>"
@@ -186,80 +188,140 @@ def topo_order(root):
     return order
 
 
+def _order(root):
+    """topo_order(root), walked and checked once and kept on the root: a
+    node's inputs never change, so neither do its ancestors.  The root
+    keeps its ancestors only (topo_order puts the root last), since a root
+    that referred to itself would leave every graph to the cycle collector."""
+    if root.order is None:
+        order = topo_order(root)
+        for node in order:
+            if node.kind not in _OPS and node.kind not in _LEAVES:
+                raise GraphError(f"unknown op kind '{node.kind}'")
+        root.order = tuple(order[:-1])
+    return (*root.order, root)
+
+
 def _shape_err(node, msg):
     raise GraphShapeError(f"{node.kind} node '{node.name}': {msg}")
 
 
-def _eval(node, rng):
-    k = node.kind
-    vals = [p.value for p in node.inputs]
-    if k == "affine":
-        x, w, b = vals
-        if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-            _shape_err(node, f"cannot multiply {x.shape} by {w.shape}")
-        if b.shape != (w.shape[1],):
-            _shape_err(node, f"bias {b.shape} does not match output width {w.shape[1]}")
-        return x @ w + b
-    if k == "matmul":
-        a, b = vals
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            _shape_err(node, f"cannot multiply {a.shape} by {b.shape}")
-        return a @ b
-    if k == "transpose":
-        return vals[0].T
-    if k == "relu":
-        return np.maximum(vals[0], 0.0)
-    if k == "log_softmax":
-        x = vals[0]
-        if x.ndim != 2:
-            _shape_err(node, f"expected 2-D logits, got {x.shape}")
-        return log_softmax_rows(x)[0]
-    if k == "mean":
-        return np.asarray(np.mean(vals[0]))
-    if k == "masked_mean":
-        x = vals[0]
-        if x.shape != node.extras["mask"].shape:
-            _shape_err(node, f"mask {node.extras['mask'].shape} vs value {x.shape}")
-        return np.asarray(np.sum(x * node.extras["mask"]) / x.shape[0])
-    if k == "scale":
-        return vals[0] * node.extras["factor"]
-    if k == "add":
-        a, b = vals
-        if a.shape != b.shape:
-            _shape_err(node, f"operand shapes {a.shape} vs {b.shape}")
-        return a + b
-    if k == "square":
-        return vals[0] * vals[0]
-    if k == "mask":
-        x = vals[0]
-        if x.shape != node.extras["mask"].shape:
-            _shape_err(node, f"mask {node.extras['mask'].shape} vs value {x.shape}")
-        return x * node.extras["mask"]
-    if k == "dropout":
-        x = vals[0]
-        if rng is not None:
-            keep = 1.0 - node.extras["rate"]
-            node.extras["drawn"] = (rng.random(x.shape) < keep) / keep
-        if node.extras["drawn"] is None:
-            _shape_err(node, "dropout needs an rng on the first forward pass")
-        if node.extras["drawn"].shape != x.shape:
-            _shape_err(node, f"cached mask {node.extras['drawn'].shape} vs value {x.shape}")
-        return x * node.extras["drawn"]
-    if k == "neg_grad":
-        return vals[0]
-    raise GraphError(f"unknown op kind '{k}'")
+# One (forward, backward) pair per op kind.  forward(node, rng, *input
+# values) returns the node's value; backward(node, g, *input nodes) adds
+# the node's adjoint g into its inputs' adjoints, in a fixed order.  The
+# leaves' value is their array, and a param leaf's adjoint its gradient.
+
+_LEAVES = ("param", "const")
+
+
+def _affine(node, rng, x, w, b):
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        _shape_err(node, f"cannot multiply {x.shape} by {w.shape}")
+    if b.shape != (w.shape[1],):
+        _shape_err(node, f"bias {b.shape} does not match output width {w.shape[1]}")
+    return x @ w + b
+
+
+def _affine_grad(node, g, x, w, b):
+    _acc(x, g @ w.value.T)
+    _acc(w, x.value.T @ g)
+    _acc(b, g.sum(axis=0))
+
+
+def _matmul(node, rng, a, b):
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        _shape_err(node, f"cannot multiply {a.shape} by {b.shape}")
+    return a @ b
+
+
+def _matmul_grad(node, g, a, b):
+    _acc(a, g @ b.value.T)
+    _acc(b, a.value.T @ g)
+
+
+def _log_softmax(node, rng, x):
+    if x.ndim != 2:
+        _shape_err(node, f"expected 2-D logits, got {x.shape}")
+    logp, node.extras["probs"] = log_softmax_rows(x)
+    return logp
+
+
+def _log_softmax_grad(node, g, x):
+    _acc(x, g - node.extras["probs"] * row_sum(g)[:, None])
+
+
+def _masked(node, x):
+    if x.shape != node.extras["mask"].shape:
+        _shape_err(node, f"mask {node.extras['mask'].shape} vs value {x.shape}")
+    return x * node.extras["mask"]
+
+
+def _masked_mean(node, rng, x):
+    return np.asarray(np.sum(_masked(node, x)) / x.shape[0])
+
+
+def _masked_mean_grad(node, g, x):
+    _acc(x, float(g) * node.extras["mask"] / x.value.shape[0])
+
+
+def _add(node, rng, a, b):
+    if a.shape != b.shape:
+        _shape_err(node, f"operand shapes {a.shape} vs {b.shape}")
+    return a + b
+
+
+def _add_grad(node, g, a, b):
+    _acc(a, g)
+    _acc(b, g)
+
+
+def _dropout(node, rng, x):
+    if rng is not None:
+        keep = 1.0 - node.extras["rate"]
+        node.extras["drawn"] = (rng.random(x.shape) < keep) / keep
+    if node.extras["drawn"] is None:
+        _shape_err(node, "dropout needs an rng on the first forward pass")
+    if node.extras["drawn"].shape != x.shape:
+        _shape_err(node, f"cached mask {node.extras['drawn'].shape} vs value {x.shape}")
+    return x * node.extras["drawn"]
+
+
+_OPS = {
+    "affine": (_affine, _affine_grad),
+    "matmul": (_matmul, _matmul_grad),
+    "transpose": (lambda node, rng, x: x.T,
+                  lambda node, g, x: _acc(x, g.T)),
+    "relu": (lambda node, rng, x: np.maximum(x, 0.0),
+             lambda node, g, x: _acc(x, g * (x.value > 0.0))),
+    "log_softmax": (_log_softmax, _log_softmax_grad),
+    "mean": (lambda node, rng, x: np.asarray(np.mean(x)),
+             lambda node, g, x: _acc(x, np.full(x.value.shape, float(g) / x.value.size))),
+    "masked_mean": (_masked_mean, _masked_mean_grad),
+    "scale": (lambda node, rng, x: x * node.extras["factor"],
+              lambda node, g, x: _acc(x, g * node.extras["factor"])),
+    "add": (_add, _add_grad),
+    "square": (lambda node, rng, x: x * x,
+               lambda node, g, x: _acc(x, 2.0 * x.value * g)),
+    "mask": (lambda node, rng, x: _masked(node, x),
+             lambda node, g, x: _acc(x, g * node.extras["mask"])),
+    "dropout": (_dropout,
+                lambda node, g, x: _acc(x, g * node.extras["drawn"])),
+    "neg_grad": (lambda node, rng, x: x,
+                 lambda node, g, x: _acc(x, -node.extras["lam"] * g)),
+}
 
 
 def forward(root, rng=None):
     """Evaluate the graph, caching every intermediate value on the nodes
     for the backward pass, and return the root value.  `rng` draws the
     dropout masks."""
-    for node in topo_order(root):
+    for node in _order(root):
         node.adjoint = None
-        if node.kind in ("param", "const"):
+        op = _OPS.get(node.kind)
+        if op is None:
             node.value = node.extras["array"]
         else:
-            node.value = _eval(node, rng)
+            node.value = op[0](node, rng, *[p.value for p in node.inputs])
     return root.value
 
 
@@ -277,62 +339,25 @@ def backward(root, seed=None):
             raise NonScalarOutputError(
                 f"root '{root.name}' has shape {root.value.shape}; pass an explicit seed")
         seed = np.ones_like(root.value)
-    seed = _as_f64(seed)
+    else:
+        seed = _as_f64(seed)
     if seed.shape != root.value.shape:
         raise GraphShapeError(f"seed shape {seed.shape} vs root {root.value.shape}")
 
-    order = topo_order(root)
+    order = _order(root)
     for node in order:
         node.adjoint = None
     root.adjoint = seed
     grads = {}
     for node in reversed(order):
-        if node.adjoint is None:
-            continue
         g = node.adjoint
-        k = node.kind
-        if k == "param":
+        if g is None:
+            continue
+        op = _OPS.get(node.kind)
+        if op is not None:
+            op[1](node, g, *node.inputs)
+        elif node.kind == "param":
             grads[node] = g
-            continue
-        if k == "const":
-            continue
-        parents = node.inputs
-        if k == "affine":
-            x, w, b = parents
-            _acc(x, g @ w.value.T)
-            _acc(w, x.value.T @ g)
-            _acc(b, g.sum(axis=0))
-        elif k == "matmul":
-            a, b = parents
-            _acc(a, g @ b.value.T)
-            _acc(b, a.value.T @ g)
-        elif k == "transpose":
-            _acc(parents[0], g.T)
-        elif k == "relu":
-            _acc(parents[0], g * (parents[0].value > 0.0))
-        elif k == "log_softmax":
-            p = log_softmax_rows(parents[0].value)[1]
-            _acc(parents[0], g - p * row_sum(g)[:, None])
-        elif k == "mean":
-            _acc(parents[0], np.full(parents[0].value.shape, float(g) / parents[0].value.size))
-        elif k == "masked_mean":
-            n = parents[0].value.shape[0]
-            _acc(parents[0], float(g) * node.extras["mask"] / n)
-        elif k == "scale":
-            _acc(parents[0], g * node.extras["factor"])
-        elif k == "add":
-            _acc(parents[0], g)
-            _acc(parents[1], g)
-        elif k == "square":
-            _acc(parents[0], 2.0 * parents[0].value * g)
-        elif k == "mask":
-            _acc(parents[0], g * node.extras["mask"])
-        elif k == "dropout":
-            _acc(parents[0], g * node.extras["drawn"])
-        elif k == "neg_grad":
-            _acc(parents[0], -node.extras["lam"] * g)
-        else:
-            raise GraphError(f"unknown op kind '{k}'")
     return grads
 
 
@@ -348,7 +373,7 @@ def finite_diff_check(root, step=1e-6):
     if root.value.size != 1:
         raise NonScalarOutputError("finite_diff_check requires a scalar-valued graph")
     grads = backward(root)
-    params = [n for n in topo_order(root) if n.kind == "param"]
+    params = [n for n in _order(root) if n.kind == "param"]
     worst = 0.0
     for p in params:
         a = p.extras["array"]
@@ -373,6 +398,19 @@ def finite_diff_check(root, step=1e-6):
 # flat parameter blocks
 
 
+class Layout(tuple):
+    """((name, shape, offset), ...) of a flat parameter buffer, with its
+    name -> (offset, size, shape) index built once."""
+
+    def __new__(cls, entries):
+        layout = super().__new__(cls, entries)
+        layout.index = {name: (offset, math.prod(shape), shape)
+                        for name, shape, offset in layout}
+        if len(layout.index) != len(layout):
+            raise GraphShapeError(f"repeated array name in layout {[e[0] for e in layout]}")
+        return layout
+
+
 @dataclass
 class ParameterVector:
     """Flat float64 parameter storage with a layout back to named arrays.
@@ -382,29 +420,45 @@ class ParameterVector:
     """
 
     values: np.ndarray
-    layout: tuple = field(default_factory=tuple)  # ((name, shape, offset), ...)
+    layout: Layout = field(default_factory=tuple)  # ((name, shape, offset), ...)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.layout, Layout):
+            self.layout = Layout(self.layout)
 
     @classmethod
     def from_arrays(cls, named_arrays):
-        """Build from [(name, array), ...]; copies into one flat buffer."""
+        """Build from [(name, array), ...]; copies into one flat buffer,
+        whose entries are checked once."""
         chunks, layout, offset = [], [], 0
         for name, arr in named_arrays:
-            arr = _as_f64(arr)
+            arr = np.asarray(arr, dtype=np.float64)
             chunks.append(arr.ravel())
             layout.append((name, arr.shape, offset))
             offset += arr.size
-        values = np.concatenate(chunks) if chunks else np.zeros(0)
-        return cls(values=values, layout=tuple(layout))
+        values = _as_f64(np.concatenate(chunks) if chunks else np.zeros(0))
+        return cls(values=values, layout=Layout(layout))
 
     def view(self, name):
-        for nm, shape, offset in self.layout:
-            if nm == name:
-                size = int(np.prod(shape))
-                return self.values[offset:offset + size].reshape(shape)
-        raise KeyError(name)
+        offset, size, shape = self.layout.index[name]
+        return self.values[offset:offset + size].reshape(shape)
+
+    def memo(self, key, build):
+        """build(), kept on this vector under `key` for as long as `values`
+        is the same buffer; views in it see in-place writes."""
+        hit = self._memo.get(key)
+        if hit is None or hit[0] is not self.values:
+            hit = self._memo[key] = (self.values, build())
+        return hit[1]
+
+    def __getstate__(self):
+        # copies and pickles start without the memo: its views would come
+        # back as arrays of their own, no longer views of the new buffer
+        return {**self.__dict__, "_memo": {}}
 
     def unflatten(self):
-        return {nm: self.view(nm) for nm, _, _ in self.layout}
+        return {nm: self.view(nm) for nm in self.layout.index}
 
     def copy(self):
         return ParameterVector(values=self.values.copy(), layout=self.layout)
@@ -429,14 +483,11 @@ def flatten_grads(grads, param_nodes, layout_vector):
     """Assemble backward() output for the given [(name, node), ...] into a
     flat gradient aligned with `layout_vector`; absent grads are zero."""
     out = np.zeros_like(layout_vector.values)
+    index = layout_vector.layout.index
     for name, node in param_nodes:
         g = grads.get(node)
         if g is None:
             continue
-        for nm, shape, offset in layout_vector.layout:
-            if nm == name:
-                out[offset:offset + int(np.prod(shape))] = np.asarray(g).ravel()
-                break
-        else:
-            raise KeyError(name)
+        offset, size, _ = index[name]
+        out[offset:offset + size] = np.asarray(g).ravel()
     return out

@@ -413,9 +413,8 @@ def _assemble(coefs, cfg, share):
 def _flat(vector, grads):
     """Named gradients in `vector`'s layout, zero where absent (as
     dc.flatten_grads lays them out)."""
-    return np.concatenate([grads[name].ravel() if name in grads
-                           else np.zeros(int(np.prod(shape)))
-                           for name, shape, _ in vector.layout])
+    return np.concatenate([grads[name].ravel() if name in grads else np.zeros(size)
+                           for name, (_, size, _) in vector.layout.index.items()])
 
 
 def _taped(layers, h, rate=0.0, rng=None):
@@ -578,10 +577,9 @@ def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
         raise risks.RiskError("the training step needs classification mode")
     reached = {i for _, weights in coefs.terms() for i, c in enumerate(weights)
                if c is not None}
-    for i, block, name in ((0, model.rep, "representation"), (1, model.pred, "predictor"),
-                           (2, model.dup, "critic")):
-        if i in reached and not np.all(np.isfinite(block.values)):
-            raise dc.GraphShapeError(f"non-finite entries in the {name} parameters")
+    for i, block in enumerate(models.BLOCK_NAMES):
+        if i in reached:
+            model.check_finite(block)
     if coefs.uses_sources:
         alpha = risks.check_simplex(alpha, n=len(source_batches))
     step = _Step(model, rng_dropout)

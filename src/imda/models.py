@@ -5,6 +5,7 @@ Lipschitz upper bounds via spectral-norm products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,10 @@ from . import diffcore as dc
 # a block is 1 MB, so a block's working set stays in cache and a whole-set
 # evaluation never holds more than one block of hidden activations
 EVAL_ROWS = 4096
+
+# the parameter blocks of a ModelTriple in gradient order (u, v, v'), as
+# error messages name them
+BLOCK_NAMES = {"rep": "representation", "pred": "predictor", "dup": "critic"}
 
 
 class ArchitectureError(Exception):
@@ -122,14 +127,23 @@ class ModelTriple:
     def layers(self, block):
         """The layers of block "rep", "pred" or "dup" as [(w, b, relu), ...]:
         views of each layer's weight and bias in the flat block, and whether
-        a ReLU follows the layer (never after the predictor's last layer)."""
+        a ReLU follows the layer (never after the predictor's last layer).
+        The list is built once per buffer and kept on the block's vector."""
         if block == "rep":
             acts = self.arch.rep_activations
         else:
             acts = self.arch.pred_activations + ("linear",)
         vector = getattr(self, block)
-        return [(vector.view(f"w{i}"), vector.view(f"b{i}"), act == "relu")
-                for i, act in enumerate(acts)]
+        return vector.memo(("layers", acts), lambda: [
+            (vector.view(f"w{i}"), vector.view(f"b{i}"), act == "relu")
+            for i, act in enumerate(acts)])
+
+    def check_finite(self, block):
+        """Raise dc.GraphShapeError naming the block if its flat buffer holds
+        a non-finite entry."""
+        if not np.isfinite(getattr(self, block).values).all():
+            raise dc.GraphShapeError(
+                f"non-finite entries in the {BLOCK_NAMES[block]} parameters")
 
     # ------------------------------------------------------------------
     # functional forward (evaluation path; dropout disabled)
@@ -207,10 +221,13 @@ class ModelTriple:
         return h, pnodes
 
     def _layer_graph(self, block, h, dropout_rate):
+        # the block is checked once here, so its leaves skip dc.param's
+        # per-array check
+        self.check_finite(block)
         pnodes = []
         for i, (w, b, relu) in enumerate(self.layers(block)):
-            w = dc.param(w, name=f"{block}.w{i}")
-            b = dc.param(b, name=f"{block}.b{i}")
+            w = dc.Node("param", name=f"{block}.w{i}", array=w)
+            b = dc.Node("param", name=f"{block}.b{i}", array=b)
             pnodes += [(f"w{i}", w), (f"b{i}", b)]
             h = dc.affine(h, w, b, name=f"{block}.l{i}")
             if relu:
@@ -261,20 +278,22 @@ def spectral_norm_upper_bound(w, tol=1e-8, max_iter=1000, seed=0):
     if w.size == 0 or not np.any(w):
         return 0.0
     rng = np.random.default_rng(seed)
+    # math.sqrt(v @ v) is the dot product and square root np.linalg.norm
+    # takes for a 1-D vector, without its per-call dispatch
     v = rng.standard_normal(w.shape[1])
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v @ v)
     sigma = 0.0
     prev_diff = None
     for _ in range(max_iter):
         u = w @ v
-        nu = np.linalg.norm(u)
+        nu = math.sqrt(u @ u)
         if nu == 0.0:
             # landed in the null space; restart
             v = rng.standard_normal(w.shape[1])
-            v /= np.linalg.norm(v)
+            v /= math.sqrt(v @ v)
             continue
         v = w.T @ u
-        nv = np.linalg.norm(v)
+        nv = math.sqrt(v @ v)
         v /= nv
         new_sigma = nv / nu
         diff = abs(new_sigma - sigma)

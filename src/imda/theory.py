@@ -101,30 +101,39 @@ def _assignment(c):
     """Column matched to each row by a minimum-cost perfect matching of the
     square matrix c: Kuhn-Munkres as shortest augmenting paths with dual
     potentials (Jonker & Volgenant's form), O(n^3).  Rows join one at a
-    time; column n is the virtual column each augmenting path starts from."""
+    time; column n is the virtual column each augmenting path starts from.
+    A column's reduced path length is set to inf when it joins the tree,
+    so the closest open column is a plain argmin, and the masked updates
+    write in place."""
     n = c.shape[0]
     u = np.zeros(n)                           # row potentials
-    v = np.zeros(n + 1)                       # column potentials
+    v = np.zeros(n)                           # column potentials
     row_of = np.full(n + 1, -1)               # row matched to each column
+    closer = np.empty(n, dtype=bool)
     for i in range(n):
         row_of[n] = i
         j0 = n
-        dist = np.full(n + 1, np.inf)         # reduced path length to each column
-        via = np.full(n + 1, n)               # predecessor column on that path
-        done = np.zeros(n + 1, dtype=bool)
+        dist = np.full(n, np.inf)             # reduced path length to each open column
+        via = np.full(n, n)                   # predecessor column on that path
+        tree_rows = np.zeros(n, dtype=bool)
+        tree_cols = np.zeros(n, dtype=bool)
+        open_cols = np.ones(n, dtype=bool)
         while row_of[j0] != -1:
-            done[j0] = True
             i0 = row_of[j0]
-            reach = c[i0] - u[i0] - v[:n]
-            closer = (reach < dist[:n]) & ~done[:n]
-            dist[:n][closer] = reach[closer]
-            via[:n][closer] = j0
-            open_dist = np.where(done[:n], np.inf, dist[:n])
-            j1 = int(np.argmin(open_dist))
-            delta = open_dist[j1]
-            u[row_of[done]] += delta
-            v[done] -= delta
-            dist[~done] -= delta
+            tree_rows[i0] = True
+            if j0 < n:
+                tree_cols[j0], open_cols[j0], dist[j0] = True, False, np.inf
+            reach = c[i0] - u[i0]
+            reach -= v
+            np.less(reach, dist, out=closer)
+            closer &= open_cols
+            np.copyto(dist, reach, where=closer)
+            np.copyto(via, j0, where=closer)
+            j1 = int(np.argmin(dist))
+            delta = dist[j1]
+            np.add(u, delta, out=u, where=tree_rows)
+            np.subtract(v, delta, out=v, where=tree_cols)
+            dist -= delta                     # a tree column's inf stays inf
             j0 = j1
         while j0 != n:                        # flip the path back to column n
             row_of[j0] = row_of[via[j0]]

@@ -207,6 +207,16 @@ class TestGridOracle:
         assert np.allclose(grid.sum(axis=1), 1.0, atol=1e-12)
         assert grid.min() >= 0.0
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 10, 64])
+    def test_three_source_grid_equals_the_double_loop_bytewise(self, k):
+        # grid_oracle keeps the first minimum on ties, so the row order
+        # matters as much as the values
+        loop = np.asarray([(i / k, j / k, (k - i - j) / k)
+                           for i in range(k + 1) for j in range(k + 1 - i)])
+        grid = a.simplex_grid(3, 1.0 / k)
+        assert grid.dtype == loop.dtype and grid.shape == loop.shape
+        assert grid.tobytes() == loop.tobytes()
+
 
 class TestDomainWeights:
     def test_uniform_constructor(self):

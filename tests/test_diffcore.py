@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +156,72 @@ class TestFiniteDiffCheck:
         assert dc.finite_diff_check(root) < 1e-5
 
 
+class TestRepeatedPasses:
+    """A root keeps its topological order, and its log-softmax nodes the
+    probabilities of their last forward; later passes must see fresh state."""
+
+    def test_backward_follows_the_latest_masks_and_softmax(self):
+        root = mlp_nll_graph(np.random.default_rng(5), with_dropout=True)
+        grads = []
+        for seed in (1, 2):
+            dc.forward(root, rng=np.random.default_rng(seed))
+            grads.append(list(dc.backward(root).values()))
+            fresh = mlp_nll_graph(np.random.default_rng(5), with_dropout=True)
+            dc.forward(fresh, rng=np.random.default_rng(seed))
+            for got, want in zip(grads[-1], dc.backward(fresh).values(), strict=True):
+                assert np.array_equal(got, want)
+        assert not all(np.array_equal(a, b) for a, b in zip(*grads))
+
+    def test_backward_follows_an_in_place_parameter_change(self):
+        root = mlp_nll_graph(np.random.default_rng(6))
+        dc.forward(root)
+        before = [g.copy() for g in dc.backward(root).values()]
+        params = [n for n in dc.topo_order(root) if n.kind == "param"]
+        params[0].extras["array"] *= 3.0
+        dc.forward(root)
+        after = list(dc.backward(root).values())
+        fresh = mlp_nll_graph(np.random.default_rng(6))
+        [n for n in dc.topo_order(fresh) if n.kind == "param"][0].extras["array"] *= 3.0
+        dc.forward(fresh)
+        for got, want in zip(after, dc.backward(fresh).values(), strict=True):
+            assert np.array_equal(got, want)
+        assert not all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_finite_diff_check_on_an_already_forwarded_graph(self):
+        root = mlp_nll_graph(np.random.default_rng(7), with_dropout=True)
+        for seed in (3, 4):
+            dc.forward(root, rng=np.random.default_rng(seed))
+            dc.backward(root)
+        assert dc.finite_diff_check(root) < 1e-5
+
+    def test_order_is_walked_once_per_root(self, monkeypatch):
+        walks = []
+        topo_order = dc.topo_order
+        monkeypatch.setattr(dc, "topo_order", lambda root: walks.append(root) or topo_order(root))
+        root = mlp_nll_graph(np.random.default_rng(8))
+        dc.forward(root)
+        dc.backward(root)
+        dc.forward(root)
+        dc.backward(root)
+        assert walks == [root]
+
+    def test_a_forwarded_graph_is_freed_without_the_cycle_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            root = mlp_nll_graph(np.random.default_rng(9), with_dropout=True)
+            dc.forward(root, rng=np.random.default_rng(0))
+            dc.backward(root)
+            del root
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(dc.GraphError, match="unknown op kind 'cube'"):
+            dc.forward(dc.Node("cube", (dc.const([[1.0]]),)))
+
+
 class TestLogSoftmaxRows:
     @PROPERTY
     @given(logits(st.integers(2, 7)))
@@ -224,6 +292,10 @@ class TestParameterVector:
         for _ in range(20):
             vec = dc.ParameterVector.from_arrays([("w", rng.standard_normal((3, 3)))])
             assert vec.sq_norm() >= 0.0
+
+    def test_repeated_name_rejected(self):
+        with pytest.raises(dc.GraphShapeError, match="repeated"):
+            dc.ParameterVector.from_arrays([("w", np.ones(2)), ("w", np.ones(3))])
 
     def test_replaced_checks_length(self):
         vec = dc.ParameterVector.from_arrays([("w", np.ones((2, 2)))])

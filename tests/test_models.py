@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from imda import models
+from imda import models, optimizer
 from imda.models import EVAL_ROWS, ArchSpec, ModelTriple
 
 
@@ -220,6 +222,47 @@ class TestCertificates:
         cert = models.certify(small_model(mode="regression"))
         assert cert.M == 1.0 and cert.method == "spectral-product"
         assert cert.K >= 0.0 and cert.L >= 0.0
+
+
+class TestLayerViews:
+    def test_views_follow_an_in_place_change_of_values(self):
+        m = small_model()
+        layers = m.layers("dup")
+        m.dup.values += 1.0
+        assert m.layers("dup") is layers
+        w, b, relu = layers[0]
+        assert np.array_equal(w, m.dup.view("w0")) and np.array_equal(b, m.dup.view("b0"))
+        assert not relu
+
+    @pytest.mark.parametrize("block, step", [
+        ("dup", lambda vec: optimizer.duplicate_ascent_step(vec, np.ones(vec.size), 0.5)),
+        ("rep", lambda vec: optimizer.sgld_step(vec, np.ones(vec.size), 0.5, 0.1,
+                                                rng=np.random.default_rng(0))),
+    ], ids=["duplicate_ascent_step", "sgld_step"])
+    def test_an_update_gives_fresh_views(self, block, step):
+        m = small_model()
+        old = m.layers(block)
+        setattr(m, block, step(getattr(m, block)))
+        new = m.layers(block)
+        vector = getattr(m, block)
+        for i, ((w_old, _, _), (w, b, _)) in enumerate(zip(old, new, strict=True)):
+            assert np.shares_memory(w, vector.values) and np.shares_memory(b, vector.values)
+            assert not np.shares_memory(w, w_old)
+            assert np.array_equal(w, vector.view(f"w{i}"))
+            assert np.array_equal(b, vector.view(f"b{i}"))
+
+    def test_a_replaced_buffer_gives_fresh_views(self):
+        m = small_model()
+        m.layers("rep")
+        m.rep.values = m.rep.values * 2.0
+        assert np.shares_memory(m.layers("rep")[0][0], m.rep.values)
+
+    def test_a_deep_copy_views_its_own_buffer(self):
+        m = small_model()
+        m.layers("rep")
+        twin = copy.deepcopy(m)
+        assert np.shares_memory(twin.layers("rep")[0][0], twin.rep.values)
+        assert not np.shares_memory(twin.layers("rep")[0][0], m.rep.values)
 
 
 class TestInitialization:

@@ -48,6 +48,16 @@ class TestTargetRisk:
         with pytest.raises(risks.RiskError):
             risks.empirical_risk_target(clf_model(), np.zeros((0, 3)), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize("block, name", [("rep", "representation"), ("pred", "predictor"),
+                                             ("dup", "critic")])
+    def test_non_finite_parameter_names_its_block(self, block, name):
+        m = clf_model()
+        getattr(m, block).values[-1] = np.nan
+        x, y = np.ones((4, 3)), np.zeros(4, dtype=int)
+        with pytest.raises(dc.GraphShapeError,
+                           match=f"non-finite entries in the {name} parameters"):
+            risks.target_risk_graph(m, x, y, dup=block == "dup")
+
 
 class TestSourceRisk:
     def test_simplex_vertex_selects_single_source(self):
