@@ -170,8 +170,10 @@ def _cmd_oracle_w1(args):
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) < 2:
-                raise data.CsvFormatError("expected measure,label,f0,...", line_no)
+            if len(row) != len(header):
+                raise data.CsvFormatError(
+                    f"expected {len(header)} fields as in the header, found {len(row)}",
+                    line_no)
             side = row[0].strip().lower()
             if side not in ("a", "b"):
                 raise data.CsvFormatError(f"measure must be 'a' or 'b', got {row[0]!r}",

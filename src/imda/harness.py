@@ -67,58 +67,79 @@ TAG_SRC_BATCH = 20  # + source index
 TAG_TGT_BATCH = 40
 TAG_UNL_BATCH = 41
 
-_MODES = ("supervised", "unsupervised", "semi")
 
-# key -> (parser kind, default); None defaults are resolved per mode or data
+def _one_of(*words):
+    return "one of " + " | ".join(words), frozenset(words).__contains__
+
+
+# range rules, (text, predicate on the parsed value); a failing value reads
+# "<key> must be <text>"
+_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+_POSITIVE = ("> 0", lambda v: v > 0)
+_AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
+_UNIT = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_BELOW_ONE = ("in [0, 1)", lambda v: 0.0 <= v < 1.0)
+
+# key -> (parser kind, default, rule); None defaults are resolved per mode or
+# data, and a None rule accepts any value the kind parses
 _SCHEMA = {
-    "mode": ("str", None),
-    "epsilon": ("float", None),
-    "tau": ("float", None),
-    "c0": ("float", 1.2),
-    "c1": ("float", None),
-    "moving_average": ("float", 0.5),
-    "eta_u": ("float", 0.5),
-    "eta_v": ("float", 0.5),
-    "eta_dup": ("float", 0.5),
-    "u_ramp_epochs": ("int", 0),
-    "v_ramp_epochs": ("int", 0),
-    "eta_decay_steps": ("int", 0),
-    "sigma": ("float", 1e-3),
-    "noiseless": ("bool", False),
-    "lambda_r": ("float", None),
-    "w1_sup_coef": ("float", 0.01),
-    "w1_discri_coef1": ("float", 0.06),
-    "w1_discri_coef2": ("float", 1.2),
-    "interp_penalty_weight": ("float", 0.0),
-    "batch_size": ("int", 20),
-    "epochs": ("int", 40),
-    "warmup_epochs": ("int", 5),
-    "steps_per_epoch": ("int", 0),
-    "seed": ("int", 0),
-    "alignment": ("bool", True),
-    "bound_sigma": ("float", 1.0),
-    "r_star": ("float", 0.0),
-    "r_star_rep": ("float", 0.0),
-    "delta_u": ("float", None),
-    "delta_v": ("float", None),
-    "empirical_risk": ("float", 0.0),
-    "data": ("str", "synthetic"),
-    "drop_rate": ("float", 0.5),
-    "domain_size": ("int", 2000),
-    "labeled_target_size": ("int", 200),
-    "source_angles": ("floats", (15.0, 75.0)),
-    "class_std": ("floats", (0.85,)),
-    "radius": ("float", 2.0),
-    "source_csvs": ("strs", ()),
-    "target_csv": ("str", ""),
-    "target_unlabeled_csv": ("str", ""),
-    "test_target_csv": ("str", ""),
-    "test_source_csvs": ("strs", ()),
-    "rep_widths": ("ints", (32, 16)),
-    "rep_activation": ("str", "relu"),
-    "dropout": ("float", 0.0),
-    "outdir": ("str", "imda_out"),
+    "mode": ("str", None, _one_of("supervised", "unsupervised", "semi")),
+    "epsilon": ("float", None, _UNIT),
+    "tau": ("float", None, _UNIT),
+    "c0": ("float", 1.2, _NON_NEGATIVE),
+    "c1": ("float", None, _NON_NEGATIVE),
+    "moving_average": ("float", 0.5, ("in (0, 1)", lambda v: 0.0 < v < 1.0)),
+    "eta_u": ("float", 0.5, _POSITIVE),
+    "eta_v": ("float", 0.5, _POSITIVE),
+    "eta_dup": ("float", 0.5, _POSITIVE),
+    "u_ramp_epochs": ("int", 0, _NON_NEGATIVE),
+    "v_ramp_epochs": ("int", 0, _NON_NEGATIVE),
+    "eta_decay_steps": ("int", 0, _NON_NEGATIVE),
+    "sigma": ("float", 1e-3, None),
+    "noiseless": ("bool", False, None),
+    "lambda_r": ("float", None, _NON_NEGATIVE),
+    # a negative objective coefficient would silently flip or switch off its term
+    "w1_sup_coef": ("float", 0.01, _NON_NEGATIVE),
+    "w1_discri_coef1": ("float", 0.06, _NON_NEGATIVE),
+    "w1_discri_coef2": ("float", 1.2, _NON_NEGATIVE),
+    "interp_penalty_weight": ("float", 0.0, _NON_NEGATIVE),
+    "batch_size": ("int", 20, _AT_LEAST_ONE),
+    "epochs": ("int", 40, _NON_NEGATIVE),
+    "warmup_epochs": ("int", 5, _NON_NEGATIVE),
+    "steps_per_epoch": ("int", 0, _NON_NEGATIVE),
+    "seed": ("int", 0, _NON_NEGATIVE),
+    "alignment": ("bool", True, None),
+    "bound_sigma": ("float", 1.0, _NON_NEGATIVE),
+    "r_star": ("float", 0.0, _NON_NEGATIVE),
+    "r_star_rep": ("float", 0.0, _NON_NEGATIVE),
+    "delta_u": ("float", None, _NON_NEGATIVE),
+    "delta_v": ("float", None, _NON_NEGATIVE),
+    "empirical_risk": ("float", 0.0, None),
+    "data": ("str", "synthetic", _one_of("synthetic", "csv")),
+    "drop_rate": ("float", 0.5, _BELOW_ONE),
+    "domain_size": ("int", 2000, _AT_LEAST_ONE),
+    "labeled_target_size": ("int", 200, _NON_NEGATIVE),
+    "source_angles": ("floats", (15.0, 75.0), ("at least one angle", bool)),
+    "class_std": ("floats", (0.85,), ("one or two values, each > 0",
+                                      lambda v: len(v) in (1, 2) and min(v) > 0)),
+    "radius": ("float", 2.0, None),
+    "source_csvs": ("strs", (), None),
+    "target_csv": ("str", "", None),
+    "target_unlabeled_csv": ("str", "", None),
+    "test_target_csv": ("str", "", None),
+    "test_source_csvs": ("strs", (), None),
+    "rep_widths": ("ints", (32, 16), ("at least one width, each >= 1",
+                                      lambda v: len(v) > 0 and min(v) >= 1)),
+    "rep_activation": ("str", "relu", _one_of("relu", "linear")),
+    "dropout": ("float", 0.0, _BELOW_ONE),
+    "outdir": ("str", "imda_out", None),
 }
+
+# data kind -> the keys only the other kind reads
+_UNREAD = {"synthetic": ("source_csvs", "target_csv", "target_unlabeled_csv",
+                         "test_target_csv", "test_source_csvs"),
+           "csv": ("drop_rate", "domain_size", "labeled_target_size", "source_angles",
+                   "class_std", "radius")}
 
 
 @dataclass
@@ -132,38 +153,29 @@ class ExperimentConfig:
             raise AttributeError(key)
 
 
-def _parse_value(key, raw):
-    kind, _ = _SCHEMA[key]
-    raw = raw.strip()
-    try:
-        if kind == "str":
-            return raw
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "on", "1", "yes"):
-                return True
-            if low in ("false", "off", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind == "floats":
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        if kind == "ints":
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        if kind == "strs":
-            return tuple(v.strip() for v in raw.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"cannot parse value {raw!r} for key '{key}'")
-    raise ConfigError(f"unhandled kind {kind}")
+def _flag(raw):
+    low = raw.lower()
+    if low in ("true", "on", "1", "yes"):
+        return True
+    if low in ("false", "off", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def _listed(convert):
+    return lambda raw: tuple(convert(v) for v in raw.split(",") if v.strip())
+
+
+# parser kind -> converter of the stripped text
+_CONVERTERS = {"str": str.strip, "float": float, "int": int, "bool": _flag}
+_CONVERTERS.update({kind + "s": _listed(_CONVERTERS[kind]) for kind in ("str", "float", "int")})
 
 
 def parse_config(path=None, overrides=()):
     """Read `key = value` lines (with # comments), apply CLI overrides,
-    resolve per-mode defaults, and validate."""
-    values = {k: default for k, (_, default) in _SCHEMA.items()}
+    check each value set against its _SCHEMA rule, resolve per-mode
+    defaults, and apply the rules that read more than one key."""
+    values = {k: default for k, (_, default, _) in _SCHEMA.items()}
     pairs = []
     if path is not None:
         with open(path) as fh:
@@ -180,28 +192,33 @@ def parse_config(path=None, overrides=()):
             raise ConfigError(f"override {item!r} is not key=value")
         key, raw = item.split("=", 1)
         pairs.append((key.strip(), raw, "--set"))
+    explicit = {}
     for key, raw, where in pairs:
         if key not in _SCHEMA:
             raise ConfigError(f"{where}: unknown key '{key}'")
-        values[key] = _parse_value(key, raw)
-    # one rule for every float key: an infinity or a NaN slips past most
-    # of the range checks below
-    for key, (kind, _) in _SCHEMA.items():
-        if kind == "float" and values[key] is not None:
-            finite = math.isfinite(values[key])
-        elif kind == "floats":
-            finite = all(map(math.isfinite, values[key]))
-        else:
-            continue
-        if not finite:
+        raw = raw.strip()
+        try:
+            values[key] = explicit[key] = _CONVERTERS[_SCHEMA[key][0]](raw)
+        except ValueError:
+            raise ConfigError(f"cannot parse value {raw!r} for key '{key}'")
+    # every default satisfies its rule, so the values the config sets are the
+    # ones to check; a float must also be finite
+    for key, value in explicit.items():
+        kind, _, rule = _SCHEMA[key]
+        if (kind == "float" and not math.isfinite(value)
+                or kind == "floats" and not all(map(math.isfinite, value))):
             raise ConfigError(f"{key} must be finite")
+        if rule is not None and not rule[1](value):
+            raise ConfigError(f"{key} must be {rule[0]}")
+    # a key only the other data kind reads would be silently ignored
+    unread = [key for key in _UNREAD[values["data"]] if key in explicit]
+    if unread:
+        raise ConfigError(f"data={values['data']} never reads {', '.join(unread)}")
 
     mode = values["mode"]
     if mode is None:
         raise ConfigError("config key 'mode' is required "
                           "(supervised | unsupervised | semi)")
-    if mode not in _MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
     forced_tau = {"supervised": 1.0, "unsupervised": 0.0}.get(mode)
     if forced_tau is not None:
         if values["tau"] is not None and values["tau"] != forced_tau:
@@ -215,44 +232,10 @@ def parse_config(path=None, overrides=()):
     if values["c1"] is None:
         values["c1"] = 0.5 if mode == "supervised" else 1.0
 
-    if not (0.0 <= values["epsilon"] <= 1.0 and 0.0 <= values["tau"] <= 1.0):
-        raise ConfigError("epsilon and tau must lie in [0, 1]")
-    for key in ("eta_u", "eta_v", "eta_dup"):
-        if values[key] <= 0:
-            raise ConfigError(f"{key} must be > 0")
     sigma = values["sigma"]
     if not values["noiseless"] and not (sigma > 0 and 2.0 * sigma * sigma > 0):
         raise ConfigError("sigma must be > 0, with 2*sigma^2 > 0 in floating "
                           "point, unless noiseless")
-    if values["epochs"] < 0 or values["batch_size"] < 1:
-        raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-    # a negative coefficient would silently flip or switch off its term
-    for key in ("steps_per_epoch", "warmup_epochs", "eta_decay_steps", "u_ramp_epochs",
-                "v_ramp_epochs", "w1_sup_coef", "w1_discri_coef1", "w1_discri_coef2",
-                "interp_penalty_weight", "c0", "c1", "lambda_r", "bound_sigma",
-                "r_star", "r_star_rep", "labeled_target_size", "seed"):
-        if values[key] is not None and not values[key] >= 0:
-            raise ConfigError(f"{key} must be >= 0")
-    if not 0.0 <= values["drop_rate"] < 1.0:
-        raise ConfigError("drop_rate must be in [0, 1)")
-    if values["domain_size"] < 1:
-        raise ConfigError("domain_size must be >= 1")
-    if not values["source_angles"]:
-        raise ConfigError("source_angles must list at least one angle")
-    std = values["class_std"]
-    if len(std) not in (1, 2) or not all(s > 0 for s in std):
-        raise ConfigError("class_std must be one or two positive values")
-    if not values["rep_widths"] or min(values["rep_widths"]) < 1:
-        raise ConfigError("rep_widths must list at least one width, each >= 1")
-    if not 0.0 <= values["dropout"] < 1.0:
-        raise ConfigError("dropout must be in [0, 1)")
-    if not 0.0 < values["moving_average"] < 1.0:
-        raise ConfigError("moving_average must be in (0, 1)")
-    if values["data"] not in ("synthetic", "csv"):
-        raise ConfigError(f"unknown data kind {values['data']!r} (synthetic | csv)")
-    if values["rep_activation"] not in ("relu", "linear"):
-        raise ConfigError(f"unknown rep_activation {values['rep_activation']!r} "
-                          "(relu | linear)")
     n_sources = len(values["source_csvs" if values["data"] == "csv" else "source_angles"])
     if (values["noiseless"] and values["lambda_r"] is None and values["alignment"]
             and n_sources > 1 and values["epochs"] > values["warmup_epochs"]):
@@ -703,6 +686,14 @@ def _fmt(v):
     return str(v)
 
 
+def _write_csv(path, header, rows=()):
+    """One header line, then each row's values in _fmt's spelling."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
 def run(cfg, datasets=None):
     """Execute the full loop and write metrics.csv / alpha.csv / ledger.csv /
     bound.csv into cfg.outdir.  Deterministic given the seed (bit-exact in
@@ -754,7 +745,7 @@ def run(cfg, datasets=None):
     alpha = np.full(n_sources, 1.0 / n_sources)
     m_sizes = train.source_sizes
 
-    metrics_rows, alpha_rows = [], []
+    metrics_rows = []
 
     def labeled_risks(x, y):
         """(predictor risk, critic risk) on one labeled set from one
@@ -768,19 +759,12 @@ def run(cfg, datasets=None):
         return zip(*(labeled_risks(x, y) for x, y in train.sources))
 
     def record(epoch, r_v, r_vp):
-        """Append the epoch's metrics and alpha rows; returns the epoch's
-        BoundReport (None without a ledger)."""
-        row = {"epoch": epoch}
-        row["acc_target"] = evaluate(model, *test.target)
-        for i, (x, y) in enumerate(test.sources):
-            row[f"acc_src_{i + 1}"] = evaluate(model, x, y)
+        """Append the epoch's metrics row, its columns in metrics.csv's
+        order; returns the epoch's BoundReport (None without a ledger)."""
         # the operations of risks.empirical_risk_sources and w1_dual_*, in
         # their order, so the row holds the floats they return
         rs = float(np.dot(alpha, r_v))
         rs_dup = float(np.dot(alpha, r_vp))
-        row["r_source_alpha"] = rs
-        for i, r in enumerate(r_v):
-            row[f"r_src_{i + 1}"] = r
         rt = w1s = w1p = None
         if coefs.uses_target:
             rt, rt_dup = labeled_risks(*train.target)
@@ -788,14 +772,8 @@ def run(cfg, datasets=None):
         if coefs.uses_unlabeled:
             w1p = risks.pseudo_label_risk(model, train.target_unlabeled,
                                           cfg.w1_discri_coef1, cfg.w1_discri_coef2) - rs_dup
-        row["r_target"] = rt
-        row["w1_sup"] = w1s
-        row["w1_pseudo"] = w1p
-        if cfg.alignment:
-            combined = risks.assemble_combined(eps, tau, rt, rs, w1s, w1p)
-        else:
-            combined = None
-        row["combined"] = combined
+        combined = (risks.assemble_combined(eps, tau, rt, rs, w1s, w1p)
+                    if cfg.alignment else None)
         lam = du = dv = report = None
         if ledger is not None:
             du, dv = ledger.delta_u, ledger.delta_v
@@ -805,14 +783,16 @@ def run(cfg, datasets=None):
                 combined if combined is not None else rs)
         elif cfg.lambda_r is not None:
             lam = cfg.lambda_r
-        row["lambda_r"] = lam
-        row["delta_u"] = du
-        row["delta_v"] = dv
-        row["risk_bound_total"] = report.total if report is not None else None
-        for i, a in enumerate(alpha):
-            row[f"alpha_{i + 1}"] = float(a)
+        row = {"epoch": epoch, "acc_target": evaluate(model, *test.target)}
+        row.update((f"acc_src_{i + 1}", evaluate(model, x, y))
+                   for i, (x, y) in enumerate(test.sources))
+        row.update(r_target=rt, r_source_alpha=rs)
+        row.update((f"r_src_{i + 1}", r) for i, r in enumerate(r_v))
+        row.update(w1_sup=w1s, w1_pseudo=w1p, combined=combined)
+        row.update((f"alpha_{i + 1}", float(a)) for i, a in enumerate(alpha))
+        row.update(lambda_r=lam, delta_u=du, delta_v=dv,
+                   risk_bound_total=report.total if report is not None else None)
         metrics_rows.append(row)
-        alpha_rows.append([epoch] + [float(a) for a in alpha] + [lam])
         return report
 
     bound = record(0, *source_risks())
@@ -879,53 +859,18 @@ def run(cfg, datasets=None):
 
     outdir = cfg.outdir
     os.makedirs(outdir, exist_ok=True)
-    _write_metrics(os.path.join(outdir, "metrics.csv"), metrics_rows, n_sources)
-    _write_alpha(os.path.join(outdir, "alpha.csv"), alpha_rows, n_sources)
+    header = list(metrics_rows[0])
+    alpha_header = [c for c in header if c in ("epoch", "lambda_r") or c.startswith("alpha_")]
+    alpha_rows = [[row[c] for c in alpha_header] for row in metrics_rows]
+    _write_csv(os.path.join(outdir, "metrics.csv"), header,
+               (row.values() for row in metrics_rows))
+    _write_csv(os.path.join(outdir, "alpha.csv"), alpha_header, alpha_rows)
     if ledger is not None:
         ledger.write_csv(os.path.join(outdir, "ledger.csv"))
     else:
-        with open(os.path.join(outdir, "ledger.csv"), "w", newline="") as fh:
-            csv.writer(fh).writerow(optimizer.LEDGER_HEADER)
-    _write_bound(os.path.join(outdir, "bound.csv"), bound)
+        _write_csv(os.path.join(outdir, "ledger.csv"), optimizer.LEDGER_HEADER)
+    # the last epoch's bound, one row per term (header only without a ledger)
+    _write_csv(os.path.join(outdir, "bound.csv"), ("term", "value"),
+               bound.csv_rows() if bound is not None else ())
     return RunResult(model=model, metrics=metrics_rows, alpha_history=alpha_rows,
                      ledger=ledger, outdir=outdir)
-
-
-def _metric_columns(n_sources):
-    cols = ["epoch", "acc_target"]
-    cols += [f"acc_src_{i + 1}" for i in range(n_sources)]
-    cols += ["r_target", "r_source_alpha"]
-    cols += [f"r_src_{i + 1}" for i in range(n_sources)]
-    cols += ["w1_sup", "w1_pseudo", "combined"]
-    cols += [f"alpha_{i + 1}" for i in range(n_sources)]
-    cols += ["lambda_r", "delta_u", "delta_v", "risk_bound_total"]
-    return cols
-
-
-def _write_metrics(path, rows, n_sources):
-    cols = _metric_columns(n_sources)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in cols])
-
-
-def _write_alpha(path, rows, n_sources):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch"] + [f"alpha_{i + 1}" for i in range(n_sources)]
-                        + ["lambda_r"])
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _write_bound(path, report):
-    """The last epoch's BoundReport, one row per term (header only
-    without a ledger)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["term", "value"])
-        if report is not None:
-            for name, value in report.csv_rows():
-                writer.writerow([name, _fmt(float(value))])

@@ -9,6 +9,7 @@ replayed offline (and averaged over seeds externally).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,23 +114,39 @@ def replay_ledger_rows(rows):
     """Recompute (delta_u, delta_v) from (block, eta, sigma, grad_sq_norm)
     tuples in order; the replay tool behind the exactness guarantee."""
     du = dv = 0.0
-    for block, eta, sigma, gsq in rows:
+    for i, (block, eta, sigma, gsq) in enumerate(rows, start=1):
+        if not sigma > 0:
+            raise OptimizerError(f"ledger row {i}: sigma must be > 0, got {sigma!r}")
         increment = (eta * eta) * gsq / (2.0 * sigma * sigma)
         if block == "u":
             du = du + increment
         elif block == "v":
             dv = dv + increment
         else:
-            raise OptimizerError(f"unknown block {block!r} in ledger row")
+            raise OptimizerError(f"ledger row {i}: unknown block {block!r}")
     return du, dv
 
 
 def replay_ledger_csv(path):
-    """Replay a ledger.csv written by GradNormLedger.write_csv."""
+    """Replay a ledger.csv written by GradNormLedger.write_csv; a missing
+    column, or a value that is not a finite number, names its line and
+    column."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        for column in ("block", "eta", "sigma", "grad_sq_norm"):
+            if column not in (reader.fieldnames or ()):
+                raise OptimizerError(f"{path}, line 1: no {column} column")
         for row in reader:
-            rows.append((row["block"], float(row["eta"]), float(row["sigma"]),
-                         float(row["grad_sq_norm"])))
+            numbers = []
+            for column in ("eta", "sigma", "grad_sq_norm"):
+                try:
+                    value = float(row[column])
+                except (TypeError, ValueError):
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise OptimizerError(f"{path}, line {reader.line_num}: {column} "
+                                         f"{row[column]!r} is not a finite number")
+                numbers.append(value)
+            rows.append((row["block"], *numbers))
     return replay_ledger_rows(rows)

@@ -30,7 +30,7 @@ BAD_VALUES = [
         "w1_sup_coef", "w1_discri_coef1", "w1_discri_coef2", "interp_penalty_weight",
         "c0", "c1", "lambda_r", "bound_sigma", "r_star", "r_star_rep",
         "eta_decay_steps", "u_ramp_epochs", "v_ramp_epochs", "labeled_target_size",
-        "seed")],
+        "seed", "delta_u", "delta_v")],
     ("drop_rate", "1"),
     ("drop_rate", "-0.5"),
     ("domain_size", "0"),
@@ -42,8 +42,13 @@ BAD_VALUES = [
     ("interp_penalty_weight", "0.1", "alignment=off"),
     ("interp_penalty_weight", "0.1", "mode=supervised", "epsilon=0"),
     ("interp_penalty_weight", "0.1", "mode=supervised", "w1_sup_coef=0"),
+    # a key the chosen data kind never reads
+    ("source_csvs", "s.csv"),
+    ("test_target_csv", "t.csv"),
+    ("domain_size", "60", "data=csv", "source_csvs=s.csv"),
+    ("radius", "2", "data=csv", "source_csvs=s.csv"),
     # every float key, present and future, must be finite
-    *[(key, value) for key, (kind, _) in harness._SCHEMA.items()
+    *[(key, value) for key, (kind, *_) in harness._SCHEMA.items()
       if kind in ("float", "floats") for value in ("nan", "inf")],
 ]
 
@@ -134,7 +139,8 @@ class TestOracleW1Command:
         ("measure,label,f0\nq,0,0.0\n", 2),
         ("measure\na\nb\n", 1),
         ("measure,label,f0\na\nb,0,1.0\n", 2),
-    ], ids=["unknown_measure", "one_field_header", "one_field_row"])
+        ("measure,label,f0,f1\na,0,0.0,1.0\nb,0,0.5\n", 3),
+    ], ids=["unknown_measure", "one_field_header", "one_field_row", "short_row"])
     def test_malformed_rows_exit_three(self, tmp_path, capsys, text, line):
         path = tmp_path / "bad.csv"
         path.write_text(text)
@@ -202,6 +208,22 @@ class TestBoundCommand:
         assert code == 0
         assert "total" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text, named", [
+        ("step,eta,sigma,grad_sq_norm,delta_after\n0,0.1,0.01,4.0,0.5\n", ["block"]),
+        ("step,block,eta,sigma,grad_sq_norm,delta_after\n0,u,0.1,wide,4.0,0.5\n",
+         ["line 2", "sigma"]),
+        ("step,block,eta,sigma,grad_sq_norm,delta_after\n0,u,0.1,0.0,4.0,0.5\n",
+         ["row 1", "sigma"]),
+        ("step,block,eta,sigma,grad_sq_norm,delta_after\n0,u,0.1,0.01,nan,0.5\n",
+         ["line 2", "grad_sq_norm"]),
+    ], ids=["no_block_column", "non_numeric_sigma", "zero_sigma", "nan_grad_sq_norm"])
+    def test_malformed_ledger_exits_three_naming_it(self, tmp_path, capsys, text, named):
+        (tmp_path / "ledger.csv").write_text(text)
+        cfg = write_cfg(tmp_path, "mode = supervised\n")
+        code = cli.main(["bound", "--config", cfg, "--ledger", str(tmp_path / "ledger.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert all(word in err for word in named)
 
     def test_bound_prints_the_runs_bound_csv(self, tmp_path, capsys):
         """With alpha held uniform (warmup covers every epoch), the bound

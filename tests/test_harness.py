@@ -53,6 +53,13 @@ ROUND_TRIPS = {
 }
 
 
+# keys whose _SCHEMA row has no range rule: the bools, the paths, sigma
+# (checked against noiseless) and two constants any finite value suits
+FREE_KEYS = {"noiseless", "alignment", "source_csvs", "target_csv", "target_unlabeled_csv",
+             "test_target_csv", "test_source_csvs", "outdir", "sigma", "empirical_risk",
+             "radius"}
+
+
 class TestParseConfig:
     def test_mode_required(self, tmp_path):
         path = cfg_lines(tmp_path, "# empty\n")
@@ -109,10 +116,21 @@ class TestParseConfig:
         assert harness._SCHEMA[key][0] == kind
         value = data.draw(values)
         raw = data.draw(spell(value))
-        assert parse_config(overrides=["mode=semi", f"{key}={raw}"]).values[key] == value
+        context = ["data=csv"] if key == "source_csvs" else []
+        assert parse_config(overrides=["mode=semi", *context, f"{key}={raw}"]).values[key] == value
 
     def test_round_trips_cover_every_kind(self):
-        assert set(ROUND_TRIPS) == {kind for kind, _ in harness._SCHEMA.values()}
+        assert set(ROUND_TRIPS) == {kind for kind, *_ in harness._SCHEMA.values()}
+
+    def test_every_key_declares_its_range_or_is_free(self):
+        ruled = {key for key, (_, _, rule) in harness._SCHEMA.items() if rule is not None}
+        assert ruled.isdisjoint(FREE_KEYS)
+        assert ruled | FREE_KEYS == set(harness._SCHEMA)
+
+    def test_defaults_satisfy_their_rules(self):
+        for key, (_, default, rule) in harness._SCHEMA.items():
+            if rule is not None and default is not None:
+                assert rule[1](default), key
 
     def test_noiseless_alpha_needs_lambda(self, tmp_path):
         with pytest.raises(ConfigError, match="lambda_r"):

@@ -113,6 +113,11 @@ class TestLedger:
         with pytest.raises(opt.NoiselessLedgerError):
             led.accumulate("u", eta=0.1, sigma=0.0, grad_sq_norm=1.0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.01, float("nan")])
+    def test_replay_rejects_non_positive_sigma(self, sigma):
+        with pytest.raises(opt.OptimizerError, match="row 2: sigma must be > 0"):
+            opt.replay_ledger_rows([("u", 0.1, 0.01, 4.0), ("v", 0.1, sigma, 1.0)])
+
     def test_three_step_offline_replay_is_exact(self):
         led = opt.GradNormLedger()
         steps = [("u", 0.1, 0.01, 4.0), ("v", 0.2, 0.05, 1.5), ("u", 0.05, 0.02, 0.7)]
