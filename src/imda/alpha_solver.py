@@ -30,31 +30,6 @@ class SolverNotConverged(AlphaSolverError):
         self.best_value = best_value
 
 
-@dataclass
-class DomainWeights:
-    """A point on the N-simplex with per-source sample counts."""
-
-    alpha: np.ndarray
-    m: np.ndarray
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        self.m = np.asarray(self.m, dtype=np.int64)
-        if self.alpha.ndim != 1 or self.alpha.size < 1:
-            raise AlphaSolverError("need at least one domain weight")
-        if self.m.shape != self.alpha.shape:
-            raise AlphaSolverError("one sample count per source required")
-        if np.any(self.m < 1):
-            raise AlphaSolverError("sample counts must be >= 1")
-        if np.min(self.alpha) < -1e-9 or abs(self.alpha.sum() - 1.0) > 1e-9:
-            raise AlphaSolverError(f"{self.alpha} is not on the simplex")
-
-    @classmethod
-    def uniform(cls, m):
-        m = np.asarray(m)
-        return cls(alpha=np.full(m.size, 1.0 / m.size), m=m)
-
-
 def simplex_project(point):
     """Euclidean projection onto {a : a_i >= 0, sum a_i = 1} by the
     sort-and-threshold rule."""
@@ -86,6 +61,8 @@ class AlphaObjective:
             raise AlphaSolverError("regularizer weight must be >= 0")
         if self.linear.shape != self.m.shape:
             raise AlphaSolverError("coefficient/count length mismatch")
+        if np.any(self.m < 1):
+            raise AlphaSolverError("sample counts must be >= 1")
 
     def regularizer(self, alpha):
         alpha = np.asarray(alpha, dtype=np.float64)
@@ -133,19 +110,19 @@ def build_objective(risks_pred, risks_dup, eps, tau, c0, c1, ledger, m,
     return AlphaObjective(linear=linear, reg_weight=lam, m=np.asarray(m))
 
 
-def solve_alpha(objective, m, tol=1e-8, max_iter=100_000):
-    """Projected gradient descent with backtracking from unit step, run
-    until the projected-gradient norm drops below `tol`.
+def solve_alpha(objective, tol=1e-8, max_iter=100_000):
+    """The weights minimizing `objective` on the simplex, one per source of
+    objective.m: projected gradient descent with backtracking from unit
+    step, run until the projected-gradient norm drops below `tol`.
 
     The argmin is invariant under positive rescaling of (linear, reg_weight),
     so the iteration works on a unit-scale copy of the objective; the
     tolerance applies at that scale, keeping it meaningful when the
     ledger-driven regularizer weight is very large.
     """
-    m = np.asarray(m)
-    n = m.size
+    n = objective.m.size
     if n == 1:
-        return DomainWeights(alpha=np.array([1.0]), m=m)
+        return np.array([1.0])
     # On the simplex, shifting the linear part by a constant shifts f by a
     # constant, and positive rescaling leaves the argmin unchanged; centering
     # and unit-scaling keep the iteration's value range near zero so float64
@@ -160,7 +137,7 @@ def solve_alpha(objective, m, tol=1e-8, max_iter=100_000):
         g = work.grad(alpha)
         pg = alpha - simplex_project(alpha - g)
         if np.linalg.norm(pg) < tol:
-            return DomainWeights(alpha=simplex_project(alpha), m=m)
+            return simplex_project(alpha)
         step, moved = 1.0, False
         while step > 1e-18:
             trial = simplex_project(alpha - step * g)
@@ -174,7 +151,7 @@ def solve_alpha(objective, m, tol=1e-8, max_iter=100_000):
             break  # no acceptable decrease at any step: floating-point floor
     pg = alpha - simplex_project(alpha - work.grad(alpha))
     if np.linalg.norm(pg) < tol:
-        return DomainWeights(alpha=simplex_project(alpha), m=m)
+        return simplex_project(alpha)
     raise SolverNotConverged(
         f"projected gradient did not reach tol={tol} in {max_iter} iterations",
         best_alpha=alpha, best_value=objective.value(alpha))
@@ -184,8 +161,8 @@ def moving_average_update(old, new, c):
     """C * old + (1 - C) * new; stays on the simplex for 0 < C < 1."""
     if not 0.0 < c < 1.0:
         raise AlphaSolverError(f"moving-average weight must be in (0,1), got {c}")
-    old = np.asarray(old.alpha if isinstance(old, DomainWeights) else old, dtype=np.float64)
-    new = np.asarray(new.alpha if isinstance(new, DomainWeights) else new, dtype=np.float64)
+    old = np.asarray(old, dtype=np.float64)
+    new = np.asarray(new, dtype=np.float64)
     for a in (old, new):
         if np.min(a) < -1e-9 or abs(a.sum() - 1.0) > 1e-9:
             raise AlphaSolverError(f"{a} is not on the simplex")
@@ -210,13 +187,13 @@ def simplex_grid(n, step):
     raise AlphaSolverError("grid oracle supports at most 3 sources")
 
 
-def grid_oracle(objective, m, step=0.005):
+def grid_oracle(objective, step=0.005):
     """Exhaustive minimizer over the simplex grid (N <= 3, step <= 0.01)."""
-    m = np.asarray(m)
-    if m.size > 3:
+    n = objective.m.size
+    if n > 3:
         raise AlphaSolverError("grid oracle supports at most 3 sources")
     if step > 0.01:
         raise AlphaSolverError("grid step must be <= 0.01")
-    grid = simplex_grid(m.size, step)
+    grid = simplex_grid(n, step)
     values = grid @ objective.linear + objective.reg_weight * objective.regularizer(grid)
     return grid[int(np.argmin(values))]

@@ -118,12 +118,12 @@ def _cmd_check(args):
     for seed in range(20):
         r = np.random.default_rng(seed)
         n = int(r.integers(2, 4))
-        m = r.integers(50, 500, n)
         obj = alpha_solver.AlphaObjective(linear=r.standard_normal(n),
-                                          reg_weight=float(r.uniform(0, 2.0)), m=m)
-        solved = alpha_solver.solve_alpha(obj, m)
-        oracle = alpha_solver.grid_oracle(obj, m, step=0.005)
-        gap = max(gap, obj.value(solved.alpha) - obj.value(oracle))
+                                          reg_weight=float(r.uniform(0, 2.0)),
+                                          m=r.integers(50, 500, n))
+        solved = alpha_solver.solve_alpha(obj)
+        oracle = alpha_solver.grid_oracle(obj, step=0.005)
+        gap = max(gap, obj.value(solved) - obj.value(oracle))
     report("weight solver matches the grid oracle", gap <= 1e-6, f"max gap {gap:.2e}")
 
     # exact transport is a metric on tiny instances

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,15 +134,12 @@ class ShiftSpec:
 
     drop_classes: tuple
     drop_rate: float
-    apply_to: str = "sources"
     seed: int = 0
 
     def __post_init__(self):
         self.drop_classes = tuple(int(c) for c in np.atleast_1d(self.drop_classes))
         if not 0.0 <= self.drop_rate < 1.0:
             raise DataError(f"drop rate {self.drop_rate} outside [0, 1)")
-        if self.apply_to not in ("sources", "target"):
-            raise DataError(f"apply_to must be 'sources' or 'target'")
 
 
 def _subsample(x, y, spec, tag):
@@ -163,16 +160,11 @@ def _subsample(x, y, spec, tag):
 
 
 def apply_target_shift(dataset, spec):
-    """Subsample the designated classes on the chosen side; the other side
-    is returned untouched."""
-    if spec.apply_to == "sources":
-        sources = [_subsample(x, y, spec, tag=i) for i, (x, y) in enumerate(dataset.sources)]
-        target, unlabeled = dataset.target, dataset.target_unlabeled
-    else:
-        sources = dataset.sources
-        target = _subsample(*dataset.target, spec, tag=2000)
-        unlabeled = dataset.target_unlabeled
-    return MultiSourceDataset(sources=sources, target=target, target_unlabeled=unlabeled,
+    """Subsample the designated classes of every source; the target sets
+    are returned untouched."""
+    sources = [_subsample(x, y, spec, tag=i) for i, (x, y) in enumerate(dataset.sources)]
+    return MultiSourceDataset(sources=sources, target=dataset.target,
+                              target_unlabeled=dataset.target_unlabeled,
                               n_classes=dataset.n_classes, dim=dataset.dim)
 
 
@@ -217,15 +209,15 @@ def default_benchmark(drop_rate=0.5, seed=0, labeled_target=False, **spec_kw):
     train = gen_gaussian_sources(sources, labeled, unlabeled_size=target.size, seed=seed)
     test = gen_gaussian_sources(sources, target, unlabeled_size=0, seed=seed + 777_000)
     if drop_rate > 0.0:
-        shift = ShiftSpec(drop_classes=(1,), drop_rate=drop_rate, apply_to="sources",
-                          seed=seed)
+        shift = ShiftSpec(drop_classes=(1,), drop_rate=drop_rate, seed=seed)
         train = apply_target_shift(train, shift)
         test = apply_target_shift(test, shift)
     return train, test
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion (header: label,f0,f1,...)
+# CSV files: labeled feature tables (header: label,f0,f1,...) and the table
+# writer every output goes through
 
 
 def load_csv(path):
@@ -261,12 +253,22 @@ def load_csv(path):
 
 
 def write_csv(path, x, y):
+    """The labeled feature table load_csv reads back exactly."""
     x = np.asarray(x, dtype=np.float64)
+    write_table(path, ["label"] + [f"f{i}" for i in range(x.shape[1])],
+                ([int(label), *row] for label, row in zip(np.asarray(y), x)))
+
+
+def write_table(path, header, rows=()):
+    """One header line, then each row's values as csv spells them: a float
+    as its repr (which reads back exactly), None as an empty field, anything
+    else as str().  A numpy float is written as the Python float it equals,
+    never as the repr of the numpy scalar."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i}" for i in range(x.shape[1])])
-        for label, row in zip(np.asarray(y), x):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])
+        writer.writerow(header)
+        writer.writerows([float(v) if isinstance(v, np.floating) else v for v in row]
+                         for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -325,29 +325,21 @@ def forward(root, rng=None):
     return root.value
 
 
-def backward(root, seed=None):
-    """Reverse sweep from root; returns {param node: gradient array}.
-
-    `seed` is the adjoint of the root (defaults to 1.0, which requires
-    a scalar root).  Adjoints for every node, const leaves included, are
-    left in node.adjoint.
+def backward(root):
+    """Reverse sweep from a scalar root, whose adjoint is 1.0; returns
+    {param node: gradient array}.  Adjoints for every node, const leaves
+    included, are left in node.adjoint.
     """
     if root.value is None:
         raise BackwardBeforeForwardError("backward called before forward")
-    if seed is None:
-        if root.value.size != 1:
-            raise NonScalarOutputError(
-                f"root '{root.name}' has shape {root.value.shape}; pass an explicit seed")
-        seed = np.ones_like(root.value)
-    else:
-        seed = _as_f64(seed)
-    if seed.shape != root.value.shape:
-        raise GraphShapeError(f"seed shape {seed.shape} vs root {root.value.shape}")
+    if root.value.size != 1:
+        raise NonScalarOutputError(
+            f"root '{root.name}' has shape {root.value.shape}; backward needs a scalar")
 
     order = _order(root)
     for node in order:
         node.adjoint = None
-    root.adjoint = seed
+    root.adjoint = np.ones_like(root.value)
     grads = {}
     for node in reversed(order):
         g = node.adjoint
@@ -459,9 +451,6 @@ class ParameterVector:
 
     def unflatten(self):
         return {nm: self.view(nm) for nm in self.layout.index}
-
-    def copy(self):
-        return ParameterVector(values=self.values.copy(), layout=self.layout)
 
     def replaced(self, values):
         """Same layout, new flat buffer."""

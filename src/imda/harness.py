@@ -40,7 +40,6 @@ pseudo-label behaviour depends on it, so mending it needs a retune.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -210,6 +209,11 @@ def parse_config(path=None, overrides=()):
             raise ConfigError(f"{key} must be finite")
         if rule is not None and not rule[1](value):
             raise ConfigError(f"{key} must be {rule[0]}")
+    # test source i is the held-out set of training source i
+    tests, trains = values["test_source_csvs"], values["source_csvs"]
+    if values["data"] == "csv" and tests and len(tests) != len(trains):
+        raise ConfigError(f"test_source_csvs has {len(tests)} entries but source_csvs "
+                          f"has {len(trains)}; give one test file per source, or none")
     # a key only the other data kind reads would be silently ignored
     unread = [key for key in _UNREAD[values["data"]] if key in explicit]
     if unread:
@@ -498,15 +502,11 @@ class _Step:
     forward of a batch is a separate, mask-free pass."""
 
     def __init__(self, model, rng_dropout):
-        arch = model.arch
-        rate = arch.dropout_rate
-        if rate > 0.0 and not rate < 1.0:
-            raise dc.GraphError(f"dropout rate {rate} outside [0, 1)")
-        self.rate = rate
-        self.rng = rng_dropout if rate > 0.0 else None
+        self.rate = model.arch.dropout_rate
+        self.rng = rng_dropout if self.rate > 0.0 else None
         self.rep = model.layers("rep")
         self.heads = {False: model.layers("pred"), True: model.layers("dup")}
-        self.n_classes = arch.n_outputs
+        self.n_classes = model.arch.n_outputs
         self._passes = {}
 
     def forward(self, key, x, train=True):
@@ -626,7 +626,7 @@ def reference_gradients(model, coefs, alpha, target_batch, unlabeled_x,
                 tgt_feats = model.represent(target_batch[0])
             src_feats = model.represent(np.concatenate([x for x, _ in source_batches]))
             x_int = risks.interpolate_features(tgt_feats, src_feats, rng_penalty)
-            root, dn = risks.interp_penalty_graph(model, x_int, dup=True)
+            root, dn = risks.interp_penalty_graph(model, x_int)
         elif name == "pseudo":
             root, rn, pn, dn = risks.pseudo_risk_graph(
                 model, unlabeled_x, cfg.w1_discri_coef1, cfg.w1_discri_coef2,
@@ -676,22 +676,6 @@ class RunResult:
     alpha_history: list
     ledger: object
     outdir: str
-
-
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _write_csv(path, header, rows=()):
-    """One header line, then each row's values in _fmt's spelling."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def run(cfg, datasets=None):
@@ -852,9 +836,8 @@ def run(cfg, datasets=None):
             objective = alpha_solver.build_objective(
                 r_v, r_vp, eps, tau, cfg.c0, cfg.c1, ledger, m_sizes,
                 reg_weight_override=cfg.lambda_r)
-            solved = alpha_solver.solve_alpha(objective, m_sizes)
-            alpha = alpha_solver.moving_average_update(alpha, solved.alpha,
-                                                       cfg.moving_average)
+            alpha = alpha_solver.moving_average_update(
+                alpha, alpha_solver.solve_alpha(objective), cfg.moving_average)
         bound = record(epoch, r_v, r_vp)
 
     outdir = cfg.outdir
@@ -862,15 +845,15 @@ def run(cfg, datasets=None):
     header = list(metrics_rows[0])
     alpha_header = [c for c in header if c in ("epoch", "lambda_r") or c.startswith("alpha_")]
     alpha_rows = [[row[c] for c in alpha_header] for row in metrics_rows]
-    _write_csv(os.path.join(outdir, "metrics.csv"), header,
-               (row.values() for row in metrics_rows))
-    _write_csv(os.path.join(outdir, "alpha.csv"), alpha_header, alpha_rows)
+    data.write_table(os.path.join(outdir, "metrics.csv"), header,
+                     (row.values() for row in metrics_rows))
+    data.write_table(os.path.join(outdir, "alpha.csv"), alpha_header, alpha_rows)
     if ledger is not None:
         ledger.write_csv(os.path.join(outdir, "ledger.csv"))
     else:
-        _write_csv(os.path.join(outdir, "ledger.csv"), optimizer.LEDGER_HEADER)
+        data.write_table(os.path.join(outdir, "ledger.csv"), optimizer.LEDGER_HEADER)
     # the last epoch's bound, one row per term (header only without a ledger)
-    _write_csv(os.path.join(outdir, "bound.csv"), ("term", "value"),
-               bound.csv_rows() if bound is not None else ())
+    data.write_table(os.path.join(outdir, "bound.csv"), ("term", "value"),
+                     bound.csv_rows() if bound is not None else ())
     return RunResult(model=model, metrics=metrics_rows, alpha_history=alpha_rows,
                      ledger=ledger, outdir=outdir)

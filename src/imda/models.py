@@ -6,7 +6,7 @@ Lipschitz upper bounds via spectral-norm products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,8 @@ class ArchSpec:
     """Layer widths and per-layer activations for the model triple.
 
     rep_widths includes the input width, e.g. [2, 32, 16]; pred_widths
-    starts at the feature width, e.g. [16, 2].  In classification mode the
+    starts at the feature width, e.g. [16, 2].  A ReLU follows every hidden
+    predictor layer, and the last is linear.  In classification mode the
     predictor ends in a log-softmax over pred_widths[-1] classes; in
     regression mode pred_widths[-1] must be 1 and the output is raw.
     """
@@ -47,8 +48,7 @@ class ArchSpec:
     rep_widths: tuple
     pred_widths: tuple
     rep_activations: tuple = None  # 'relu' | 'linear' per rep layer
-    pred_activations: tuple = None  # per hidden pred layer (final layer is linear)
-    dropout_rate: float = 0.0
+    dropout_rate: float = 0.0  # after every representation layer, in training
     mode: str = "classification"  # or "regression"
 
     def __post_init__(self):
@@ -65,20 +65,16 @@ class ArchSpec:
         if self.mode == "regression" and self.pred_widths[-1] != 1:
             raise ArchitectureError("regression mode needs a single output unit")
         n_rep = len(self.rep_widths) - 1
-        n_pred_hidden = len(self.pred_widths) - 2
         if self.rep_activations is None:
             self.rep_activations = ("relu",) * n_rep
-        if self.pred_activations is None:
-            self.pred_activations = ("relu",) * n_pred_hidden
         self.rep_activations = tuple(self.rep_activations)
-        self.pred_activations = tuple(self.pred_activations)
         if len(self.rep_activations) != n_rep:
             raise ArchitectureError("one activation per representation layer required")
-        if len(self.pred_activations) != n_pred_hidden:
-            raise ArchitectureError("one activation per hidden predictor layer required")
-        for a in self.rep_activations + self.pred_activations:
+        for a in self.rep_activations:
             if a not in ("relu", "linear"):
                 raise ArchitectureError(f"unsupported activation {a!r}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ArchitectureError(f"dropout rate {self.dropout_rate} outside [0, 1)")
 
     @property
     def input_dim(self):
@@ -121,9 +117,6 @@ class ModelTriple:
                    pred=_init_layers(arch.pred_widths, rngs[1]),
                    dup=_init_layers(arch.pred_widths, rngs[2]))
 
-    def copy(self):
-        return ModelTriple(self.arch, self.rep.copy(), self.pred.copy(), self.dup.copy())
-
     def layers(self, block):
         """The layers of block "rep", "pred" or "dup" as [(w, b, relu), ...]:
         views of each layer's weight and bias in the flat block, and whether
@@ -132,7 +125,7 @@ class ModelTriple:
         if block == "rep":
             acts = self.arch.rep_activations
         else:
-            acts = self.arch.pred_activations + ("linear",)
+            acts = ("relu",) * (len(self.arch.pred_widths) - 2) + ("linear",)
         vector = getattr(self, block)
         return vector.memo(("layers", acts), lambda: [
             (vector.view(f"w{i}"), vector.view(f"b{i}"), act == "relu")
@@ -326,27 +319,24 @@ def pred_lipschitz_bound(model, dup=False, **kw):
     return _block_bound(model, "dup" if dup else "pred", **kw)
 
 
+def _certificate(model, dup, kw):
+    if model.arch.mode != "regression":
+        raise ArchitectureError(
+            "certificates require regression mode (absolute-error loss)")
+    return LipschitzCertificate(
+        K=rep_lipschitz_bound(model, **kw),
+        L=pred_lipschitz_bound(model, dup=dup, **kw),
+        M=1.0,
+    )
+
+
 def certify(model, **kw):
     """Full (K, L, M) certificate.  Only regression mode has a loss meeting
     the symmetric / Lipschitz / triangle-inequality requirements (absolute
     error, M = 1), so certification is restricted to it."""
-    if model.arch.mode != "regression":
-        raise ArchitectureError(
-            "certificates require regression mode (absolute-error loss)")
-    return LipschitzCertificate(
-        K=rep_lipschitz_bound(model, **kw),
-        L=pred_lipschitz_bound(model, **kw),
-        M=1.0,
-    )
+    return _certificate(model, False, kw)
 
 
 def certify_critic(model, **kw):
     """(K, L, M) with L taken from the duplicate predictor."""
-    if model.arch.mode != "regression":
-        raise ArchitectureError(
-            "certificates require regression mode (absolute-error loss)")
-    return LipschitzCertificate(
-        K=rep_lipschitz_bound(model, **kw),
-        L=pred_lipschitz_bound(model, dup=True, **kw),
-        M=1.0,
-    )
+    return _certificate(model, True, kw)

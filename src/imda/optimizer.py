@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data
+
 
 class OptimizerError(Exception):
     pass
@@ -102,12 +104,7 @@ class GradNormLedger:
         return self
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(LEDGER_HEADER)
-            for step, block, eta, sigma, gsq, after in self.log:
-                writer.writerow([step, block, repr(eta), repr(sigma),
-                                 repr(gsq), repr(after)])
+        data.write_table(path, LEDGER_HEADER, self.log)
 
 
 def replay_ledger_rows(rows):
@@ -117,6 +114,8 @@ def replay_ledger_rows(rows):
     for i, (block, eta, sigma, gsq) in enumerate(rows, start=1):
         if not sigma > 0:
             raise OptimizerError(f"ledger row {i}: sigma must be > 0, got {sigma!r}")
+        if not gsq >= 0:
+            raise OptimizerError(f"ledger row {i}: grad_sq_norm must be >= 0, got {gsq!r}")
         increment = (eta * eta) * gsq / (2.0 * sigma * sigma)
         if block == "u":
             du = du + increment

@@ -11,9 +11,6 @@ critic value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import diffcore as dc
@@ -130,19 +127,6 @@ def w1_dual_pseudo(model, x_unlabeled, source_batches, alpha, coef1, coef2):
     return rt - rs
 
 
-@dataclass
-class RiskBreakdown:
-    """All components of the unified objective.  Fields are None when the
-    data they need was not supplied (their coefficient must then be zero)."""
-
-    target_risk: Optional[float]
-    per_source_risks: list
-    combined_source_risk: float
-    w1_supervised: Optional[float]
-    w1_pseudo: Optional[float]
-    combined: float
-
-
 def assemble_combined(eps, tau, target_risk, source_risk, w1_sup, w1_pse):
     """tau(1-eps) R_T + tau*eps R_S + tau*eps W1_sup + (1-tau) W1_pseudo,
     skipping terms whose coefficient is exactly zero."""
@@ -159,26 +143,6 @@ def assemble_combined(eps, tau, target_risk, source_risk, w1_sup, w1_pse):
             raise RiskError(f"{label} required (coefficient {coef}) but unavailable")
         total += coef * term
     return total
-
-
-def combined_objective(model, source_batches, alpha, eps, tau,
-                       target_batch=None, x_unlabeled=None,
-                       coef1=0.06, coef2=1.2):
-    """Full RiskBreakdown of the unified objective at the current parameters."""
-    if not (0.0 <= eps <= 1.0 and 0.0 <= tau <= 1.0):
-        raise RiskError(f"eps={eps}, tau={tau} outside [0,1]")
-    rs, per_source = empirical_risk_sources(model, source_batches, alpha)
-    rt = w1s = w1p = None
-    if target_batch is not None:
-        xt, yt = target_batch
-        rt = empirical_risk_target(model, xt, yt)
-        w1s = w1_dual_supervised(model, target_batch, source_batches, alpha)
-    if x_unlabeled is not None:
-        w1p = w1_dual_pseudo(model, x_unlabeled, source_batches, alpha, coef1, coef2)
-    combined = assemble_combined(eps, tau, rt, rs, w1s, w1p)
-    return RiskBreakdown(target_risk=rt, per_source_risks=per_source,
-                         combined_source_risk=rs, w1_supervised=w1s,
-                         w1_pseudo=w1p, combined=combined)
 
 
 # ---------------------------------------------------------------------------
@@ -262,36 +226,29 @@ def interpolate_features(feats_a, feats_b, rng):
     return lam * fa[:n] + (1.0 - lam) * fb[:n]
 
 
-def critic_input_gradients(model, feats, dup=True):
+def critic_input_gradients(model, feats):
     """d(sum of critic logits)/d(input) per row, via a backward pass."""
     feats = _check_batch(feats)
     xn = dc.const(feats, name="penalty.x")
-    out, _ = model.logit_graph(xn, dup=dup)
+    out, _ = model.logit_graph(xn, dup=True)
     root = dc.scale(dc.mean(out), float(feats.shape[0] * model.arch.n_outputs))
     dc.forward(root)
     dc.backward(root)
     return np.array(xn.adjoint)
 
 
-def gradient_penalty_interp(model, feats_t, feats_s, rng, dup=True):
-    """Batch mean of squared input-gradient norms of the critic at feature
-    interpolates (one-sided Lipschitz control of the critic)."""
-    x_int = interpolate_features(feats_t, feats_s, rng)
-    g = critic_input_gradients(model, x_int, dup=dup)
-    return float(np.mean(np.sum(g * g, axis=1)))
-
-
-def interp_penalty_graph(model, x_int, dup=True):
+def interp_penalty_graph(model, x_int):
     """Differentiable graph of the interpolation penalty at fixed
-    interpolates: the critic's input-gradient field is built explicitly
-    from the weight matrices with the ReLU gating at x_int baked in as
-    constants, so backward() yields the penalty's parameter gradient.
+    interpolates: the batch mean of the squared input-gradient norms of the
+    critic's logits (one-sided Lipschitz control of the critic).  The
+    input-gradient field is built explicitly from the weight matrices with
+    the ReLU gating at x_int baked in as constants, so backward() yields
+    the penalty's parameter gradient.
 
-    Returns (penalty node, predictor param node list).
+    Returns (penalty node, critic param node list).
     """
     x_int = _check_batch(x_int)
-    tag = "dup" if dup else "pred"
-    layers = model.layers(tag)
+    layers = model.layers("dup")
     # evaluation forward to capture gating patterns
     gates, h = [], x_int
     for w, b, relu in layers:
@@ -299,7 +256,7 @@ def interp_penalty_graph(model, x_int, dup=True):
         gates.append((h > 0.0).astype(np.float64) if relu else None)
         if relu:
             h = np.maximum(h, 0.0)
-    w_nodes = [dc.param(w, name=f"{tag}.w{i}") for i, (w, _, _) in enumerate(layers)]
+    w_nodes = [dc.param(w, name=f"dup.w{i}") for i, (w, _, _) in enumerate(layers)]
     g = dc.const(np.ones((x_int.shape[0], model.arch.n_outputs)), name="penalty.seed")
     for i in reversed(range(len(layers))):
         g = dc.matmul(g, dc.transpose(w_nodes[i]))

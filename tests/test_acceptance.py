@@ -116,21 +116,20 @@ def test_c2_alpha_solver_vs_oracle():
         m = rng.integers(20, 3000, n)
         objective = asol.AlphaObjective(linear=rng.standard_normal(n) * rng.uniform(0.1, 3),
                                         reg_weight=float(rng.uniform(0, 3)), m=m)
-        solved = asol.solve_alpha(objective, m)
-        oracle = asol.grid_oracle(objective, m, step=0.005)
-        gap = objective.value(solved.alpha) - objective.value(oracle)
+        solved = asol.solve_alpha(objective)
+        oracle = asol.grid_oracle(objective, step=0.005)
+        gap = objective.value(solved) - objective.value(oracle)
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-6
 
     analytic = asol.solve_alpha(
-        asol.AlphaObjective(linear=np.zeros(2), reg_weight=1.0, m=np.array([100, 300])),
-        np.array([100, 300]))
-    assert np.allclose(analytic.alpha, [0.25, 0.75], atol=1e-6)
+        asol.AlphaObjective(linear=np.zeros(2), reg_weight=1.0, m=np.array([100, 300])))
+    assert np.allclose(analytic, [0.25, 0.75], atol=1e-6)
 
     elapsed = time.time() - start
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
     announce("C2", f"solver-minus-grid worst gap {worst_gap:.2e}, analytic case "
-                   f"{np.round(analytic.alpha, 7)}, {elapsed:.1f}s")
+                   f"{np.round(analytic, 7)}, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,8 @@ BAD_VALUES = [
     ("test_target_csv", "t.csv"),
     ("domain_size", "60", "data=csv", "source_csvs=s.csv"),
     ("radius", "2", "data=csv", "source_csvs=s.csv"),
+    # test source i is the held-out set of training source i
+    ("test_source_csvs", "t.csv", "data=csv", "source_csvs=s0.csv,s1.csv"),
     # every float key, present and future, must be finite
     *[(key, value) for key, (kind, *_) in harness._SCHEMA.items()
       if kind in ("float", "floats") for value in ("nan", "inf")],
@@ -216,7 +218,10 @@ class TestBoundCommand:
          ["row 1", "sigma"]),
         ("step,block,eta,sigma,grad_sq_norm,delta_after\n0,u,0.1,0.01,nan,0.5\n",
          ["line 2", "grad_sq_norm"]),
-    ], ids=["no_block_column", "non_numeric_sigma", "zero_sigma", "nan_grad_sq_norm"])
+        ("step,block,eta,sigma,grad_sq_norm,delta_after\n0,u,0.1,0.01,-400.0,0.5\n",
+         ["row 1", "grad_sq_norm"]),
+    ], ids=["no_block_column", "non_numeric_sigma", "zero_sigma", "nan_grad_sq_norm",
+            "negative_grad_sq_norm"])
     def test_malformed_ledger_exits_three_naming_it(self, tmp_path, capsys, text, named):
         (tmp_path / "ledger.csv").write_text(text)
         cfg = write_cfg(tmp_path, "mode = supervised\n")

@@ -102,17 +102,9 @@ class TestTargetShift:
 
     def test_sources_shift_leaves_target_untouched(self):
         ds = self._dataset()
-        shifted = data.apply_target_shift(ds, ShiftSpec(drop_classes=(1,), drop_rate=0.5,
-                                                        apply_to="sources"))
+        shifted = data.apply_target_shift(ds, ShiftSpec(drop_classes=(1,), drop_rate=0.5))
         assert np.array_equal(shifted.target[0], ds.target[0])
         assert np.array_equal(shifted.target_unlabeled, ds.target_unlabeled)
-
-    def test_target_shift_leaves_sources_untouched(self):
-        ds = self._dataset()
-        shifted = data.apply_target_shift(ds, ShiftSpec(drop_classes=(1,), drop_rate=0.5,
-                                                        apply_to="target"))
-        assert np.array_equal(shifted.sources[0][0], ds.sources[0][0])
-        assert shifted.target[0].shape[0] < ds.target[0].shape[0]
 
     def test_deterministic_given_seed(self):
         ds = self._dataset()

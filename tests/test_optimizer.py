@@ -118,6 +118,11 @@ class TestLedger:
         with pytest.raises(opt.OptimizerError, match="row 2: sigma must be > 0"):
             opt.replay_ledger_rows([("u", 0.1, 0.01, 4.0), ("v", 0.1, sigma, 1.0)])
 
+    @pytest.mark.parametrize("gsq", [-400.0, float("nan")])
+    def test_replay_rejects_negative_grad_sq_norm(self, gsq):
+        with pytest.raises(opt.OptimizerError, match="row 2: grad_sq_norm must be >= 0"):
+            opt.replay_ledger_rows([("u", 0.1, 0.01, 4.0), ("u", 0.1, 0.01, gsq)])
+
     def test_three_step_offline_replay_is_exact(self):
         led = opt.GradNormLedger()
         steps = [("u", 0.1, 0.01, 4.0), ("v", 0.2, 0.05, 1.5), ("u", 0.05, 0.02, 0.7)]

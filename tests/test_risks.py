@@ -203,57 +203,41 @@ class TestDualEstimates:
 
 
 class TestCombinedObjective:
-    def _setup(self, seed=12):
-        rng = np.random.default_rng(seed)
-        m = clf_model(seed=seed)
-        target = (rng.standard_normal((6, 3)), rng.integers(0, 2, 6))
-        unl = rng.standard_normal((8, 3))
-        batches = [(rng.standard_normal((5, 3)), rng.integers(0, 2, 5)) for _ in range(2)]
-        return m, target, unl, batches, np.array([0.4, 0.6])
+    """risks.assemble_combined: the unified objective from its terms."""
+
+    def _terms(self, seed=12):
+        # (target risk, combined source risk, supervised W1, pseudo W1)
+        return np.random.default_rng(seed).standard_normal(4)
 
     def test_tau_one_eps_zero_reduces_to_target_risk(self):
-        m, target, unl, batches, alpha = self._setup()
-        b = risks.combined_objective(m, batches, alpha, eps=0.0, tau=1.0,
-                                     target_batch=target, x_unlabeled=unl)
-        assert abs(b.combined - b.target_risk) < 1e-15
+        terms = self._terms()
+        assert abs(risks.assemble_combined(0.0, 1.0, *terms) - terms[0]) < 1e-15
 
     def test_tau_zero_reduces_to_pseudo_dual(self):
-        m, target, unl, batches, alpha = self._setup()
-        b = risks.combined_objective(m, batches, alpha, eps=0.3, tau=0.0,
-                                     target_batch=target, x_unlabeled=unl)
-        assert abs(b.combined - b.w1_pseudo) < 1e-15
+        terms = self._terms()
+        assert abs(risks.assemble_combined(0.3, 0.0, *terms) - terms[3]) < 1e-15
 
     def test_tau_one_eps_one_is_source_plus_dual(self):
-        m, target, unl, batches, alpha = self._setup()
-        b = risks.combined_objective(m, batches, alpha, eps=1.0, tau=1.0,
-                                     target_batch=target, x_unlabeled=unl)
-        assert abs(b.combined - (b.combined_source_risk + b.w1_supervised)) < 1e-15
+        terms = self._terms()
+        got = risks.assemble_combined(1.0, 1.0, *terms)
+        assert abs(got - (terms[1] + terms[2])) < 1e-15
 
     def test_breakdown_reassembles_for_random_coefficients(self):
-        m, target, unl, batches, alpha = self._setup()
-        base = risks.combined_objective(m, batches, alpha, eps=0.5, tau=0.5,
-                                        target_batch=target, x_unlabeled=unl)
         rng = np.random.default_rng(0)
+        terms = rng.standard_normal(4)
+        rt, rs, w1s, w1p = terms
         for _ in range(1000):
             eps, tau = rng.random(), rng.random()
-            b = risks.combined_objective(m, batches, alpha, eps=eps, tau=tau,
-                                         target_batch=target, x_unlabeled=unl)
-            # components are coefficient-independent, assembly is exact
-            assert b.target_risk == base.target_risk
-            want = (tau * (1 - eps) * b.target_risk + tau * eps * b.combined_source_risk
-                    + tau * eps * b.w1_supervised + (1 - tau) * b.w1_pseudo)
-            assert abs(b.combined - want) < 1e-12
-
-    def test_combined_source_is_alpha_weighted_sum(self):
-        m, target, unl, batches, alpha = self._setup()
-        b = risks.combined_objective(m, batches, alpha, eps=0.5, tau=0.5,
-                                     target_batch=target, x_unlabeled=unl)
-        assert abs(b.combined_source_risk - np.dot(alpha, b.per_source_risks)) < 1e-12
+            want = (tau * (1 - eps) * rt + tau * eps * rs
+                    + tau * eps * w1s + (1 - tau) * w1p)
+            assert abs(risks.assemble_combined(eps, tau, *terms) - want) < 1e-12
 
     def test_missing_data_for_active_term_rejected(self):
-        m, target, unl, batches, alpha = self._setup()
-        with pytest.raises(risks.RiskError):
-            risks.combined_objective(m, batches, alpha, eps=0.5, tau=0.5)
+        with pytest.raises(risks.RiskError, match="pseudo W1"):
+            risks.assemble_combined(0.5, 0.5, 0.1, 0.2, 0.3, None)
+        # a term whose coefficient is zero may be missing
+        got = risks.assemble_combined(0.5, 1.0, 0.1, 0.2, 0.3, None)
+        assert abs(got - (0.05 + 0.1 + 0.15)) < 1e-15
 
 
 class TestGradientPenalties:
@@ -261,18 +245,16 @@ class TestGradientPenalties:
         arch = ArchSpec(rep_widths=(3, 4), pred_widths=(4, 1), mode="regression")
         m = ModelTriple.init(arch, seed=3)
         rng = np.random.default_rng(3)
-        pen = risks.gradient_penalty_interp(m, rng.standard_normal((8, 4)),
-                                            rng.standard_normal((8, 4)), rng)
+        node, _ = risks.interp_penalty_graph(m, rng.standard_normal((8, 4)))
         w = m.dup.view("w0")
-        assert abs(pen - float(np.sum(w * w))) < 1e-12
+        assert abs(float(dc.forward(node)) - float(np.sum(w * w))) < 1e-12
 
     def test_zero_weight_critic_gives_zero(self):
         m = clf_model()
         m.dup.values[:] = 0.0
         rng = np.random.default_rng(4)
-        pen = risks.gradient_penalty_interp(m, rng.standard_normal((5, 4)),
-                                            rng.standard_normal((5, 4)), rng)
-        assert pen == 0.0
+        node, _ = risks.interp_penalty_graph(m, rng.standard_normal((5, 4)))
+        assert float(dc.forward(node)) == 0.0
 
     def test_relu_critic_matches_finite_difference_input_gradients(self):
         arch = ArchSpec(rep_widths=(3, 4), pred_widths=(4, 5, 1), mode="regression")

@@ -171,8 +171,8 @@ def test_label_out_of_range_rejected():
 
 
 def test_dropout_rate_outside_unit_interval_rejected():
-    with pytest.raises(dc.GraphError, match="dropout rate"):
-        harness.assemble_gradients(*step_args(dropout=1.5))
+    with pytest.raises(models.ArchitectureError, match="dropout rate"):
+        step_args(dropout=1.5)
 
 
 def test_nan_in_used_training_data_exits_three(tmp_path):
