@@ -20,7 +20,7 @@ arch = models.ArchSpec(rep_widths=(4, 32, 16), pred_widths=(16, 1), mode="regres
 model = models.ModelTriple.init(arch, seed=1)
 cert = models.certify(model)
 print(f"certificate: K={cert.K:.4f} (representation), L={cert.L:.4f} (predictor), "
-      f"M={cert.M} (absolute loss), method={cert.method}")
+      f"M={cert.M} (absolute loss), each a product of spectral norms")
 
 # the certificate really is an upper bound on realized expansion
 x, x2 = rng.standard_normal((5000, 4)), rng.standard_normal((5000, 4))

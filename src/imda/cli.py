@@ -160,30 +160,18 @@ def _cmd_check(args):
 
 
 def _cmd_oracle_w1(args):
-    import csv as _csv
+    _, rows = data.read_table(args.csv, ("measure", "label"))
     rows_a, rows_b = [], []
-    with open(args.csv, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if [h.strip() for h in (header or [])[:2]] != ["measure", "label"]:
-            raise data.CsvFormatError("header must be measure,label,f0,...", 1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise data.CsvFormatError(
-                    f"expected {len(header)} fields as in the header, found {len(row)}",
-                    line_no)
-            side = row[0].strip().lower()
-            if side not in ("a", "b"):
-                raise data.CsvFormatError(f"measure must be 'a' or 'b', got {row[0]!r}",
-                                          line_no)
-            try:
-                label = float(row[1])
-                feats = [float(v) for v in row[2:]]
-            except ValueError:
-                raise data.CsvFormatError("unparseable numeric value", line_no)
-            (rows_a if side == "a" else rows_b).append((feats, label))
+    for line_no, row in rows:
+        side = row[0].strip().lower()
+        if side not in ("a", "b"):
+            raise data.CsvFormatError(f"measure must be 'a' or 'b', got {row[0]!r}", line_no)
+        try:
+            label = float(row[1])
+            feats = [float(v) for v in row[2:]]
+        except ValueError:
+            raise data.CsvFormatError("unparseable numeric value", line_no)
+        (rows_a if side == "a" else rows_b).append((feats, label))
     if len(rows_a) != len(rows_b):
         raise theory.TheoryError(
             f"measures must have equal support sizes, got {len(rows_a)} vs {len(rows_b)}")
@@ -247,7 +235,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (harness.ConfigError, FileNotFoundError) as exc:
+    except (harness.ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except _NUMERIC_ERRORS as exc:

@@ -216,40 +216,53 @@ def default_benchmark(drop_rate=0.5, seed=0, labeled_target=False, **spec_kw):
 
 
 # ---------------------------------------------------------------------------
-# CSV files: labeled feature tables (header: label,f0,f1,...) and the table
-# writer every output goes through
+# CSV files: labeled feature tables (header: label,f0,f1,...), and the one
+# reader and the one writer every input and output table goes through
+
+
+def read_table(path, leading=()):
+    """(header, [(line number, row), ...]) of a csv table's non-blank rows,
+    the twin of write_table.  The header, its cells stripped, must start
+    with `leading`, and each row must have its field count.  Bytes that are
+    not UTF-8 (read as lone surrogates, which do not encode) name their line."""
+    header, rows = None, []
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            try:
+                "".join(row).encode("utf-8")
+            except UnicodeEncodeError:
+                raise CsvFormatError("bytes that are not UTF-8 text", reader.line_num)
+            if header is None:
+                header = [cell.strip() for cell in row]
+                if header[:len(leading)] != list(leading):
+                    raise CsvFormatError(f"header must start with {','.join(leading)}", 1)
+            elif row:
+                if len(row) != len(header):
+                    raise CsvFormatError(f"expected {len(header)} fields as in the header, "
+                                         f"found {len(row)}", reader.line_num)
+                rows.append((reader.line_num, row))
+    if header is None:
+        raise CsvFormatError("missing header row", 1)
+    return header, rows
 
 
 def load_csv(path):
     """Parse a labeled feature table; returns (X, y).  Structured errors
     carry the offending 1-based line number."""
+    header, rows = read_table(path, ("label",))
     xs, ys = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for line_no, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("missing header row", 1)
-        if not header or header[0].strip() != "label":
-            raise CsvFormatError("header must start with 'label'", 1)
-        width = len(header) - 1
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) - 1 != width:
-                raise CsvFormatError(
-                    f"expected {width} features, found {len(row) - 1}", line_no)
-            try:
-                label = int(row[0])
-            except ValueError:
-                raise CsvFormatError(f"non-integer label {row[0]!r}", line_no)
-            try:
-                xs.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise CsvFormatError("unparseable feature value", line_no)
-            ys.append(label)
-    x = np.asarray(xs, dtype=np.float64).reshape(len(ys), width)
-    return x, np.asarray(ys, dtype=np.int64)
+            ys.append(int(row[0]))
+        except ValueError:
+            raise CsvFormatError(f"non-integer label {row[0]!r}", line_no)
+        try:
+            xs.append([float(v) for v in row[1:]])
+        except ValueError:
+            raise CsvFormatError("unparseable feature value", line_no)
+    return (np.asarray(xs, dtype=np.float64).reshape(len(ys), len(header) - 1),
+            np.asarray(ys, dtype=np.int64))
 
 
 def write_csv(path, x, y):
@@ -264,7 +277,7 @@ def write_table(path, header, rows=()):
     as its repr (which reads back exactly), None as an empty field, anything
     else as str().  A numpy float is written as the Python float it equals,
     never as the repr of the numpy scalar."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([float(v) if isinstance(v, np.floating) else v for v in row]

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import os
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,17 +142,6 @@ _UNREAD = {"synthetic": ("source_csvs", "target_csv", "target_unlabeled_csv",
                    "class_std", "radius")}
 
 
-@dataclass
-class ExperimentConfig:
-    values: dict
-
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key)
-
-
 def _flag(raw):
     low = raw.lower()
     if low in ("true", "on", "1", "yes"):
@@ -173,19 +163,24 @@ _CONVERTERS.update({kind + "s": _listed(_CONVERTERS[kind]) for kind in ("str", "
 def parse_config(path=None, overrides=()):
     """Read `key = value` lines (with # comments), apply CLI overrides,
     check each value set against its _SCHEMA rule, resolve per-mode
-    defaults, and apply the rules that read more than one key."""
+    defaults, and apply the rules that read more than one key.  Returns a
+    namespace with one attribute per _SCHEMA key."""
     values = {k: default for k, (_, default, _) in _SCHEMA.items()}
     pairs = []
     if path is not None:
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-                key, raw = line.split("=", 1)
-                pairs.append((key.strip(), raw, f"{path}:{line_no}"))
+        with open(path, encoding="utf-8") as fh:
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        for line_no, line in enumerate(lines, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+            key, raw = line.split("=", 1)
+            pairs.append((key.strip(), raw, f"{path}:{line_no}"))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
@@ -240,12 +235,11 @@ def parse_config(path=None, overrides=()):
     if not values["noiseless"] and not (sigma > 0 and 2.0 * sigma * sigma > 0):
         raise ConfigError("sigma must be > 0, with 2*sigma^2 > 0 in floating "
                           "point, unless noiseless")
+    cfg = types.SimpleNamespace(**values)
     n_sources = len(values["source_csvs" if values["data"] == "csv" else "source_angles"])
-    if (values["noiseless"] and values["lambda_r"] is None and values["alignment"]
-            and n_sources > 1 and values["epochs"] > values["warmup_epochs"]):
+    if cfg.noiseless and cfg.lambda_r is None and _solves_alpha(cfg, n_sources):
         raise ConfigError("noiseless runs have no ledger; set lambda_r to a "
                           "fixed regularizer weight to optimize domain weights")
-    cfg = ExperimentConfig(values=values)
     # the penalty joins only a step that trains the critic; elsewhere it would
     # be silently ignored
     if (values["interp_penalty_weight"] > 0.0
@@ -253,6 +247,11 @@ def parse_config(path=None, overrides=()):
         raise ConfigError("interp_penalty_weight > 0 needs a step term that trains the "
                           "critic: alignment on, with tau < 1 or epsilon * w1_sup_coef > 0")
     return cfg
+
+
+def _solves_alpha(cfg, n_sources):
+    """Whether a run of cfg over n_sources sources solves for domain weights."""
+    return cfg.alignment and n_sources > 1 and cfg.epochs > cfg.warmup_epochs
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +706,7 @@ def run(cfg, datasets=None):
         if not np.all(np.isfinite(x)):
             raise RunError(f"non-finite entries in the {name} features")
 
-    alpha_active = cfg.alignment and n_sources > 1 and cfg.epochs > cfg.warmup_epochs
+    alpha_active = _solves_alpha(cfg, n_sources)
 
     arch = models.ArchSpec(rep_widths=(train.dim,) + tuple(cfg.rep_widths),
                            pred_widths=(cfg.rep_widths[-1], train.n_classes),

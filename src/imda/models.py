@@ -253,10 +253,9 @@ class LipschitzCertificate:
     K: float
     L: float
     M: float
-    method: str = "spectral-product"
 
 
-def spectral_norm_upper_bound(w, tol=1e-8, max_iter=1000, seed=0):
+def spectral_norm_upper_bound(w, tol=1e-8, max_iter=1000):
     """Largest singular value of `w` by power iteration on w^T w.
 
     The estimates converge to the top singular value from below along a
@@ -270,7 +269,7 @@ def spectral_norm_upper_bound(w, tol=1e-8, max_iter=1000, seed=0):
     w = np.asarray(w, dtype=np.float64)
     if w.size == 0 or not np.any(w):
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     # math.sqrt(v @ v) is the dot product and square root np.linalg.norm
     # takes for a 1-D vector, without its per-call dispatch
     v = rng.standard_normal(w.shape[1])
@@ -300,43 +299,43 @@ def spectral_norm_upper_bound(w, tol=1e-8, max_iter=1000, seed=0):
         f"power iteration did not reach tol={tol} in {max_iter} rounds", sigma)
 
 
-def _block_bound(model, block, **kw):
+def _block_bound(model, block):
     bound = 1.0
     for w, _, _ in model.layers(block):
-        bound *= spectral_norm_upper_bound(w, **kw)
+        bound *= spectral_norm_upper_bound(w)
     return bound
 
 
-def rep_lipschitz_bound(model, **kw):
+def rep_lipschitz_bound(model):
     """Certified K: product of the representation weight spectral norms
     (ReLU layers are 1-Lipschitz, biases are isometries)."""
-    return _block_bound(model, "rep", **kw)
+    return _block_bound(model, "rep")
 
 
-def pred_lipschitz_bound(model, dup=False, **kw):
+def pred_lipschitz_bound(model, dup=False):
     """Certified L for the predictor (dup=True for the critic); in
     classification mode this covers the logit network before log-softmax."""
-    return _block_bound(model, "dup" if dup else "pred", **kw)
+    return _block_bound(model, "dup" if dup else "pred")
 
 
-def _certificate(model, dup, kw):
+def _certificate(model, dup):
     if model.arch.mode != "regression":
         raise ArchitectureError(
             "certificates require regression mode (absolute-error loss)")
     return LipschitzCertificate(
-        K=rep_lipschitz_bound(model, **kw),
-        L=pred_lipschitz_bound(model, dup=dup, **kw),
+        K=rep_lipschitz_bound(model),
+        L=pred_lipschitz_bound(model, dup=dup),
         M=1.0,
     )
 
 
-def certify(model, **kw):
+def certify(model):
     """Full (K, L, M) certificate.  Only regression mode has a loss meeting
     the symmetric / Lipschitz / triangle-inequality requirements (absolute
     error, M = 1), so certification is restricted to it."""
-    return _certificate(model, False, kw)
+    return _certificate(model, False)
 
 
-def certify_critic(model, **kw):
+def certify_critic(model):
     """(K, L, M) with L taken from the duplicate predictor."""
-    return _certificate(model, True, kw)
+    return _certificate(model, True)

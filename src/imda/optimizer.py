@@ -8,7 +8,6 @@ replayed offline (and averaged over seeds externally).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -76,6 +75,21 @@ def duplicate_ascent_step(params, gradient, eta):
 LEDGER_HEADER = ("step", "block", "eta", "sigma", "grad_sq_norm", "delta_after")
 
 
+def _accumulated(delta, eta, sigma, grad_sq_norm):
+    """delta + eta^2 * grad_sq_norm / (2 sigma^2): the ledger's one update
+    rule, which the run and the replay share so that they agree bit for bit."""
+    if not (sigma > 0 and 2.0 * sigma * sigma > 0):
+        raise NoiselessLedgerError(f"sigma must be > 0, with 2*sigma^2 > 0 in floating point "
+                                   f"(no ledger without noise), got {sigma!r}")
+    if not 0.0 <= grad_sq_norm < math.inf:
+        raise OptimizerError(f"grad_sq_norm must be >= 0 and finite, got {grad_sq_norm!r}")
+    after = delta + (eta * eta) * grad_sq_norm / (2.0 * sigma * sigma)
+    if not math.isfinite(after):
+        raise OptimizerError(f"the ledger accumulator overflows: {delta!r} + eta {eta!r}^2 "
+                             f"* grad_sq_norm {grad_sq_norm!r} / (2 sigma^2) is {after!r}")
+    return after
+
+
 @dataclass
 class GradNormLedger:
     """Accumulators delta_u, delta_v with a per-step log that replays to the
@@ -87,18 +101,12 @@ class GradNormLedger:
 
     def accumulate(self, which, eta, sigma, grad_sq_norm, step=None):
         """Add eta^2 * grad_sq_norm / (2 sigma^2) to the chosen block."""
-        if which not in ("u", "v"):
-            raise OptimizerError(f"unknown block {which!r}")
-        if sigma <= 0:
-            raise NoiselessLedgerError(
-                "ledger is undefined without injected noise (sigma must be > 0)")
-        increment = (eta * eta) * grad_sq_norm / (2.0 * sigma * sigma)
         if which == "u":
-            self.delta_u = self.delta_u + increment
-            after = self.delta_u
+            self.delta_u = after = _accumulated(self.delta_u, eta, sigma, grad_sq_norm)
+        elif which == "v":
+            self.delta_v = after = _accumulated(self.delta_v, eta, sigma, grad_sq_norm)
         else:
-            self.delta_v = self.delta_v + increment
-            after = self.delta_v
+            raise OptimizerError(f"unknown block {which!r}")
         self.log.append((len(self.log) if step is None else step,
                          which, eta, sigma, grad_sq_norm, after))
         return self
@@ -110,42 +118,39 @@ class GradNormLedger:
 def replay_ledger_rows(rows):
     """Recompute (delta_u, delta_v) from (block, eta, sigma, grad_sq_norm)
     tuples in order; the replay tool behind the exactness guarantee."""
-    du = dv = 0.0
+    deltas = {"u": 0.0, "v": 0.0}
     for i, (block, eta, sigma, gsq) in enumerate(rows, start=1):
-        if not sigma > 0:
-            raise OptimizerError(f"ledger row {i}: sigma must be > 0, got {sigma!r}")
-        if not gsq >= 0:
-            raise OptimizerError(f"ledger row {i}: grad_sq_norm must be >= 0, got {gsq!r}")
-        increment = (eta * eta) * gsq / (2.0 * sigma * sigma)
-        if block == "u":
-            du = du + increment
-        elif block == "v":
-            dv = dv + increment
-        else:
+        if block not in deltas:
             raise OptimizerError(f"ledger row {i}: unknown block {block!r}")
-    return du, dv
+        try:
+            deltas[block] = _accumulated(deltas[block], eta, sigma, gsq)
+        except OptimizerError as exc:
+            raise OptimizerError(f"ledger row {i}: {exc}") from None
+    return deltas["u"], deltas["v"]
 
 
 def replay_ledger_csv(path):
-    """Replay a ledger.csv written by GradNormLedger.write_csv; a missing
-    column, or a value that is not a finite number, names its line and
-    column."""
+    """Replay a ledger.csv written by GradNormLedger.write_csv.  A format
+    fault raises data.CsvFormatError naming its line: a row whose field
+    count is not the header's, a missing column, or a value that is not a
+    finite number (which also names its column)."""
+    header, table = data.read_table(path)
+    columns = ("block", "eta", "sigma", "grad_sq_norm")
+    for column in columns:
+        if column not in header:
+            raise data.CsvFormatError(f"no {column} column", 1)
+    at = [header.index(column) for column in columns]
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in ("block", "eta", "sigma", "grad_sq_norm"):
-            if column not in (reader.fieldnames or ()):
-                raise OptimizerError(f"{path}, line 1: no {column} column")
-        for row in reader:
-            numbers = []
-            for column in ("eta", "sigma", "grad_sq_norm"):
-                try:
-                    value = float(row[column])
-                except (TypeError, ValueError):
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise OptimizerError(f"{path}, line {reader.line_num}: {column} "
-                                         f"{row[column]!r} is not a finite number")
-                numbers.append(value)
-            rows.append((row["block"], *numbers))
+    for line_no, row in table:
+        block, *texts = (row[i] for i in at)
+        numbers = []
+        for column, text in zip(columns[1:], texts):
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise data.CsvFormatError(f"{column} {text!r} is not a finite number", line_no)
+            numbers.append(value)
+        rows.append((block, *numbers))
     return replay_ledger_rows(rows)

@@ -27,12 +27,12 @@ def _check_batch(x):
     return x
 
 
-def check_simplex(alpha, n=None, tol=1e-9):
+def check_simplex(alpha, n):
     alpha = np.asarray(alpha, dtype=np.float64)
-    if n is not None and alpha.shape != (n,):
+    if alpha.shape != (n,):
         raise RiskError(f"expected {n} domain weights, got shape {alpha.shape}")
-    if np.min(alpha) < -tol or abs(alpha.sum() - 1.0) > tol:
-        raise RiskError(f"weights {alpha} are off the simplex beyond {tol}")
+    if np.min(alpha) < -1e-9 or abs(alpha.sum() - 1.0) > 1e-9:
+        raise RiskError(f"weights {alpha} are off the simplex beyond 1e-9")
     return alpha
 
 

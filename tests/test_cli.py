@@ -220,8 +220,14 @@ class TestBoundCommand:
          ["line 2", "grad_sq_norm"]),
         ("step,block,eta,sigma,grad_sq_norm,delta_after\n0,u,0.1,0.01,-400.0,0.5\n",
          ["row 1", "grad_sq_norm"]),
+        ("step,block,eta,sigma,grad_sq_norm,delta_after\n0,u,0.1,0.01,4.0,0.5,7,8\n",
+         ["line 2: expected 6 fields"]),
+        ("step,block,eta,sigma,grad_sq_norm,delta_after\n0,u,0.1,0.01\n",
+         ["line 2: expected 6 fields"]),
+        ("step,block,eta,sigma,grad_sq_norm,delta_after\n0,u,0.1,1e-200,4.0,0.5\n",
+         ["row 1", "sigma"]),
     ], ids=["no_block_column", "non_numeric_sigma", "zero_sigma", "nan_grad_sq_norm",
-            "negative_grad_sq_norm"])
+            "negative_grad_sq_norm", "eight_fields", "four_fields", "underflowing_sigma"])
     def test_malformed_ledger_exits_three_naming_it(self, tmp_path, capsys, text, named):
         (tmp_path / "ledger.csv").write_text(text)
         cfg = write_cfg(tmp_path, "mode = supervised\n")
@@ -246,6 +252,60 @@ class TestBoundCommand:
         with open(out / "bound.csv", newline="") as fh:
             expected = [",".join(row) for row in csv.reader(fh)]
         assert capsys.readouterr().out.splitlines() == expected
+
+
+def bad_byte_input(tmp_path, command):
+    """The argv of `command` reading a table whose line 3 holds byte 0xff."""
+    table = tmp_path / "bad.csv"
+    cfg = write_cfg(tmp_path, "mode = supervised\n")
+    if command == "load_csv":
+        table.write_bytes(b"label,f0\n0,1.0\n1,\xff\n")
+        return ["run", "--config", cfg, "--set", "data=csv",
+                "--set", f"source_csvs={table}", "--set", f"target_csv={table}"]
+    if command == "oracle-w1":
+        table.write_bytes(b"measure,label,f0\na,0,1.0\nb,0,\xff\n")
+        return ["oracle-w1", str(table)]
+    table.write_bytes(b"step,block,eta,sigma,grad_sq_norm,delta_after\n"
+                      b"0,u,0.1,0.01,4.0,200.0\n1,v,0.1,0.01,\xff,1.0\n")
+    return ["bound", "--config", cfg, "--ledger", str(table)]
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("command", ["load_csv", "oracle-w1", "--ledger"])
+    def test_bytes_that_are_not_utf8_exit_three_naming_the_line(self, tmp_path, capsys,
+                                                               command):
+        assert cli.main(bad_byte_input(tmp_path, command)) == 3
+        err = capsys.readouterr().err
+        assert "line 3: bytes that are not UTF-8 text" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "{dir}"],
+        ["oracle-w1", "{dir}"],
+        ["bound", "--config", "{cfg}", "--ledger", "{dir}"],
+    ], ids=["run_config", "oracle_w1", "bound_ledger"])
+    def test_a_directory_exits_two(self, tmp_path, capsys, argv):
+        cfg = write_cfg(tmp_path, "mode = supervised\n")
+        assert cli.main([a.format(dir=tmp_path, cfg=cfg) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and len(err.splitlines()) == 1
+
+    def test_config_that_is_not_utf8_exits_two_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"mode = semi\n# \xff\n")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8" in err and len(err.splitlines()) == 1
+
+    def test_ledger_overflow_exits_three_naming_the_step(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", os.devnull, "--set", "mode=semi",
+                         "--set", "eta_v=1e200", "--set", "epochs=1",
+                         "--set", "steps_per_epoch=1", "--set", "domain_size=200",
+                         "--set", "labeled_target_size=40", "--set", f"outdir={out}"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "epoch 1, step 0" in err and "predictor v" in err and "overflows" in err
+        assert not (out / "metrics.csv").exists()
 
 
 class TestCheckCommand:

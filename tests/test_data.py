@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imda import data
 from imda.data import DomainSpec, MultiSourceDataset, ShiftSpec
@@ -159,6 +160,62 @@ class TestCsv:
         path.write_text("f0,f1\n")
         with pytest.raises(data.CsvFormatError):
             data.load_csv(path)
+
+
+# a cell write_table writes and read_table reads back: a finite float as
+# its repr, an int, None as '', or text that may hold commas, quotes and
+# line breaks
+CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(),
+                  st.none(), st.text(st.sampled_from(',"\r\n')
+                                     | st.characters(blacklist_categories=("Cs",))))
+
+
+def spelled(cell):
+    if cell is None:
+        return ""
+    return repr(cell) if isinstance(cell, float) else str(cell)
+
+
+class TestReadTable:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width))))
+    def test_reads_back_what_write_table_writes(self, tmp_path_factory, rows):
+        width = len(rows[0]) if rows else 1
+        header = [f"c{i}" for i in range(width)]
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        data.write_table(path, header, rows)
+        got_header, got = data.read_table(path, ("c0",))
+        assert got_header == header
+        # a row of one empty cell is written as "" and read back, not skipped
+        assert [row for _, row in got] == [[spelled(c) for c in row] for row in rows]
+
+    def test_blank_rows_are_skipped_and_lines_counted(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text("a,b\n\n1,2\n\n3,4\n")
+        header, rows = data.read_table(path)
+        assert header == ["a", "b"] and rows == [(3, ["1", "2"]), (5, ["3", "4"])]
+
+    def test_header_must_start_with_the_leading_cells(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text(" measure , label ,f0\n")
+        assert data.read_table(path, ("measure", "label"))[0] == ["measure", "label", "f0"]
+        with pytest.raises(data.CsvFormatError, match="line 1: header must start with label"):
+            data.read_table(path, ("label",))
+
+    def test_empty_file_has_no_header(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("")
+        with pytest.raises(data.CsvFormatError, match="line 1: missing header row"):
+            data.read_table(path)
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path = tmp_path / "u.csv"
+        # the bad byte lies past the first chunks a text file decodes
+        path.write_bytes(b"a,b\n" + b"1,2\n" * 5000 + b"3,\xff\n")
+        with pytest.raises(data.CsvFormatError) as info:
+            data.read_table(path)
+        assert info.value.line_no == 5002 and "UTF-8" in str(info.value)
 
 
 class TestBatchStream:

@@ -123,6 +123,25 @@ class TestLedger:
         with pytest.raises(opt.OptimizerError, match="row 2: grad_sq_norm must be >= 0"):
             opt.replay_ledger_rows([("u", 0.1, 0.01, 4.0), ("u", 0.1, 0.01, gsq)])
 
+    @pytest.mark.parametrize("gsq", [float("inf"), float("nan")])
+    def test_accumulate_rejects_a_non_finite_squared_norm(self, gsq):
+        with pytest.raises(opt.OptimizerError, match="grad_sq_norm must be >= 0 and finite"):
+            opt.GradNormLedger().accumulate("v", eta=0.1, sigma=0.01, grad_sq_norm=gsq)
+
+    def test_overflow_is_rejected_by_the_run_and_the_replay(self):
+        led = opt.GradNormLedger()
+        with pytest.raises(opt.OptimizerError, match="overflows"):
+            led.accumulate("u", eta=1e200, sigma=0.01, grad_sq_norm=1.0)
+        assert led.delta_u == 0.0 and led.log == []
+        with pytest.raises(opt.OptimizerError, match="row 2: the ledger accumulator overflows"):
+            opt.replay_ledger_rows([("u", 0.1, 0.01, 4.0), ("u", 1e200, 0.01, 1.0)])
+
+    def test_sigma_whose_square_underflows_is_rejected(self):
+        with pytest.raises(opt.NoiselessLedgerError):
+            opt.GradNormLedger().accumulate("u", eta=0.1, sigma=1e-200, grad_sq_norm=1.0)
+        with pytest.raises(opt.OptimizerError, match="row 1: sigma must be > 0"):
+            opt.replay_ledger_rows([("u", 0.1, 1e-200, 1.0)])
+
     def test_three_step_offline_replay_is_exact(self):
         led = opt.GradNormLedger()
         steps = [("u", 0.1, 0.01, 4.0), ("v", 0.2, 0.05, 1.5), ("u", 0.05, 0.02, 0.7)]
