@@ -12,7 +12,7 @@ rng = np.random.default_rng(1)
 w = rng.standard_normal((40, 24))
 bound = models.spectral_norm_upper_bound(w)
 dense = float(np.linalg.svd(w, compute_uv=False)[0])
-print(f"power-iteration bound {bound:.10f} >= dense top singular value {dense:.10f} "
+print(f"SVD bound {bound:.10f} >= dense top singular value {dense:.10f} "
       f"(gap {bound - dense:.2e})")
 
 # a regression-mode model triple and its certificate
@@ -33,4 +33,4 @@ print(f"max realized representation expansion {expansion.max():.4f} <= K {cert.K
 eye_arch = models.ArchSpec(rep_widths=(3, 3), pred_widths=(3, 1), mode="regression")
 m = models.ModelTriple.init(eye_arch, seed=0)
 m.rep.view("w0")[:] = 2.0 * np.eye(3)
-print(f"2*I layer certifies to {models.rep_lipschitz_bound(m):.8f} (expect 2)")
+print(f"2*I layer certifies to K = {models.certify(m).K:.8f} (expect 2)")

@@ -20,10 +20,12 @@ class DataError(Exception):
 
 
 class CsvFormatError(DataError):
-    """Carries the 1-based line number of the offending row."""
+    """Carries the file's path and the 1-based line number of the offending
+    row; the message reads "<path>: line N: ..."."""
 
-    def __init__(self, message, line_no):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path, line_no, message):
+        super().__init__(f"{path}: line {line_no}: {message}")
+        self.path = path
         self.line_no = line_no
 
 
@@ -232,18 +234,18 @@ def read_table(path, leading=()):
             try:
                 "".join(row).encode("utf-8")
             except UnicodeEncodeError:
-                raise CsvFormatError("bytes that are not UTF-8 text", reader.line_num)
+                raise CsvFormatError(path, reader.line_num, "bytes that are not UTF-8 text")
             if header is None:
                 header = [cell.strip() for cell in row]
                 if header[:len(leading)] != list(leading):
-                    raise CsvFormatError(f"header must start with {','.join(leading)}", 1)
+                    raise CsvFormatError(path, 1, f"header must start with {','.join(leading)}")
             elif row:
                 if len(row) != len(header):
-                    raise CsvFormatError(f"expected {len(header)} fields as in the header, "
-                                         f"found {len(row)}", reader.line_num)
+                    raise CsvFormatError(path, reader.line_num, f"expected {len(header)} fields "
+                                         f"as in the header, found {len(row)}")
                 rows.append((reader.line_num, row))
     if header is None:
-        raise CsvFormatError("missing header row", 1)
+        raise CsvFormatError(path, 1, "missing header row")
     return header, rows
 
 
@@ -256,11 +258,11 @@ def load_csv(path):
         try:
             ys.append(int(row[0]))
         except ValueError:
-            raise CsvFormatError(f"non-integer label {row[0]!r}", line_no)
+            raise CsvFormatError(path, line_no, f"non-integer label {row[0]!r}")
         try:
             xs.append([float(v) for v in row[1:]])
         except ValueError:
-            raise CsvFormatError("unparseable feature value", line_no)
+            raise CsvFormatError(path, line_no, "unparseable feature value")
     return (np.asarray(xs, dtype=np.float64).reshape(len(ys), len(header) - 1),
             np.asarray(ys, dtype=np.int64))
 

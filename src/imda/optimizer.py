@@ -115,9 +115,9 @@ class GradNormLedger:
         data.write_table(path, LEDGER_HEADER, self.log)
 
 
-def replay_ledger_rows(rows):
-    """Recompute (delta_u, delta_v) from (block, eta, sigma, grad_sq_norm)
-    tuples in order; the replay tool behind the exactness guarantee."""
+def _replayed(rows):
+    """(block, its accumulator after the row) for each (block, eta, sigma,
+    grad_sq_norm) row in order, by the run's update rule."""
     deltas = {"u": 0.0, "v": 0.0}
     for i, (block, eta, sigma, gsq) in enumerate(rows, start=1):
         if block not in deltas:
@@ -126,21 +126,30 @@ def replay_ledger_rows(rows):
             deltas[block] = _accumulated(deltas[block], eta, sigma, gsq)
         except OptimizerError as exc:
             raise OptimizerError(f"ledger row {i}: {exc}") from None
+        yield block, deltas[block]
+
+
+def replay_ledger_rows(rows):
+    """Recompute (delta_u, delta_v) from (block, eta, sigma, grad_sq_norm)
+    tuples in order; the replay tool behind the exactness guarantee."""
+    deltas = {"u": 0.0, "v": 0.0}
+    deltas.update(_replayed(rows))
     return deltas["u"], deltas["v"]
 
 
 def replay_ledger_csv(path):
     """Replay a ledger.csv written by GradNormLedger.write_csv.  A format
-    fault raises data.CsvFormatError naming its line: a row whose field
-    count is not the header's, a missing column, or a value that is not a
-    finite number (which also names its column)."""
+    fault raises data.CsvFormatError naming the file and the line: a row
+    whose field count is not the header's, a missing column, a value that
+    is not a finite number (which also names its column), or a delta_after
+    that is not the replayed accumulator."""
     header, table = data.read_table(path)
-    columns = ("block", "eta", "sigma", "grad_sq_norm")
+    columns = ("block", "eta", "sigma", "grad_sq_norm", "delta_after")
     for column in columns:
         if column not in header:
-            raise data.CsvFormatError(f"no {column} column", 1)
+            raise data.CsvFormatError(path, 1, f"no {column} column")
     at = [header.index(column) for column in columns]
-    rows = []
+    rows, stored = [], []
     for line_no, row in table:
         block, *texts = (row[i] for i in at)
         numbers = []
@@ -150,7 +159,15 @@ def replay_ledger_csv(path):
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise data.CsvFormatError(f"{column} {text!r} is not a finite number", line_no)
+                raise data.CsvFormatError(path, line_no,
+                                          f"{column} {text!r} is not a finite number")
             numbers.append(value)
-        rows.append((block, *numbers))
-    return replay_ledger_rows(rows)
+        rows.append((block, *numbers[:-1]))
+        stored.append((line_no, numbers[-1]))
+    deltas = {"u": 0.0, "v": 0.0}
+    for (line_no, value), (block, after) in zip(stored, _replayed(rows)):
+        if value != after:
+            raise data.CsvFormatError(path, line_no, f"delta_after {value!r} is not the "
+                                      f"replayed accumulator {after!r}")
+        deltas[block] = after
+    return deltas["u"], deltas["v"]

@@ -226,8 +226,12 @@ class TestBoundCommand:
          ["line 2: expected 6 fields"]),
         ("step,block,eta,sigma,grad_sq_norm,delta_after\n0,u,0.1,1e-200,4.0,0.5\n",
          ["row 1", "sigma"]),
+        ("step,block,eta,sigma,grad_sq_norm,delta_after\n0,u,0.1,0.01,4.0,0.5\n"
+         "1,v,0.1,0.01,4.0,-7\n",
+         ["line 2: delta_after 0.5", "200.0"]),
     ], ids=["no_block_column", "non_numeric_sigma", "zero_sigma", "nan_grad_sq_norm",
-            "negative_grad_sq_norm", "eight_fields", "four_fields", "underflowing_sigma"])
+            "negative_grad_sq_norm", "eight_fields", "four_fields", "underflowing_sigma",
+            "wrong_delta_after"])
     def test_malformed_ledger_exits_three_naming_it(self, tmp_path, capsys, text, named):
         (tmp_path / "ledger.csv").write_text(text)
         cfg = write_cfg(tmp_path, "mode = supervised\n")
@@ -277,6 +281,18 @@ class TestInputFiles:
         assert cli.main(bad_byte_input(tmp_path, command)) == 3
         err = capsys.readouterr().err
         assert "line 3: bytes that are not UTF-8 text" in err and len(err.splitlines()) == 1
+
+    def test_a_table_error_names_its_file(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("label,f0\n0,1.0\n1,2.0\n")
+        bad.write_bytes(b"label,f0\n0,1.0\n1,\xff\n")
+        cfg = write_cfg(tmp_path, "mode = supervised\n")
+        assert cli.main(["run", "--config", cfg, "--set", "data=csv",
+                         "--set", f"source_csvs={good},{bad}",
+                         "--set", f"target_csv={good}"]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: line 3: bytes that are not UTF-8 text" in err
+        assert str(good) not in err
 
     @pytest.mark.parametrize("argv", [
         ["run", "--config", "{dir}"],
