@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """The per-epoch domain-weight optimization: linear risks plus the
-ledger-adaptive regularizer, solved by projected gradient on the simplex
-and cross-checked by the exhaustive grid oracle."""
+ledger-adaptive regularizer, solved in closed form on the simplex
+(water-filling over the sorted risks) and cross-checked by the
+exhaustive grid oracle."""
 
 import numpy as np
 

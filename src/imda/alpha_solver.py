@@ -4,8 +4,11 @@ The per-epoch objective is linear in the weights plus an adaptive
 regularizer: f(alpha) = sum_i c_i alpha_i + lambda_R * R(alpha) with
 R(alpha) = sqrt(sum_i alpha_i^2 / m_i), where lambda_R is built from the
 gradient-norm ledger.  f is convex and smooth on the simplex (R is
-non-smooth only at the origin, which is infeasible), so projected
-gradient descent with backtracking suffices.
+non-smooth only at the origin, which is infeasible), and its minimizer
+has a closed form: one sort and one water-filling threshold, the shape
+of the sort-based simplex projection (Duchi et al. 2008).  The
+Frank-Wolfe gap of AlphaObjective.grad certifies a solve (Jaggi 2013);
+the exhaustive grid oracle cross-checks it at up to three sources.
 """
 
 from __future__ import annotations
@@ -19,15 +22,6 @@ from .optimizer import GradNormLedger, NoiselessLedgerError
 
 class AlphaSolverError(Exception):
     pass
-
-
-class SolverNotConverged(AlphaSolverError):
-    """Iteration cap hit; carries the best iterate found."""
-
-    def __init__(self, message, best_alpha, best_value):
-        super().__init__(message)
-        self.best_alpha = best_alpha
-        self.best_value = best_value
 
 
 def simplex_project(point):
@@ -110,51 +104,31 @@ def build_objective(risks_pred, risks_dup, eps, tau, c0, c1, ledger, m,
     return AlphaObjective(linear=linear, reg_weight=lam, m=np.asarray(m))
 
 
-def solve_alpha(objective, tol=1e-8, max_iter=100_000):
+def solve_alpha(objective):
     """The weights minimizing `objective` on the simplex, one per source of
-    objective.m: projected gradient descent with backtracking from unit
-    step, run until the projected-gradient norm drops below `tol`.
-
-    The argmin is invariant under positive rescaling of (linear, reg_weight),
-    so the iteration works on a unit-scale copy of the objective; the
-    tolerance applies at that scale, keeping it meaningful when the
-    ledger-driven regularizer weight is very large.
+    objective.m, in closed form: alpha_i ∝ m_i (nu - c_i)_+, where nu solves
+    sum_i m_i (nu - c_i)_+^2 = lambda^2 (KKT).  On the k smallest c,
+    nu = cbar + sqrt((lambda^2 - V) / A) with A = sum m_i, cbar the m-mean
+    of c and V = sum m_i (c_i - cbar)^2; the first k whose nu does not pass
+    the next c is the active set.  The argmin is invariant under shifting c
+    and scaling (c, lambda), so c becomes (c - min c) / lambda against
+    lambda = 1; lambda = 0 takes the limit lambda -> 0+, alpha ∝ m on the
+    sources of minimal c.
     """
-    n = objective.m.size
-    if n == 1:
-        return np.array([1.0])
-    # On the simplex, shifting the linear part by a constant shifts f by a
-    # constant, and positive rescaling leaves the argmin unchanged; centering
-    # and unit-scaling keep the iteration's value range near zero so float64
-    # can resolve decreases all the way down to the tolerance.
-    centered = objective.linear - np.mean(objective.linear)
-    s = max(float(np.max(np.abs(centered))), float(objective.reg_weight), 1e-12)
-    work = AlphaObjective(linear=centered / s,
-                          reg_weight=objective.reg_weight / s, m=objective.m)
-    alpha = np.full(n, 1.0 / n)
-    value = work.value(alpha)
-    for _ in range(int(max_iter)):
-        g = work.grad(alpha)
-        pg = alpha - simplex_project(alpha - g)
-        if np.linalg.norm(pg) < tol:
-            return simplex_project(alpha)
-        step, moved = 1.0, False
-        while step > 1e-18:
-            trial = simplex_project(alpha - step * g)
-            diff = alpha - trial
-            trial_value = work.value(trial)
-            if trial_value <= value - (1e-4 / step) * (diff @ diff):
-                alpha, value, moved = trial, trial_value, True
-                break
-            step *= 0.5
-        if not moved:
-            break  # no acceptable decrease at any step: floating-point floor
-    pg = alpha - simplex_project(alpha - work.grad(alpha))
-    if np.linalg.norm(pg) < tol:
-        return simplex_project(alpha)
-    raise SolverNotConverged(
-        f"projected gradient did not reach tol={tol} in {max_iter} iterations",
-        best_alpha=alpha, best_value=objective.value(alpha))
+    c = objective.linear - objective.linear.min()
+    lam = float(objective.reg_weight)
+    c = c / lam if lam > 0.0 else np.where(c > 0.0, np.inf, 0.0)
+    order = np.argsort(c, kind="stable")
+    cs, ms = c[order], objective.m[order]
+    for k in range(1, cs.size + 1):
+        a = ms[:k].sum()
+        mean = ms[:k] @ cs[:k] / a
+        spread = ms[:k] @ (cs[:k] - mean) ** 2
+        nu = mean + np.sqrt(max(1.0 - spread, 0.0) / a)
+        if k == cs.size or nu <= cs[k]:
+            break
+    weights = objective.m * np.maximum(nu - c, 0.0)
+    return weights / weights.sum()
 
 
 def moving_average_update(old, new, c):

@@ -129,14 +129,6 @@ def _replayed(rows):
         yield block, deltas[block]
 
 
-def replay_ledger_rows(rows):
-    """Recompute (delta_u, delta_v) from (block, eta, sigma, grad_sq_norm)
-    tuples in order; the replay tool behind the exactness guarantee."""
-    deltas = {"u": 0.0, "v": 0.0}
-    deltas.update(_replayed(rows))
-    return deltas["u"], deltas["v"]
-
-
 def replay_ledger_csv(path):
     """Replay a ledger.csv written by GradNormLedger.write_csv.  A format
     fault raises data.CsvFormatError naming the file and the line: a row

@@ -13,6 +13,13 @@ def exhaustive_projection(v, step=0.001):
     return grid[np.argmin(np.sum((grid - v) ** 2, axis=1))]
 
 
+def frank_wolfe_gap(obj, alpha):
+    """max_i (grad . alpha - grad_i) and max_i |grad_i| at alpha; the gap
+    bounds value(alpha) minus the minimum on the simplex (Jaggi 2013)."""
+    g = obj.grad(alpha)
+    return float(g @ alpha - g.min()), float(np.abs(g).max())
+
+
 class TestSimplexProject:
     def test_feasible_point_unchanged(self):
         assert np.array_equal(a.simplex_project([0.5, 0.5]), [0.5, 0.5])
@@ -129,6 +136,38 @@ class TestSolveAlpha:
         got = a.solve_alpha(obj)
         oracle = a.grid_oracle(obj, step=0.005)
         assert obj.value(got) <= obj.value(oracle) + 1e-6
+
+    def test_six_sources_solved_to_a_zero_frank_wolfe_gap(self):
+        # two nearly tied smallest coefficients: an iterative solver stalled
+        # here short of its tolerance
+        obj = a.AlphaObjective(linear=np.array([-0.151, -0.152, 0.212, -0.135, 0.022, 0.055]),
+                               reg_weight=0.0165,
+                               m=np.array([3468, 248, 2200, 4264, 1207, 4891]))
+        got = a.solve_alpha(obj)
+        assert got.min() >= 0.0 and abs(got.sum() - 1.0) <= 1e-12
+        assert frank_wolfe_gap(obj, got)[0] <= 1e-12
+
+    def test_zero_regularizer_ties_weighted_by_counts(self):
+        obj = a.AlphaObjective(linear=np.array([0.2, 0.1, 0.1, 0.1]), reg_weight=0.0,
+                               m=np.array([5, 10, 30, 60]))
+        assert np.allclose(a.solve_alpha(obj), [0.0, 0.1, 0.3, 0.6], rtol=0, atol=1e-15)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 32).flatmap(lambda n: st.tuples(
+        hnp.arrays(np.float64, n, elements=st.floats(-5.0, 5.0)),
+        st.one_of(st.just(0.0), st.floats(1e-4, 1e3)),
+        hnp.arrays(np.int64, n, elements=st.integers(1, 5000)))))
+    def test_simplex_point_with_a_vanishing_frank_wolfe_gap(self, case):
+        linear, reg_weight, m = case
+        obj = a.AlphaObjective(linear=linear, reg_weight=reg_weight, m=m)
+        got = a.solve_alpha(obj)
+        assert got.shape == m.shape
+        assert got.min() >= 0.0 and abs(got.sum() - 1.0) <= 1e-12
+        gap, scale = frank_wolfe_gap(obj, got)
+        assert gap <= 1e-12 * scale
+        if m.size <= 3:
+            oracle = obj.value(a.grid_oracle(obj, step=0.005))
+            assert obj.value(got) <= oracle + 1e-12 * max(1.0, abs(oracle))
 
     def test_output_is_domain_weights(self):
         obj = a.AlphaObjective(linear=np.array([1.0, -1.0]), reg_weight=0.5,

@@ -34,8 +34,9 @@ def test_tracer_installs_over_the_program_api_and_restores_it():
         objective = alpha_solver.AlphaObjective(linear=np.array([0.1, 0.3]),
                                                 reg_weight=1.0, m=np.array([10, 20]))
         alpha_solver.solve_alpha(objective)
+        alpha_solver.simplex_project(np.array([0.8, 0.8]))
     finally:
         tracer.remove()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
     assert [name for name, *_ in tracer.spans] == ["alpha_solver.solve"]
-    assert tracer.counts["alpha_solver.simplex_project"] > 0
+    assert tracer.counts["alpha_solver.simplex_project"] == 1

@@ -116,12 +116,12 @@ class TestLedger:
     @pytest.mark.parametrize("sigma", [0.0, -0.01, float("nan")])
     def test_replay_rejects_non_positive_sigma(self, sigma):
         with pytest.raises(opt.OptimizerError, match="row 2: sigma must be > 0"):
-            opt.replay_ledger_rows([("u", 0.1, 0.01, 4.0), ("v", 0.1, sigma, 1.0)])
+            list(opt._replayed([("u", 0.1, 0.01, 4.0), ("v", 0.1, sigma, 1.0)]))
 
     @pytest.mark.parametrize("gsq", [-400.0, float("nan")])
     def test_replay_rejects_negative_grad_sq_norm(self, gsq):
         with pytest.raises(opt.OptimizerError, match="row 2: grad_sq_norm must be >= 0"):
-            opt.replay_ledger_rows([("u", 0.1, 0.01, 4.0), ("u", 0.1, 0.01, gsq)])
+            list(opt._replayed([("u", 0.1, 0.01, 4.0), ("u", 0.1, 0.01, gsq)]))
 
     @pytest.mark.parametrize("gsq", [float("inf"), float("nan")])
     def test_accumulate_rejects_a_non_finite_squared_norm(self, gsq):
@@ -134,13 +134,13 @@ class TestLedger:
             led.accumulate("u", eta=1e200, sigma=0.01, grad_sq_norm=1.0)
         assert led.delta_u == 0.0 and led.log == []
         with pytest.raises(opt.OptimizerError, match="row 2: the ledger accumulator overflows"):
-            opt.replay_ledger_rows([("u", 0.1, 0.01, 4.0), ("u", 1e200, 0.01, 1.0)])
+            list(opt._replayed([("u", 0.1, 0.01, 4.0), ("u", 1e200, 0.01, 1.0)]))
 
     def test_sigma_whose_square_underflows_is_rejected(self):
         with pytest.raises(opt.NoiselessLedgerError):
             opt.GradNormLedger().accumulate("u", eta=0.1, sigma=1e-200, grad_sq_norm=1.0)
         with pytest.raises(opt.OptimizerError, match="row 1: sigma must be > 0"):
-            opt.replay_ledger_rows([("u", 0.1, 1e-200, 1.0)])
+            list(opt._replayed([("u", 0.1, 1e-200, 1.0)]))
 
     def test_three_step_offline_replay_is_exact(self):
         led = opt.GradNormLedger()
