@@ -62,21 +62,28 @@ def _cmd_check(args):
         worst = max(worst, dc.finite_diff_check(root))
     report("backward matches central differences", worst < 1e-5, f"max rel err {worst:.2e}")
 
-    # the fused training step against its graph reference, rng draws included;
-    # the regimes exercise every row of the term table, and alignment=off has
-    # no critic term, so no penalty.  A linear layer with dropout is the one
-    # layer whose output is its taped pre-activation.
+    # the fused step against its graph reference, rng draws included; the
+    # regimes exercise every row of the term table, and alignment=off has no
+    # critic term, so no penalty.  A linear layer with dropout is the one
+    # layer whose output is its taped pre-activation.  Each penalty regime
+    # also runs under the one-layer critic run builds, whose penalty draws
+    # no interpolates.
     ok = True
     penalty = "interp_penalty_weight=0.1"
-    for regime, dropout, activation in (
-            (["mode=supervised", penalty], 0.0, "relu"),
-            (["mode=unsupervised", penalty], 0.0, "relu"),
-            (["mode=semi", penalty], 0.0, "relu"), (["mode=semi", penalty], 0.2, "relu"),
-            (["mode=semi", penalty], 0.2, "linear"),
-            (["mode=semi", "alignment=off"], 0.0, "relu")):
+    for regime, dropout, activation, pred_widths in (
+            (["mode=supervised", penalty], 0.0, "relu", (4, 5, 3)),
+            (["mode=unsupervised", penalty], 0.0, "relu", (4, 5, 3)),
+            (["mode=semi", penalty], 0.0, "relu", (4, 5, 3)),
+            (["mode=semi", penalty], 0.2, "relu", (4, 5, 3)),
+            (["mode=semi", penalty], 0.2, "linear", (4, 5, 3)),
+            (["mode=supervised", penalty], 0.0, "relu", (4, 3)),
+            (["mode=unsupervised", penalty], 0.2, "relu", (4, 3)),
+            (["mode=semi", penalty], 0.0, "relu", (4, 3)),
+            (["mode=semi", penalty], 0.2, "relu", (4, 3)),
+            (["mode=semi", "alignment=off"], 0.0, "relu", (4, 5, 3))):
         cfg = harness.parse_config(overrides=regime)
         coefs = harness.StepCoefficients.from_config(cfg)
-        arch = models.ArchSpec(rep_widths=(2, 8, 4), pred_widths=(4, 5, 3),
+        arch = models.ArchSpec(rep_widths=(2, 8, 4), pred_widths=pred_widths,
                                rep_activations=(activation,) * 2, dropout_rate=dropout)
         for seed in range(3):
             r = np.random.default_rng(seed)

@@ -26,6 +26,13 @@ term above reached v' (parse_config rejects a positive penalty weight
 otherwise).  With alignment off the critic terms and pseudo
 are dropped and source takes [tau*eps + (1-tau)].
 
+The penalty is taken at interpolates of target and source features.  The
+input gradient of a one-layer critic (the critic run builds) is its weight
+matrix, so there the penalty's gradient reads the critic's weights and the
+batch size alone: the fused step draws no interpolates and only advances
+rng_penalty past the draws they would take.  With a hidden critic layer
+the interpolates set its ReLU gates, and both paths draw them.
+
 u and v descend with noise injection, v' ascends without; the ledger
 accumulates eta^2 ||G||^2 / (2 sigma^2) for the u and v blocks.
 
@@ -373,15 +380,15 @@ class StepCoefficients:
 def _assemble(coefs, cfg, share):
     """(g_u, g_v, g_vp): every active term's shares scaled by its
     coefficients and summed in table order, then the interpolation penalty
-    when a term reached the critic.  share(name) gives one term's
-    unweighted (g_u, g_v, g_vp) shares; a block the term does not reach is
-    never read."""
+    when a term reached the critic.  share(name, weights) gives one term's
+    unweighted (g_u, g_v, g_vp) shares from its row of coefficients; a
+    block whose coefficient is None is never read."""
     terms = coefs.terms()
     if cfg.interp_penalty_weight > 0.0 and coefs.uses_critic:
         terms.append(("penalty", (None, None, -cfg.interp_penalty_weight)))
     totals = [None, None, None]
     for name, weights in terms:
-        for i, (coef, grad) in enumerate(zip(weights, share(name))):
+        for i, (coef, grad) in enumerate(zip(weights, share(name, weights))):
             if coef is not None:
                 totals[i] = coef * grad if totals[i] is None else totals[i] + coef * grad
     return tuple(totals)
@@ -396,11 +403,17 @@ def _assemble(coefs, cfg, share):
 # commutes), and masked_mean's adjoint is float(g) * mask / n.
 
 
-def _flat(vector, grads):
-    """Named gradients in `vector`'s layout, zero where absent (as
-    dc.flatten_grads lays them out)."""
-    return np.concatenate([grads[name].ravel() if name in grads else np.zeros(size)
-                           for name, (_, size, _) in vector.layout.index.items()])
+def _grad_slots(layers):
+    """(flat, [(weight slot, bias slot), ...]): a new flat gradient laid out
+    as the layers' block (w0, b0, w1, b1, ..., the layout models gives a
+    block and dc.flatten_grads fills), and each layer's views into it."""
+    flat = np.empty(sum(w.size + b.size for w, b, _ in layers))
+    slots, start = [], 0
+    for w, b, _ in layers:
+        mid = start + w.size
+        slots.append((flat[start:mid].reshape(w.shape), flat[mid:mid + b.size]))
+        start = mid + b.size
+    return flat, slots
 
 
 def _taped(layers, h, rate=0.0, rng=None):
@@ -418,7 +431,8 @@ def _taped(layers, h, rate=0.0, rng=None):
             keep = 1.0 - rate
             drawn = rng.random(out.shape)
             np.less(drawn, keep, out=drawn)
-            drawn /= keep
+            # the entries are 0 and 1, so this gives the bits of / keep
+            drawn *= 1.0 / keep
             # in place, unless out is pre, which the tape keeps
             out = np.multiply(out, drawn, out=None if out is pre else out)
         tape.append((h, pre, drawn))
@@ -426,22 +440,29 @@ def _taped(layers, h, rate=0.0, rng=None):
     return tape, h
 
 
-def _backprop(layers, tape, g, to_input=True):
-    """(named gradients, input adjoint) of the taped layers from the
-    output adjoint g; a layer's mask multiplies g before its ReLU gate, as
-    in the graph.  to_input=False skips the input adjoint (None)."""
-    grads = {}
+def _backprop(layers, tape, g, params=True, to_input=True):
+    """(flat parameter gradient, input adjoint) of the taped layers from the
+    output adjoint g, which it overwrites.  Each layer's weight and bias
+    gradients are written straight into their slots of the flat gradient
+    (_grad_slots); a layer's mask multiplies g before its ReLU gate, as in
+    the graph.  params=False skips the parameter gradients and
+    to_input=False the input adjoint; a skipped result is None.  The
+    penalty alone does not come through here: _penalty_grads builds its
+    critic gradient, under a one-layer critic from the batch size alone,
+    so the step draws no interpolates and advances rng_penalty instead."""
+    flat, slots = _grad_slots(layers) if params else (None, None)
     for i in reversed(range(len(layers))):
         w, _, relu = layers[i]
         h, pre, drawn = tape[i]
         if drawn is not None:
-            g = g * drawn
+            g *= drawn
         if relu:
-            g = g * (pre > 0.0)
-        grads[f"w{i}"] = h.T @ g
-        grads[f"b{i}"] = g.sum(axis=0)
+            np.multiply(g, pre > 0.0, out=g)
+        if params:
+            np.matmul(h.T, g, out=slots[i][0])
+            np.sum(g, axis=0, out=slots[i][1])
         g = g @ w.T if i or to_input else None
-    return grads, g
+    return flat, g
 
 
 class _Pass:
@@ -462,18 +483,19 @@ class _Pass:
         return self._heads[dup]
 
     def rep_grads(self, g):
-        """Representation gradients from the features' adjoint g."""
+        """Flat representation gradient from the features' adjoint g."""
         return _backprop(self.rep, self.tape, g, to_input=False)[0]
 
 
-def _penalty_grads(layers, x_int):
-    """Critic gradients of the interpolation penalty at x_int: the batch
-    mean of the squared input-gradient norms of the critic's logits, with
-    the ReLU gates at x_int held fixed (risks.interp_penalty_graph)."""
+def _penalty_grads(layers, n, x_int=None):
+    """Flat critic gradient of the interpolation penalty over n
+    interpolates: the batch mean of the squared input-gradient norms of the
+    critic's logits, with the ReLU gates at the interpolates x_int held
+    fixed (risks.interp_penalty_graph).  A one-layer critic has no gate:
+    its gradient reads n alone, and x_int may be None."""
     tape, _ = _taped(layers[:-1], x_int)  # no gate follows the logits
     gates = [(pre > 0.0).astype(np.float64) if relu else None
              for (_, pre, _), (_, _, relu) in zip(tape, layers)]
-    n = x_int.shape[0]
     g = np.ones((n, layers[-1][0].shape[1]))
     inputs = [None] * len(layers)
     for i in reversed(range(len(layers))):
@@ -481,15 +503,17 @@ def _penalty_grads(layers, x_int):
         g = g @ layers[i][0].T
         if i > 0 and gates[i - 1] is not None:
             g = g * gates[i - 1]
-    adj = 2.0 * g * (1.0 * np.ones((n, x_int.shape[1])) / n)
-    grads = {}
-    for i in range(len(layers)):
-        grads[f"w{i}"] = (inputs[i].T @ adj).T
+    # masked_mean's adjoint 1.0 * ones / n, entry for entry
+    adj = 2.0 * g * (1.0 / n)
+    flat, slots = _grad_slots(layers)
+    for i, (w_slot, b_slot) in enumerate(slots):
+        w_slot[...] = (inputs[i].T @ adj).T
+        b_slot[...] = 0.0  # the penalty does not reach the biases
         if i + 1 < len(layers):
             adj = adj @ layers[i][0]
             if gates[i] is not None:
                 adj = adj * gates[i]
-    return grads
+    return flat
 
 
 class _Step:
@@ -498,7 +522,10 @@ class _Step:
     Without dropout each batch gets one forward, which every term and the
     dropout-free evaluation forwards reuse.  With dropout every training
     forward draws its own masks, as every graph did, and the evaluation
-    forward of a batch is a separate, mask-free pass."""
+    forward of a batch is a separate, mask-free pass.  Each label array's
+    one-hot rows are built once.  Under a one-layer critic the penalty reads
+    no forward: the step draws no interpolates and advances rng_penalty
+    past their draws."""
 
     def __init__(self, model, rng_dropout):
         self.rate = model.arch.dropout_rate
@@ -507,6 +534,7 @@ class _Step:
         self.heads = {False: model.layers("pred"), True: model.layers("dup")}
         self.n_classes = model.arch.n_outputs
         self._passes = {}
+        self._onehots = {}
 
     def forward(self, key, x, train=True):
         rng = self.rng if train else None
@@ -516,15 +544,24 @@ class _Step:
             self._passes[key] = _Pass(self.rep, self.heads, x, self.rate, None)
         return self._passes[key]
 
-    def nll(self, fwd, dup, labels, coef=1.0, weight=1.0):
-        """(head gradients, features' adjoint) of weight * the batch mean
-        of -coef * log p(label) under the predictor (dup: the critic).  The
-        log-softmax adjoint uses the softmax kept by the forward, which
-        equals the one diffcore recomputes from the logits."""
-        onehot = risks._onehot(labels, self.n_classes)
+    def onehot(self, labels):
+        # keyed by identity; the entry holds the labels, so the id stays theirs
+        hit = self._onehots.get(id(labels))
+        if hit is None:
+            hit = self._onehots[id(labels)] = (labels, risks._onehot(labels, self.n_classes))
+        return hit[1]
+
+    def nll(self, fwd, dup, labels, coef=1.0, weight=1.0, params=True, to_input=True):
+        """(flat head gradient, features' adjoint) of weight * the batch
+        mean of -coef * log p(label) under the predictor (dup: the critic),
+        each skipped as _backprop skips it.  The log-softmax adjoint uses
+        the softmax kept by the forward, which equals the one diffcore
+        recomputes from the logits."""
+        onehot = self.onehot(labels)
         g_out = weight * (-coef * onehot) / onehot.shape[0]
         tape, _, p = fwd.head(dup)
-        return _backprop(self.heads[dup], tape, g_out - p * dc.row_sum(g_out)[:, None])
+        return _backprop(self.heads[dup], tape, g_out - p * dc.row_sum(g_out)[:, None],
+                         params, to_input)
 
     def last_source(self, source_batches):
         """The forward a source-risk term's gradient is taken from.
@@ -553,7 +590,10 @@ def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
     each None when that block receives no gradient.
 
     A hand-written forward and backward pass equal bit for bit to
-    reference_gradients, dropout masks and penalty interpolates included.
+    reference_gradients, dropout masks and penalty draws included.  Each
+    term computes only the blocks its row of StepCoefficients.terms()
+    reaches, and the values those read; with a one-layer critic the
+    penalty draws no interpolates and advances rng_penalty instead.
     Batches are taken as finite: run checks them once, before training."""
     if model.arch.mode != "classification":
         raise risks.RiskError("the training step needs classification mode")
@@ -566,32 +606,37 @@ def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
         alpha = risks.check_simplex(alpha, n=len(source_batches))
     step = _Step(model, rng_dropout)
 
-    def share(name):
+    def share(name, weights):
         if name == "pseudo":
             # pseudo labels from the dropout-free forward at the current parameters
             evaluation = step.forward("unlabeled", unlabeled_x, train=False)
             y_hat = np.argmax(evaluation.head(False)[1], axis=1)
             y_hat_dup = np.argmax(evaluation.head(True)[1], axis=1)
             fwd = step.forward("unlabeled", unlabeled_x)
-            dup_grads, g_feat_dup = step.nll(fwd, True, y_hat, coef=float(cfg.w1_discri_coef1))
-            grads, g_feat = step.nll(fwd, False, y_hat_dup, coef=float(cfg.w1_discri_coef2))
-            return (_flat(model.rep, fwd.rep_grads(g_feat_dup + g_feat)),
-                    _flat(model.pred, grads), _flat(model.dup, dup_grads))
+            g_vp, g_feat = step.nll(fwd, True, y_hat, coef=float(cfg.w1_discri_coef1))
+            g_v, g_feat_main = step.nll(fwd, False, y_hat_dup, coef=float(cfg.w1_discri_coef2))
+            g_feat += g_feat_main
+            return fwd.rep_grads(g_feat), g_v, g_vp
         if name == "penalty":
-            # With run's one-layer critic the penalty gradient is a function
-            # of the critic's weights alone: the interpolates below only
-            # advance rng_penalty.  With a hidden critic layer they set the
-            # ReLU gates, but interpolate_features pairs the target batch
-            # only with the first rows of the concatenated sources (source
-            # 1's batch when the batch sizes are equal).
-            if coefs.uses_unlabeled:
-                tgt_feats = step.forward("unlabeled", unlabeled_x, train=False).feat
-            else:
-                tgt_feats = step.forward("target", target_batch[0], train=False).feat
+            # the penalty pairs the target batch with the concatenated
+            # sources, up to the shorter of the two
+            target_x = unlabeled_x if coefs.uses_unlabeled else target_batch[0]
+            n = min(target_x.shape[0], sum(x.shape[0] for x, _ in source_batches))
+            critic = step.heads[True]
+            if len(critic) == 1:
+                # no gate reads the interpolates; interpolate_features'
+                # uniform() spends one PCG64 output per draw
+                rng_penalty.bit_generator.advance(n)
+                return None, None, _penalty_grads(critic, n)
+            # a hidden critic layer's gates read them, though the target
+            # batch meets only the first rows of the concatenated sources
+            # (source 1's batch when the batch sizes are equal)
+            tgt_feats = step.forward("unlabeled" if coefs.uses_unlabeled else "target",
+                                     target_x, train=False).feat
             src_x = np.concatenate([x for x, _ in source_batches])
             src_feats = step.forward("all sources", src_x, train=False).feat
             x_int = risks.interpolate_features(tgt_feats, src_feats, rng_penalty)
-            return None, None, _flat(model.dup, _penalty_grads(step.heads[True], x_int))
+            return None, None, _penalty_grads(critic, n, x_int)
         # the four risk terms: "... target" on the labeled target batch,
         # "... source" on the sources; "critic ..." under the critic's head
         dup = "critic" in name
@@ -600,11 +645,10 @@ def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
         else:
             fwd, labels = step.last_source(source_batches), source_batches[-1][1]
             weight = 1.0 / len(source_batches) if name == "critic source" else float(alpha[-1])
-        grads, g_feat = step.nll(fwd, dup, labels, weight=weight)
-        g_u = None if name == "critic source" else _flat(model.rep, fwd.rep_grads(g_feat))
-        if name == "reversed critic source":
-            return g_u, None, None
-        head = _flat(model.dup if dup else model.pred, grads)
+        head, g_feat = step.nll(fwd, dup, labels, weight=weight,
+                                params=weights[2 if dup else 1] is not None,
+                                to_input=weights[0] is not None)
+        g_u = None if g_feat is None else fwd.rep_grads(g_feat)
         return (g_u, None, head) if dup else (g_u, head, None)
 
     return _assemble(coefs, cfg, share)
@@ -616,7 +660,7 @@ def reference_gradients(model, coefs, alpha, target_batch, unlabeled_x,
     builders: the reference the fused step is tested against."""
     train_rng = rng_dropout if model.arch.dropout_rate > 0.0 else None
 
-    def share(name):
+    def share(name, weights):
         rn = pn = dn = None
         if name == "penalty":
             if coefs.uses_unlabeled:

@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imda import cli, data, diffcore as dc, harness, models, risks
 from imda.harness import parse_config, run
@@ -131,6 +132,121 @@ def test_tape_keeps_a_linear_layers_pre_activation_under_dropout():
     (h, pre, drawn), = tape
     assert h is x and np.array_equal(pre, x @ w + b)
     assert np.array_equal(out, pre * drawn)
+
+
+# ---------------------------------------------------------------------------
+# the penalty without interpolates, and the in-place backprop
+
+
+def penalty_step_args(pred_widths, mode, dropout, seed):
+    """Step arguments whose concatenated source batch (5 + 8 = 13 rows) is
+    the only 13-row batch: the target has 6 rows, the unlabeled set 7."""
+    cfg = parse_config(overrides=[f"mode={mode}", "interp_penalty_weight=0.3"])
+    arch = models.ArchSpec(rep_widths=(2, 6, 5), pred_widths=pred_widths, dropout_rate=dropout)
+    r = np.random.default_rng(seed)
+    batch = lambda n: (r.standard_normal((n, 2)), r.integers(0, pred_widths[-1], n))
+    return (models.ModelTriple.init(arch, seed=seed), harness.StepCoefficients.from_config(cfg),
+            r.dirichlet(np.ones(2)), batch(6), r.standard_normal((7, 2)), [batch(5), batch(8)],
+            cfg)
+
+
+@pytest.mark.parametrize("mode", ["supervised", "unsupervised", "semi"])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_one_layer_critic_penalty_draws_no_interpolates(mode, dropout, monkeypatch):
+    """With run's one-layer critic the fused step neither mixes
+    interpolates nor forwards the concatenated sources, and still leaves
+    rng_penalty where the reference's draws leave it."""
+    taped = harness._taped
+
+    def no_concatenated_forward(layers, h, *args):
+        assert h is None or h.shape[0] != 13, "forward of the concatenated sources"
+        return taped(layers, h, *args)
+
+    def no_interpolates(*args):
+        raise AssertionError("interpolate_features called")
+
+    for seed in range(5):
+        args = penalty_step_args((5, 3), mode, dropout, seed)
+        rngs = [[np.random.default_rng([seed, k]) for k in range(2)] for _ in range(2)]
+        ref = harness.reference_gradients(*args, *rngs[1])
+        with monkeypatch.context() as patched:
+            patched.setattr(risks, "interpolate_features", no_interpolates)
+            patched.setattr(harness, "_taped", no_concatenated_forward)
+            fused = harness.assemble_gradients(*args, *rngs[0])
+        assert fused[2] is not None
+        assert all(same(a, b) for a, b in zip(fused, ref))
+        assert all(a.bit_generator.state == b.bit_generator.state for a, b in zip(*rngs))
+
+
+@pytest.mark.parametrize("mode", ["supervised", "unsupervised", "semi"])
+def test_hidden_critic_layer_draws_interpolates_once_per_step(mode, monkeypatch):
+    calls = []
+    interpolate = risks.interpolate_features
+
+    def spy(*args):
+        calls.append(args)
+        return interpolate(*args)
+
+    monkeypatch.setattr(risks, "interpolate_features", spy)
+    for seed in range(3):
+        args = penalty_step_args((5, 4, 3), mode, 0.2, seed)
+        harness.assemble_gradients(*args, np.random.default_rng(1), np.random.default_rng(2))
+        assert len(calls) == seed + 1
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(rows=st.integers(1, 9), width=st.integers(1, 9),
+       shape=st.lists(st.tuples(st.integers(1, 9), st.booleans(), st.booleans()),
+                      min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_backprop_writes_the_graph_gradients_into_the_flat_layout(rows, width, shape, seed):
+    """_backprop's flat gradient and input adjoint are, bit for bit, those
+    dc.backward gives the same layers' graph (affine, then ReLU, then a
+    mask, each as drawn); a skipped result is None, never zeros."""
+    r = np.random.default_rng(seed)
+    # zero input rows and zero bias entries give pre-activations of exactly 0,
+    # where a ReLU gate must read > 0, as the graph's does
+    zeroed = lambda a: np.where(r.random(a.shape[0]) < 0.3, 0.0, a.T).T
+    named, masks, din = [], [], width
+    for i, (dout, _, masked) in enumerate(shape):
+        named += [(f"w{i}", r.standard_normal((din, dout))),
+                  (f"b{i}", zeroed(r.standard_normal(dout)))]
+        masks.append((r.random((rows, dout)) < 0.7) / 0.7 if masked else None)
+        din = dout
+    vector = dc.ParameterVector.from_arrays(named)
+    layers = [(vector.view(f"w{i}"), vector.view(f"b{i}"), relu)
+              for i, (_, relu, _) in enumerate(shape)]
+    x, seed_g = zeroed(r.standard_normal((rows, width))), r.standard_normal((rows, din))
+
+    h = x_node = dc.const(x)
+    nodes = []
+    for i, ((w, b, relu), mask) in enumerate(zip(layers, masks)):
+        w_node, b_node = dc.param(w), dc.param(b)
+        nodes += [(f"w{i}", w_node), (f"b{i}", b_node)]
+        h = dc.affine(h, w_node, b_node)
+        if relu:
+            h = dc.relu(h)
+        if mask is not None:
+            h = dc.mask(h, mask)
+    root = dc.masked_mean(h, seed_g)
+    dc.forward(root)
+    expected = dc.flatten_grads(dc.backward(root), nodes, vector)
+
+    tape, h = [], x
+    for (w, b, relu), mask in zip(layers, masks):
+        pre = h @ w + b
+        out = np.maximum(pre, 0.0) if relu else pre
+        tape.append((h, pre, mask))
+        h = out if mask is None else out * mask
+    g = lambda: 1.0 * seed_g / rows  # masked_mean's adjoint; _backprop overwrites it
+
+    flat, adjoint = harness._backprop(layers, tape, g())
+    assert flat.tobytes() == expected.tobytes()
+    assert adjoint.tobytes() == x_node.adjoint.tobytes()
+    skipped, only_adjoint = harness._backprop(layers, tape, g(), params=False)
+    assert skipped is None and only_adjoint.tobytes() == adjoint.tobytes()
+    only_flat, skipped = harness._backprop(layers, tape, g(), to_input=False)
+    assert skipped is None and only_flat.tobytes() == flat.tobytes()
 
 
 # ---------------------------------------------------------------------------
