@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 import numpy as np
@@ -67,8 +68,11 @@ def _cmd_check(args):
     # critic term, so no penalty.  A linear layer with dropout is the one
     # layer whose output is its taped pre-activation.  Each penalty regime
     # also runs under the one-layer critic run builds, whose penalty draws
-    # no interpolates.
+    # no interpolates.  Each runs on batches of 6 rows, on ragged batches
+    # (target 6, unlabeled 4, sources 6 and 5: stacks of different row
+    # counts) and on batches of one row (numpy's vector-matrix product)
     ok = True
+    shapes = ((6, 6, (6, 6)), (6, 4, (6, 5)), (1, 1, (1, 1)))
     penalty = "interp_penalty_weight=0.1"
     for regime, dropout, activation, pred_widths in (
             (["mode=supervised", penalty], 0.0, "relu", (4, 5, 3)),
@@ -85,11 +89,13 @@ def _cmd_check(args):
         coefs = harness.StepCoefficients.from_config(cfg)
         arch = models.ArchSpec(rep_widths=(2, 8, 4), pred_widths=pred_widths,
                                rep_activations=(activation,) * 2, dropout_rate=dropout)
-        for seed in range(3):
+        for seed, (target_rows, unlabeled_rows, source_rows) in itertools.product(
+                range(3), shapes):
             r = np.random.default_rng(seed)
-            batch = lambda: (r.standard_normal((6, 2)), r.integers(0, 3, 6))
+            batch = lambda n: (r.standard_normal((n, 2)), r.integers(0, 3, n))
             args = (models.ModelTriple.init(arch, seed=seed), coefs, r.dirichlet(np.ones(2)),
-                    batch(), r.standard_normal((6, 2)), [batch(), batch()], cfg)
+                    batch(target_rows), r.standard_normal((unlabeled_rows, 2)),
+                    [batch(n) for n in source_rows], cfg)
             rngs = [[np.random.default_rng([seed, k]) for k in range(2)] for _ in range(2)]
             fused = harness.assemble_gradients(*args, *rngs[0])
             ref = harness.reference_gradients(*args, *rngs[1])

@@ -149,20 +149,21 @@ def neg_grad(x, lam=1.0, name=None):
 
 
 def row_sum(x):
-    """Row sums of a 2-D (rows, classes) array, over a class-major copy:
-    numpy then adds whole columns left to right, where axis=1 runs one
-    short loop per row.  Below 8 classes axis=1 also adds left to right,
-    so the bits agree; from 8 on it adds pairwise."""
-    return x.T.copy().sum(axis=0)
+    """Row sums of a (..., rows, classes) array, over a class-major copy:
+    numpy then adds whole columns left to right, where axis=-1 runs one
+    short loop per row.  Below 8 classes axis=-1 also adds left to right,
+    so the bits agree; from 8 on it adds pairwise.  Each leading index is
+    summed as its own 2-D slice would be."""
+    return x.swapaxes(-1, -2).copy().sum(axis=-2)
 
 
 def log_softmax_rows(x):
-    """(log-probabilities, probabilities) of the rows of 2-D logits x; the
-    one log-softmax of the graph node, ModelTriple.predict and the fused
-    training step."""
-    z = x - x.T.copy().max(axis=0)[:, None]
+    """(log-probabilities, probabilities) of the rows of logits x, of shape
+    (..., rows, classes); the one log-softmax of the graph node,
+    ModelTriple.predict and the fused training step's stacked heads."""
+    z = x - x.swapaxes(-1, -2).copy().max(axis=-2)[..., None]
     e = np.exp(z)
-    s = row_sum(e)[:, None]
+    s = row_sum(e)[..., None]
     return z - np.log(s), e / s
 
 

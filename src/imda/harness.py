@@ -33,6 +33,21 @@ batch size alone: the fused step draws no interpolates and only advances
 rng_penalty past the draws they would take.  With a hidden critic layer
 the interpolates set its ReLU gates, and both paths draw them.
 
+The fused step (assemble_gradients) computes every term's share from
+stacked passes and gives the bytes of its graph reference
+(reference_gradients).  A pass is one batch through the representation;
+without dropout the terms that read one batch share its pass, and with
+dropout every term has its own, masks drawn in term order.  Passes of one
+row count go through one 3-D forward while the stack holds at most
+models.STACK_ROWS rows (small batches, where numpy's per-call overhead and
+not arithmetic sets the time); a larger pass is a stack of one.  The
+predictor and the critic run as one stacked head forward.  The backward of
+a stack takes all of its terms' head adjoints through one stacked head
+backward and their feature adjoints through one stacked representation
+backward.  Pseudo labels come from the dropout-free forward: the pass
+itself, or under dropout one ModelTriple.outputs evaluation kept out of
+the masked stack.
+
 u and v descend with noise injection, v' ascends without; the ledger
 accumulates eta^2 ||G||^2 / (2 sigma^2) for the u and v blocks.
 
@@ -394,45 +409,55 @@ def _assemble(coefs, cfg, share):
     return tuple(totals)
 
 
-# The fused step below performs, array for array, the operations that
+# The fused step below performs, element for element, the operations that
 # diffcore.forward and diffcore.backward perform on the graphs built by
-# reference_gradients, in the same order and on arrays of the same layout,
-# so its gradients equal the reference's bit for bit.  Two facts about the
-# graphs make that hold without following the graphs' own traversal: a node
-# with two consumers sums just two adjoints (floating-point addition
-# commutes), and masked_mean's adjoint is float(g) * mask / n.
+# reference_gradients, in the same order, so its gradients equal the
+# reference's bit for bit.  It performs them on stacks: the step's passes of
+# one row count go through one (passes, rows, width) forward while the stack
+# holds at most models.STACK_ROWS rows, the predictor and the critic go
+# through one forward on a leading head axis, and each backward lays its
+# rows out on leading axes (_grid).  Two facts about numpy keep every slice
+# of a stack the bytes of its own 2-D pass: matmul multiplies each slice of
+# a stack with the same BLAS call it makes for that slice alone (a one-row
+# slice with the vector-matrix product, as a one-row batch), and a
+# reduction over the row axis adds the rows in order, slice by slice.  Two
+# facts about the graphs make the step hold without following their own
+# traversal: a node with two consumers sums just two adjoints
+# (floating-point addition commutes), and masked_mean's adjoint is
+# float(g) * mask / n.
 
 
-def _grad_slots(layers):
-    """(flat, [(weight slot, bias slot), ...]): a new flat gradient laid out
-    as the layers' block (w0, b0, w1, b1, ..., the layout models gives a
-    block and dc.flatten_grads fills), and each layer's views into it."""
-    flat = np.empty(sum(w.size + b.size for w, b, _ in layers))
+def _grad_slots(layers, lead=()):
+    """(flat, [(weight slot, bias slot), ...]): new flat gradients of shape
+    lead + (block size,), each laid out as the layers' block (w0, b0, w1,
+    b1, ..., the layout models gives a block and dc.flatten_grads fills),
+    and each layer's views into them.  A layer's arrays may carry leading
+    stack axes; the weight's last two axes and the bias's last one size the
+    slots."""
+    shapes = [(w.shape[-2:], b.shape[-1]) for w, b, _ in layers]
+    flat = np.empty(lead + (sum(math.prod(ws) + bs for ws, bs in shapes),))
     slots, start = [], 0
-    for w, b, _ in layers:
-        mid = start + w.size
-        slots.append((flat[start:mid].reshape(w.shape), flat[mid:mid + b.size]))
-        start = mid + b.size
+    for ws, bs in shapes:
+        mid = start + math.prod(ws)
+        slots.append((flat[..., start:mid].reshape(lead + ws), flat[..., mid:mid + bs]))
+        start = mid + bs
     return flat, slots
 
 
-def _taped(layers, h, rate=0.0, rng=None):
-    """(tape, output) of the layers applied to h, one tape row (input,
-    pre-activation, mask or None) per layer.  With an rng, an
-    inverted-dropout mask is drawn after every layer, as the
-    representation graph draws them."""
+def _taped(layers, h, masks=None):
+    """(tape, output) of the layers applied to a stack h of shape (...,
+    rows, width), one tape row (input, pre-activation, mask or None) per
+    layer.  A layer's weight and bias may carry leading axes that broadcast
+    against the stack's.  masks, when given, holds each layer's
+    inverted-dropout masks in its output's shape; a mask multiplies the
+    layer's output after the ReLU, as the representation graph applies it."""
     tape = []
-    for w, b, relu in layers:
+    for i, (w, b, relu) in enumerate(layers):
         pre = h @ w
         pre += b
         out = np.maximum(pre, 0.0) if relu else pre
-        drawn = None
-        if rng is not None:
-            keep = 1.0 - rate
-            drawn = rng.random(out.shape)
-            np.less(drawn, keep, out=drawn)
-            # the entries are 0 and 1, so this gives the bits of / keep
-            drawn *= 1.0 / keep
+        drawn = None if masks is None else masks[i]
+        if drawn is not None:
             # in place, unless out is pre, which the tape keeps
             out = np.multiply(out, drawn, out=None if out is pre else out)
         tape.append((h, pre, drawn))
@@ -440,51 +465,48 @@ def _taped(layers, h, rate=0.0, rng=None):
     return tape, h
 
 
+def _grid(passes):
+    """(positions, k): the layout of a stacked backward's rows, one per
+    entry of passes (the index tuple of the pass a row reads, in any
+    order), as a grid of shape (..., k, rows, width) whose [*pass, j] holds
+    the j-th row that reads that pass.  A pass read by fewer than k rows
+    leaves its other slots free: they hold zeros, and nothing reads their
+    results."""
+    positions, count = [], {}
+    for p in passes:
+        j = count.get(p, 0)
+        positions.append(p + (j,))
+        count[p] = j + 1
+    return positions, max(count.values())
+
+
 def _backprop(layers, tape, g, params=True, to_input=True):
-    """(flat parameter gradient, input adjoint) of the taped layers from the
-    output adjoint g, which it overwrites.  Each layer's weight and bias
-    gradients are written straight into their slots of the flat gradient
-    (_grad_slots); a layer's mask multiplies g before its ReLU gate, as in
-    the graph.  params=False skips the parameter gradients and
-    to_input=False the input adjoint; a skipped result is None.  The
-    penalty alone does not come through here: _penalty_grads builds its
-    critic gradient, under a one-layer critic from the batch size alone,
-    so the step draws no interpolates and advances rng_penalty instead."""
-    flat, slots = _grad_slots(layers) if params else (None, None)
+    """(flat parameter gradients, input adjoints) of the taped stack from
+    the output adjoints g, a grid (_grid) whose leading axes are the
+    tape's, which it overwrites; the results keep the grid's leading axes.
+
+    Each tape array and weight gains a length-1 axis in the grid's k place,
+    so the rows that read one pass share its tape by broadcasting, never by
+    a copy.  Each layer's weight and bias gradients are written straight
+    into their slots of the flat gradients (_grad_slots); a layer's mask
+    multiplies the adjoint before its ReLU gate, as in the graph.
+    params=False skips the parameter gradients and to_input=False the input
+    adjoints; a skipped result is None.  The penalty alone does not come
+    through here: _penalty_grads builds its critic gradient, under a
+    one-layer critic from the batch size alone."""
+    flat, slots = _grad_slots(layers, g.shape[:-2]) if params else (None, None)
     for i in reversed(range(len(layers))):
         w, _, relu = layers[i]
-        h, pre, drawn = tape[i]
+        h, pre, drawn = (None if a is None else a[..., None, :, :] for a in tape[i])
         if drawn is not None:
             g *= drawn
         if relu:
             np.multiply(g, pre > 0.0, out=g)
         if params:
-            np.matmul(h.T, g, out=slots[i][0])
-            np.sum(g, axis=0, out=slots[i][1])
-        g = g @ w.T if i or to_input else None
+            np.matmul(h.swapaxes(-1, -2), g, out=slots[i][0])
+            np.sum(g, axis=-2, out=slots[i][1])
+        g = g @ w[..., None, :, :].swapaxes(-1, -2) if i or to_input else None
     return flat, g
-
-
-class _Pass:
-    """g(u, x) on one batch, with the predictor and critic applied on demand.
-
-    With an rng, the representation draws its dropout masks (_taped)."""
-
-    def __init__(self, rep, heads, x, rate, rng):
-        self.rep, self.heads = rep, heads
-        self.tape, self.feat = _taped(rep, x, rate, rng)
-        self._heads = {}
-
-    def head(self, dup):
-        """(layer tape, log-probabilities, softmax) of the predictor or critic."""
-        if dup not in self._heads:
-            tape, logits = _taped(self.heads[dup], self.feat)
-            self._heads[dup] = (tape, *dc.log_softmax_rows(logits))
-        return self._heads[dup]
-
-    def rep_grads(self, g):
-        """Flat representation gradient from the features' adjoint g."""
-        return _backprop(self.rep, self.tape, g, to_input=False)[0]
 
 
 def _penalty_grads(layers, n, x_int=None):
@@ -517,15 +539,11 @@ def _penalty_grads(layers, n, x_int=None):
 
 
 class _Step:
-    """Parameter views and forward passes shared by the terms of one step.
-
-    Without dropout each batch gets one forward, which every term and the
-    dropout-free evaluation forwards reuse.  With dropout every training
-    forward draws its own masks, as every graph did, and the evaluation
-    forward of a batch is a separate, mask-free pass.  Each label array's
-    one-hot rows are built once.  Under a one-layer critic the penalty reads
-    no forward: the step draws no interpolates and advances rng_penalty
-    past their draws."""
+    """The passes of one step, forwarded and differentiated in stacks (the
+    module docstring).  The masks are drawn pass by pass in term order, as
+    the graphs draw them, and a stack is forwarded and differentiated as
+    soon as its last pass's masks are drawn, so a step above the budget
+    holds one pass's tape at a time."""
 
     def __init__(self, model, rng_dropout):
         self.rate = model.arch.dropout_rate
@@ -533,16 +551,17 @@ class _Step:
         self.rep = model.layers("rep")
         self.heads = {False: model.layers("pred"), True: model.layers("dup")}
         self.n_classes = model.arch.n_outputs
-        self._passes = {}
+        self.passes = []  # (batch, earlier source batches whose draws follow its masks)
+        self._keys = {}
         self._onehots = {}
 
-    def forward(self, key, x, train=True):
-        rng = self.rng if train else None
-        if rng is not None:
-            return _Pass(self.rep, self.heads, x, self.rate, rng)
-        if key not in self._passes:
-            self._passes[key] = _Pass(self.rep, self.heads, x, self.rate, None)
-        return self._passes[key]
+    def add(self, key, x, skipped=()):
+        """The index of a pass over batch x; without dropout, every term
+        that names one key reads one pass."""
+        if self.rng is not None or key not in self._keys:
+            self._keys[key] = len(self.passes)
+            self.passes.append((x, skipped))
+        return self._keys[key]
 
     def onehot(self, labels):
         # keyed by identity; the entry holds the labels, so the id stays theirs
@@ -551,37 +570,131 @@ class _Step:
             hit = self._onehots[id(labels)] = (labels, risks._onehot(labels, self.n_classes))
         return hit[1]
 
-    def nll(self, fwd, dup, labels, coef=1.0, weight=1.0, params=True, to_input=True):
-        """(flat head gradient, features' adjoint) of weight * the batch
-        mean of -coef * log p(label) under the predictor (dup: the critic),
-        each skipped as _backprop skips it.  The log-softmax adjoint uses
-        the softmax kept by the forward, which equals the one diffcore
-        recomputes from the logits."""
-        onehot = self.onehot(labels)
-        g_out = weight * (-coef * onehot) / onehot.shape[0]
-        tape, _, p = fwd.head(dup)
-        return _backprop(self.heads[dup], tape, g_out - p * dc.row_sum(g_out)[:, None],
-                         params, to_input)
+    def gradients(self, reads):
+        """{term: [g_u, g_v, g_vp]} of the terms in reads, term -> (pass,
+        head rows, coefficients), a head row being (critic or not, labels,
+        coef, weight).  Only the results the coefficients reach are not
+        None (_stack)."""
+        open_stacks, stacks, at = {}, [], []
+        for p, (x, _) in enumerate(self.passes):
+            n = x.shape[0]
+            s = open_stacks.get(n)
+            if s is None or (len(stacks[s]) + 1) * n > models.STACK_ROWS:
+                s = open_stacks[n] = len(stacks)
+                stacks.append([])
+            at.append((s, len(stacks[s])))
+            stacks[s].append(p)
+        shares = {name: [None, None, None] for name in reads}
+        rows = [[] for _ in stacks]
+        for name, (p, heads, coefs) in reads.items():
+            rows[at[p][0]].append((at[p][1], name, heads, coefs))
+        masks, left = {}, [len(members) for members in stacks]
+        for p, (x, skipped) in enumerate(self.passes):
+            s, i = at[p]
+            if self.rng is not None:
+                if s not in masks:
+                    masks[s] = [np.empty((len(stacks[s]), x.shape[0], w.shape[1]))
+                                for w, _, _ in self.rep]
+                for mask in masks[s]:
+                    self.rng.random(out=mask[i])
+                # data.stream_rng builds PCG64, whose random() spends one
+                # 64-bit output per double, so advancing by the draw count
+                # skips exactly the draws the masks would take
+                for x_skipped, _ in skipped:
+                    for w, _, _ in self.rep:
+                        self.rng.bit_generator.advance(x_skipped.shape[0] * w.shape[1])
+            left[s] -= 1
+            if not left[s]:
+                self._stack([self.passes[q][0] for q in stacks[s]], masks.pop(s, None),
+                            rows[s], shares)
+        return shares
 
-    def last_source(self, source_batches):
-        """The forward a source-risk term's gradient is taken from.
+    def _stack(self, xs, masks, rows, shares):
+        """Forward the stack of batches xs and write the shares of its
+        terms, rows of (pass in the stack, term, head rows, coefficients).
 
-        Known fault, reproduced on purpose: dc.flatten_grads assigns each
-        named gradient instead of adding it, and risks.source_risk_graph
-        gives every source its own parameter nodes, so the graph path's
-        source-risk gradients hold only the last source's batch, scaled by
-        that source's weight.  For earlier sources the dropout generator
-        only advances past the draws of their masks, after the last
-        source's, as the graph's topological order draws them."""
-        fwd = self.forward("source", source_batches[-1][0])
-        if self.rng is not None:
-            # data.stream_rng builds PCG64, whose random() spends one 64-bit
-            # output per double, so advancing by the draw count skips
-            # exactly the draws the masks would take
-            for x, _ in source_batches[:-1]:
-                for w, _, _ in self.rep:
-                    self.rng.bit_generator.advance(x.shape[0] * w.shape[1])
-        return fwd
+        One forward of the representation, with the masks' inverted dropout,
+        then one of the heads the rows read, the predictor's and the
+        critic's layers stacked along a leading axis (they share one
+        architecture).
+
+        A head row stands for weight * the batch mean of -coef * log
+        p(label) under its head; a pseudo row's labels (None) are the other
+        head's argmax on the pass.  All the head rows go through one stacked
+        backward of the heads, and each term's feature adjoint, the sum of
+        its head rows' input adjoints (two at most, whose sum commutes),
+        through one of the representation (_backprop).  A backward computes
+        a result for all of its rows when any row's coefficients reach it.
+        The log-softmax adjoint uses the softmax kept by the forward, which
+        equals the one diffcore recomputes from the logits."""
+        if masks is not None:
+            keep = 1.0 - self.rate
+            for mask in masks:
+                np.less(mask, keep, out=mask)
+                # the entries are 0 and 1, so this gives the bits of / keep
+                mask *= 1.0 / keep
+        rep_tape, feat = _taped(self.rep, xs[0][None] if len(xs) == 1 else np.array(xs),
+                                masks)
+        dups = tuple(sorted({dup for *_, heads, _ in rows for dup, *_ in heads}))
+        if len(dups) == 1:
+            heads = [(w[None, None], b[None, None, None], relu)
+                     for w, b, relu in self.heads[dups[0]]]
+        else:
+            heads = [(np.array([w for w, _, _ in layer])[:, None],
+                      np.array([b for _, b, _ in layer])[:, None, None], layer[0][2])
+                     for layer in zip(self.heads[False], self.heads[True])]
+        tape, logits = _taped(heads, feat)
+        log_probs, prob = dc.log_softmax_rows(logits)
+
+        # [((head, pass), term, labels, coef, weight, block)]
+        head_rows = [((dups.index(dup), i), name, labels, coef, weight, 2 if dup else 1)
+                     for i, name, heads_read, _ in rows
+                     for dup, labels, coef, weight in heads_read]
+        positions, k = _grid([at for at, *_ in head_rows])
+        shape = prob.shape[:2] + (k,) + prob.shape[2:]
+        g = (np.empty if math.prod(shape[:3]) == len(head_rows) else np.zeros)(shape)
+        for at, ((h, i), _, labels, coef, weight, _) in zip(positions, head_rows):
+            if labels is None:
+                labels = np.argmax(log_probs[1 - h, i], axis=1)
+            # weight * (-coef * one-hot labels) / rows
+            onehot = self.onehot(labels)
+            row = g[at]
+            np.multiply(-coef, onehot, out=row)
+            row *= weight
+            row /= onehot.shape[0]
+        g -= prob[..., None, :, :] * dc.row_sum(g)[..., None]
+        coefs = {name: c for _, name, _, c in rows}
+        flat, adjoint = _backprop(
+            heads, tape, g, params=any(coefs[name][block] is not None
+                                       for _, name, *_, block in head_rows),
+            to_input=any(coefs[name][0] is not None for _, name, *_ in head_rows))
+        feats = {}
+        for at, (_, name, *_, block) in zip(positions, head_rows):
+            if coefs[name][block] is not None:
+                shares[name][block] = flat[at]
+            if coefs[name][0] is not None:
+                feats.setdefault(name, []).append(adjoint[at])
+
+        rep_rows = [((i,), name) for i, name, _, c in rows if c[0] is not None]
+        if not rep_rows:
+            return
+        positions, k = _grid([at for at, _ in rep_rows])
+        n_passes = len(xs)
+        if n_passes == k == 1:
+            # a pass's one row: its feature adjoint is the grid
+            g = feats[rep_rows[0][1]][0]
+            for other in feats[rep_rows[0][1]][1:]:
+                g += other
+            g = g[None, None]
+        else:
+            g = np.zeros((n_passes, k) + adjoint.shape[-2:])
+            for at, (_, name) in zip(positions, rep_rows):
+                g[at] = feats[name][0]
+                for other in feats[name][1:]:
+                    g[at] += other
+        flat, _ = _backprop(self.rep, rep_tape, g, to_input=False)
+        for at, (_, name) in zip(positions, rep_rows):
+            shares[name][0] = flat[at]
 
 
 def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
@@ -589,10 +702,10 @@ def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
     """One step of mini-max gradient assembly; returns flat (g_u, g_v, g_vp),
     each None when that block receives no gradient.
 
-    A hand-written forward and backward pass equal bit for bit to
-    reference_gradients, dropout masks and penalty draws included.  Each
-    term computes only the blocks its row of StepCoefficients.terms()
-    reaches, and the values those read; with a one-layer critic the
+    A hand-written forward and backward pass over stacked batches, equal
+    bit for bit to reference_gradients, dropout masks and penalty draws
+    included.  A stacked backward computes a result only when a term's row
+    of StepCoefficients.terms() reaches it; with a one-layer critic the
     penalty draws no interpolates and advances rng_penalty instead.
     Batches are taken as finite: run checks them once, before training."""
     if model.arch.mode != "classification":
@@ -606,50 +719,61 @@ def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
         alpha = risks.check_simplex(alpha, n=len(source_batches))
     step = _Step(model, rng_dropout)
 
-    def share(name, weights):
+    # each risk term's pass and head rows, (critic?, labels, coef, weight):
+    # "... target" on the labeled target batch, "... source" on the sources,
+    # "critic ..." under the critic's head, and pseudo under both
+    reads = {}
+    for name, weights in coefs.terms():
         if name == "pseudo":
-            # pseudo labels from the dropout-free forward at the current parameters
-            evaluation = step.forward("unlabeled", unlabeled_x, train=False)
-            y_hat = np.argmax(evaluation.head(False)[1], axis=1)
-            y_hat_dup = np.argmax(evaluation.head(True)[1], axis=1)
-            fwd = step.forward("unlabeled", unlabeled_x)
-            g_vp, g_feat = step.nll(fwd, True, y_hat, coef=float(cfg.w1_discri_coef1))
-            g_v, g_feat_main = step.nll(fwd, False, y_hat_dup, coef=float(cfg.w1_discri_coef2))
-            g_feat += g_feat_main
-            return fwd.rep_grads(g_feat), g_v, g_vp
-        if name == "penalty":
-            # the penalty pairs the target batch with the concatenated
-            # sources, up to the shorter of the two
-            target_x = unlabeled_x if coefs.uses_unlabeled else target_batch[0]
-            n = min(target_x.shape[0], sum(x.shape[0] for x, _ in source_batches))
-            critic = step.heads[True]
-            if len(critic) == 1:
-                # no gate reads the interpolates; interpolate_features'
-                # uniform() spends one PCG64 output per draw
-                rng_penalty.bit_generator.advance(n)
-                return None, None, _penalty_grads(critic, n)
-            # a hidden critic layer's gates read them, though the target
-            # batch meets only the first rows of the concatenated sources
-            # (source 1's batch when the batch sizes are equal)
-            tgt_feats = step.forward("unlabeled" if coefs.uses_unlabeled else "target",
-                                     target_x, train=False).feat
-            src_x = np.concatenate([x for x, _ in source_batches])
-            src_feats = step.forward("all sources", src_x, train=False).feat
-            x_int = risks.interpolate_features(tgt_feats, src_feats, rng_penalty)
-            return None, None, _penalty_grads(critic, n, x_int)
-        # the four risk terms: "... target" on the labeled target batch,
-        # "... source" on the sources; "critic ..." under the critic's head
-        dup = "critic" in name
-        if name.endswith("target"):
-            fwd, labels, weight = step.forward("target", target_batch[0]), target_batch[1], 1.0
+            # pseudo labels from the dropout-free forward at the current
+            # parameters, each head's from the other's argmax: the pass's
+            # own (labels None), or under dropout one mask-free evaluation
+            # forward beside the stacks
+            labels = (None, None)
+            if step.rng is not None:
+                labels = [np.argmax(log_probs, axis=1)
+                          for log_probs in model.outputs(unlabeled_x, dups=(False, True))]
+            heads = [(True, labels[0], float(cfg.w1_discri_coef1), 1.0),
+                     (False, labels[1], float(cfg.w1_discri_coef2), 1.0)]
+            reads[name] = (step.add("unlabeled", unlabeled_x), heads, weights)
+        elif name.endswith("target"):
+            heads = [("critic" in name, target_batch[1], 1.0, 1.0)]
+            reads[name] = (step.add("target", target_batch[0]), heads, weights)
         else:
-            fwd, labels = step.last_source(source_batches), source_batches[-1][1]
+            # Known fault, reproduced on purpose: dc.flatten_grads assigns
+            # each named gradient instead of adding it, and
+            # risks.source_risk_graph gives every source its own parameter
+            # nodes, so the graph path's source-risk gradients hold only the
+            # last source's batch, scaled by that source's weight.  For
+            # earlier sources the dropout generator only advances past the
+            # draws of their masks, after the last source's, as the graph's
+            # topological order draws them.
+            x, y = source_batches[-1]
             weight = 1.0 / len(source_batches) if name == "critic source" else float(alpha[-1])
-        head, g_feat = step.nll(fwd, dup, labels, weight=weight,
-                                params=weights[2 if dup else 1] is not None,
-                                to_input=weights[0] is not None)
-        g_u = None if g_feat is None else fwd.rep_grads(g_feat)
-        return (g_u, None, head) if dup else (g_u, head, None)
+            heads = [("critic" in name, y, 1.0, weight)]
+            reads[name] = (step.add("source", x, source_batches[:-1]), heads, weights)
+    shares = step.gradients(reads)
+
+    def share(name, weights):
+        if name != "penalty":
+            return shares[name]
+        # the penalty pairs the target batch with the concatenated sources,
+        # up to the shorter of the two
+        target_x = unlabeled_x if coefs.uses_unlabeled else target_batch[0]
+        n = min(target_x.shape[0], sum(x.shape[0] for x, _ in source_batches))
+        critic = step.heads[True]
+        if len(critic) == 1:
+            # no gate reads the interpolates; interpolate_features' uniform()
+            # spends one PCG64 output per draw
+            rng_penalty.bit_generator.advance(n)
+            return None, None, _penalty_grads(critic, n)
+        # a hidden critic layer's gates read them, though the target batch
+        # meets only the first rows of the concatenated sources (source 1's
+        # batch when the batch sizes are equal)
+        src_x = np.concatenate([x for x, _ in source_batches])
+        x_int = risks.interpolate_features(model.represent(target_x), model.represent(src_x),
+                                           rng_penalty)
+        return None, None, _penalty_grads(critic, n, x_int)
 
     return _assemble(coefs, cfg, share)
 

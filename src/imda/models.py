@@ -16,6 +16,14 @@ from . import diffcore as dc
 # evaluation never holds more than one block of hidden activations
 EVAL_ROWS = 4096
 
+# rows per stack of the fused training step (harness.assemble_gradients):
+# passes of one row count go through one (passes, rows, width) forward and
+# backward while the stack holds at most this many rows, and a larger pass
+# is a stack of one.  Small stacks save numpy calls; a stack of 768 rows or
+# more ran slower than its passes one by one, its temporaries the larger
+# cost (a sweep of 256-1024 at batches of 20-300 rows)
+STACK_ROWS = 512
+
 # the parameter blocks of a ModelTriple in gradient order (u, v, v'), as
 # error messages name them
 BLOCK_NAMES = {"rep": "representation", "pred": "predictor", "dup": "critic"}

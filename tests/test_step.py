@@ -36,6 +36,16 @@ REGIMES = {
     "linear_rep": ["mode=semi", "rep_activation=linear"],
     "linear_rep_dropout": ["mode=semi", "rep_activation=linear", "dropout=0.1"],
 }
+# batches above the stack budget, so every pass is a stack of one; the sets
+# are large enough for full batches and end each epoch on a short one
+_LARGE = models.STACK_ROWS + 1
+REGIMES.update({
+    "above_budget": ["mode=semi", f"batch_size={_LARGE}", f"domain_size={4 * _LARGE}",
+                     f"labeled_target_size={2 * _LARGE + 7}"],
+    "above_budget_penalty_dropout": ["mode=unsupervised", "dropout=0.1",
+                                     "interp_penalty_weight=0.1", f"batch_size={_LARGE}",
+                                     f"domain_size={4 * _LARGE}"],
+})
 
 
 def same(a, b):
@@ -48,9 +58,11 @@ def compare_on_the_way(monkeypatch):
     """Patch the run's step to compute both paths from identically seeded
     rngs, record every disagreement, and train on the fused gradients."""
     fused = harness.assemble_gradients
-    log = {"steps": 0, "diffs": []}
+    log = {"steps": 0, "diffs": [], "rows": []}
 
     def both(model, coefs, alpha, target, unlabeled, sources, cfg, rng_dropout, rng_penalty):
+        log["rows"].append(tuple(None if x is None else x.shape[0] for x in
+                                 (target and target[0], unlabeled, sources[-1][0])))
         ref_dropout, ref_penalty = copy.deepcopy(rng_dropout), copy.deepcopy(rng_penalty)
         ref = harness.reference_gradients(model, coefs, alpha, target, unlabeled, sources,
                                           cfg, ref_dropout, ref_penalty)
@@ -76,6 +88,69 @@ def test_fused_equals_reference_on_evolving_states(regime, tmp_path, monkeypatch
     run(parse_config(overrides=STEPS + REGIMES[regime] + [f"outdir={tmp_path}"]))
     assert log["steps"] >= 200
     assert log["diffs"] == []
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_fused_equals_reference_when_the_batch_exceeds_the_labeled_target_set(
+        dropout, tmp_path, monkeypatch):
+    """Every target batch has 15 rows and the other batches 20, so each step
+    forwards two stacks of different row counts."""
+    log = compare_on_the_way(monkeypatch)
+    overrides = STEPS + ["mode=semi", "labeled_target_size=15", f"dropout={dropout}",
+                         "interp_penalty_weight=0.1", "epochs=1", f"outdir={tmp_path}"]
+    with pytest.warns(UserWarning, match="exceeds set size"):
+        run(parse_config(overrides=overrides))
+    assert {target for target, _, _ in log["rows"]} == {15}
+    assert log["steps"] == 70 and log["diffs"] == []
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_fused_equals_reference_on_an_epochs_short_final_batch(dropout, tmp_path, monkeypatch):
+    """210 unlabeled and 50 labeled target rows end their epochs on batches
+    of 10, beside full batches of the other sets."""
+    log = compare_on_the_way(monkeypatch)
+    overrides = STEPS + ["mode=semi", "domain_size=210", "labeled_target_size=50",
+                         f"dropout={dropout}", "epochs=1", f"outdir={tmp_path}"]
+    run(parse_config(overrides=overrides))
+    assert (10, 20) in {(target, unlabeled) for target, unlabeled, _ in log["rows"]}
+    assert (20, 10) in {(target, unlabeled) for target, unlabeled, _ in log["rows"]}
+    assert log["steps"] == 70 and log["diffs"] == []
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_a_small_step_forwards_one_stack_and_a_large_one_stacks_of_one(dropout, monkeypatch):
+    """A semi step reads the target, unlabeled and source batches; with
+    dropout every one of its six terms has its own pass.  At 20 rows they
+    all go through one stacked representation forward; above
+    models.STACK_ROWS each pass is a stack of one."""
+    cfg = parse_config(overrides=["mode=semi", f"dropout={dropout}"])
+    coefs = harness.StepCoefficients.from_config(cfg)
+    n_passes = 6 if dropout else 3
+    assert n_passes * 20 <= models.STACK_ROWS
+    taped = harness._taped
+    for rows, expected in ((20, [(n_passes, 20, 2)]),
+                           (models.STACK_ROWS + 1, [(1, models.STACK_ROWS + 1, 2)] * n_passes)):
+        arch = models.ArchSpec(rep_widths=(2, 8, 4), pred_widths=(4, 2), dropout_rate=dropout)
+        model = models.ModelTriple.init(arch, seed=0)
+        r = np.random.default_rng(0)
+        batch = lambda: (r.standard_normal((rows, 2)), r.integers(0, 2, rows))
+        args = (model, coefs, np.array([0.25, 0.75]), batch(), r.standard_normal((rows, 2)),
+                [batch(), batch()], cfg)
+        shapes = []
+
+        def spy(layers, h, masks=None):
+            if layers is model.layers("rep"):
+                shapes.append(h.shape)
+            return taped(layers, h, masks)
+
+        rngs = [[np.random.default_rng(k) for k in range(2)] for _ in range(2)]
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, "_taped", spy)
+            fused = harness.assemble_gradients(*args, *rngs[0])
+        assert shapes == expected
+        ref = harness.reference_gradients(*args, *rngs[1])
+        assert all(same(a, b) for a, b in zip(fused, ref))
+        assert all(a.bit_generator.state == b.bit_generator.state for a, b in zip(*rngs))
 
 
 @pytest.mark.parametrize("mode", ["supervised", "unsupervised", "semi"])
@@ -125,13 +200,37 @@ def test_run_outputs_byte_identical_to_reference_run(mode, tmp_path, monkeypatch
 
 def test_tape_keeps_a_linear_layers_pre_activation_under_dropout():
     """A linear layer's output is its pre-activation until the mask
-    multiplies it; the tape row must keep the unmasked pre-activation."""
+    multiplies it; the tape row must keep the unmasked pre-activation, and
+    each slice of the stack must be the bytes of its own 2-D pass."""
     r = np.random.default_rng(0)
-    w, b, x = r.standard_normal((3, 4)), r.standard_normal(4), r.standard_normal((5, 3))
-    tape, out = harness._taped([(w, b, False)], x, 0.5, np.random.default_rng(1))
-    (h, pre, drawn), = tape
-    assert h is x and np.array_equal(pre, x @ w + b)
-    assert np.array_equal(out, pre * drawn)
+    w, b = r.standard_normal((3, 4)), r.standard_normal(4)
+    for rows in (5, 1):
+        x = r.standard_normal((2, rows, 3))
+        mask = (r.random((2, rows, 4)) < 0.5) / 0.5
+        tape, out = harness._taped([(w, b, False)], x, [mask])
+        (h, pre, drawn), = tape
+        assert h is x and drawn is mask
+        for i in range(2):
+            assert pre[i].tobytes() == (x[i] @ w + b).tobytes()
+            assert out[i].tobytes() == ((x[i] @ w + b) * mask[i]).tobytes()
+
+
+def test_stacked_forward_and_log_softmax_equal_their_slices():
+    """A stack's forward, log-probabilities and softmax are, slice by slice,
+    the bytes of each pass alone, for 1-row passes (numpy's vector-matrix
+    product) and for 9 classes (pairwise row sums) too."""
+    r = np.random.default_rng(1)
+    layers = [(r.standard_normal((2, 6)), r.standard_normal(6), True),
+              (r.standard_normal((6, 9)), r.standard_normal(9), False)]
+    for passes, rows in ((3, 7), (4, 1), (1, 5)):
+        x = r.standard_normal((passes, rows, 2))
+        _, logits = harness._taped(layers, x)
+        logp, p = dc.log_softmax_rows(logits)
+        for i in range(passes):
+            alone = models._forward(layers, x[i])
+            assert logits[i].tobytes() == alone.tobytes()
+            assert logp[i].tobytes() == dc.log_softmax_rows(alone)[0].tobytes()
+            assert p[i].tobytes() == dc.log_softmax_rows(alone)[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +255,15 @@ def test_one_layer_critic_penalty_draws_no_interpolates(mode, dropout, monkeypat
     """With run's one-layer critic the fused step neither mixes
     interpolates nor forwards the concatenated sources, and still leaves
     rng_penalty where the reference's draws leave it."""
-    taped = harness._taped
+    taped, represent = harness._taped, models.ModelTriple.represent
 
     def no_concatenated_forward(layers, h, *args):
-        assert h is None or h.shape[0] != 13, "forward of the concatenated sources"
+        assert h is None or h.shape[-2] != 13, "forward of the concatenated sources"
         return taped(layers, h, *args)
+
+    def no_concatenated_represent(model, x):
+        assert x.shape[0] != 13, "forward of the concatenated sources"
+        return represent(model, x)
 
     def no_interpolates(*args):
         raise AssertionError("interpolate_features called")
@@ -172,6 +275,7 @@ def test_one_layer_critic_penalty_draws_no_interpolates(mode, dropout, monkeypat
         with monkeypatch.context() as patched:
             patched.setattr(risks, "interpolate_features", no_interpolates)
             patched.setattr(harness, "_taped", no_concatenated_forward)
+            patched.setattr(models.ModelTriple, "represent", no_concatenated_represent)
             fused = harness.assemble_gradients(*args, *rngs[0])
         assert fused[2] is not None
         assert all(same(a, b) for a, b in zip(fused, ref))
@@ -198,54 +302,77 @@ def test_hidden_critic_layer_draws_interpolates_once_per_step(mode, monkeypatch)
 @given(rows=st.integers(1, 9), width=st.integers(1, 9),
        shape=st.lists(st.tuples(st.integers(1, 9), st.booleans(), st.booleans()),
                       min_size=1, max_size=3),
+       reads=st.lists(st.integers(0, 2), min_size=1, max_size=5),
        seed=st.integers(0, 2**32 - 1))
-def test_backprop_writes_the_graph_gradients_into_the_flat_layout(rows, width, shape, seed):
-    """_backprop's flat gradient and input adjoint are, bit for bit, those
-    dc.backward gives the same layers' graph (affine, then ReLU, then a
-    mask, each as drawn); a skipped result is None, never zeros."""
+def test_backprop_writes_the_graph_gradients_into_the_flat_layout(rows, width, shape, reads,
+                                                                 seed):
+    """Each row of a stacked _backprop, its flat gradient and input adjoint,
+    is bit for bit what dc.backward gives that row's own graph (affine,
+    then ReLU, then a mask, each as drawn, on the pass the row reads), for
+    1 to 5 rows whose pass indices repeat and come in any order; a skipped
+    result is None, never zeros."""
     r = np.random.default_rng(seed)
+    n_passes = max(reads) + 1
     # zero input rows and zero bias entries give pre-activations of exactly 0,
     # where a ReLU gate must read > 0, as the graph's does
-    zeroed = lambda a: np.where(r.random(a.shape[0]) < 0.3, 0.0, a.T).T
+    zeroed = lambda a: np.where(r.random(a.shape[-1]) < 0.3, 0.0, a)
     named, masks, din = [], [], width
     for i, (dout, _, masked) in enumerate(shape):
         named += [(f"w{i}", r.standard_normal((din, dout))),
                   (f"b{i}", zeroed(r.standard_normal(dout)))]
-        masks.append((r.random((rows, dout)) < 0.7) / 0.7 if masked else None)
+        masks.append([(r.random((rows, dout)) < 0.7) / 0.7 for _ in range(n_passes)]
+                     if masked else None)
         din = dout
     vector = dc.ParameterVector.from_arrays(named)
     layers = [(vector.view(f"w{i}"), vector.view(f"b{i}"), relu)
               for i, (_, relu, _) in enumerate(shape)]
-    x, seed_g = zeroed(r.standard_normal((rows, width))), r.standard_normal((rows, din))
+    xs = [zeroed(r.standard_normal((rows, width)).T).T for _ in range(n_passes)]
+    seeds = [r.standard_normal((rows, din)) for _ in reads]
 
-    h = x_node = dc.const(x)
-    nodes = []
-    for i, ((w, b, relu), mask) in enumerate(zip(layers, masks)):
-        w_node, b_node = dc.param(w), dc.param(b)
-        nodes += [(f"w{i}", w_node), (f"b{i}", b_node)]
-        h = dc.affine(h, w_node, b_node)
-        if relu:
-            h = dc.relu(h)
-        if mask is not None:
-            h = dc.mask(h, mask)
-    root = dc.masked_mean(h, seed_g)
-    dc.forward(root)
-    expected = dc.flatten_grads(dc.backward(root), nodes, vector)
+    expected = []
+    for p, seed_g in zip(reads, seeds):
+        h = x_node = dc.const(xs[p])
+        nodes = []
+        for i, ((w, b, relu), mask) in enumerate(zip(layers, masks)):
+            w_node, b_node = dc.param(w), dc.param(b)
+            nodes += [(f"w{i}", w_node), (f"b{i}", b_node)]
+            h = dc.affine(h, w_node, b_node)
+            if relu:
+                h = dc.relu(h)
+            if mask is not None:
+                h = dc.mask(h, mask[p])
+        root = dc.masked_mean(h, seed_g)
+        dc.forward(root)
+        expected.append((dc.flatten_grads(dc.backward(root), nodes, vector), x_node.adjoint))
 
-    tape, h = [], x
-    for (w, b, relu), mask in zip(layers, masks):
-        pre = h @ w + b
-        out = np.maximum(pre, 0.0) if relu else pre
-        tape.append((h, pre, mask))
-        h = out if mask is None else out * mask
-    g = lambda: 1.0 * seed_g / rows  # masked_mean's adjoint; _backprop overwrites it
+    # each pass's tape from its own 2-D forward, then stacked
+    tape, hs = [], xs
+    for i, (w, b, relu) in enumerate(layers):
+        pres = [h @ w + b for h in hs]
+        outs = [np.maximum(pre, 0.0) if relu else pre for pre in pres]
+        if masks[i] is not None:
+            outs = [out * mask for out, mask in zip(outs, masks[i])]
+        tape.append((np.stack(hs), np.stack(pres),
+                     None if masks[i] is None else np.stack(masks[i])))
+        hs = outs
+    positions, k = harness._grid([(p,) for p in reads])
+    assert sorted(positions) == [(p, j) for p in range(n_passes)
+                                 for j in range(reads.count(p))]
 
-    flat, adjoint = harness._backprop(layers, tape, g())
-    assert flat.tobytes() == expected.tobytes()
-    assert adjoint.tobytes() == x_node.adjoint.tobytes()
-    skipped, only_adjoint = harness._backprop(layers, tape, g(), params=False)
+    def grid():  # masked_mean's adjoints; _backprop overwrites the grid
+        g = np.zeros((n_passes, k, rows, din))
+        for at, seed_g in zip(positions, seeds):
+            g[at] = 1.0 * seed_g / rows
+        return g
+
+    flat, adjoint = harness._backprop(layers, tape, grid())
+    assert flat.shape == (n_passes, k, vector.values.size)
+    for at, (want_flat, want_adjoint) in zip(positions, expected):
+        assert flat[at].tobytes() == want_flat.tobytes()
+        assert adjoint[at].tobytes() == want_adjoint.tobytes()
+    skipped, only_adjoint = harness._backprop(layers, tape, grid(), params=False)
     assert skipped is None and only_adjoint.tobytes() == adjoint.tobytes()
-    only_flat, skipped = harness._backprop(layers, tape, g(), to_input=False)
+    only_flat, skipped = harness._backprop(layers, tape, grid(), to_input=False)
     assert skipped is None and only_flat.tobytes() == flat.tobytes()
 
 
