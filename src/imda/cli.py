@@ -70,9 +70,11 @@ def _cmd_check(args):
     # also runs under the one-layer critic run builds, whose penalty draws
     # no interpolates.  Each runs on batches of 6 rows, on ragged batches
     # (target 6, unlabeled 4, sources 6 and 5: stacks of different row
-    # counts) and on batches of one row (numpy's vector-matrix product)
+    # counts), on batches of one row (numpy's vector-matrix product) and on
+    # batches of 100 rows, where a semi step's six passes split over two
+    # stacks
     ok = True
-    shapes = ((6, 6, (6, 6)), (6, 4, (6, 5)), (1, 1, (1, 1)))
+    shapes = ((6, 6, (6, 6)), (6, 4, (6, 5)), (1, 1, (1, 1)), (100, 100, (100, 100)))
     penalty = "interp_penalty_weight=0.1"
     for regime, dropout, activation, pred_widths in (
             (["mode=supervised", penalty], 0.0, "relu", (4, 5, 3)),

@@ -35,18 +35,16 @@ the interpolates set its ReLU gates, and both paths draw them.
 
 The fused step (assemble_gradients) computes every term's share from
 stacked passes and gives the bytes of its graph reference
-(reference_gradients).  A pass is one batch through the representation;
-without dropout the terms that read one batch share its pass, and with
-dropout every term has its own, masks drawn in term order.  Passes of one
-row count go through one 3-D forward while the stack holds at most
-models.STACK_ROWS rows (small batches, where numpy's per-call overhead and
-not arithmetic sets the time); a larger pass is a stack of one.  The
-predictor and the critic run as one stacked head forward.  The backward of
-a stack takes all of its terms' head adjoints through one stacked head
-backward and their feature adjoints through one stacked representation
-backward.  Pseudo labels come from the dropout-free forward: the pass
-itself, or under dropout one ModelTriple.outputs evaluation kept out of
-the masked stack.
+(reference_gradients).  As in the reference, every term has its own pass,
+one forward of its batch through the representation, with its dropout
+masks drawn in term order.  Passes of one row count go through one 3-D
+forward while the stack holds at most models.STACK_ROWS rows (small
+batches, where numpy's per-call overhead and not arithmetic sets the
+time); a larger pass is a stack of one.  The predictor and the critic run
+as one stacked head forward, and the backward of a stack is one stacked
+head backward and one stacked representation backward.  Pseudo labels
+come from the dropout-free forward: the pass itself, or under dropout one
+ModelTriple.outputs evaluation kept out of the masked stack.
 
 u and v descend with noise injection, v' ascends without; the ledger
 accumulates eta^2 ||G||^2 / (2 sigma^2) for the u and v blocks.
@@ -273,7 +271,7 @@ def parse_config(path=None, overrides=()):
 
 def _solves_alpha(cfg, n_sources):
     """Whether a run of cfg over n_sources sources solves for domain weights."""
-    return cfg.alignment and n_sources > 1 and cfg.epochs > cfg.warmup_epochs
+    return cfg.alignment and n_sources > 1 and cfg.epochs >= max(cfg.warmup_epochs, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +390,21 @@ class StepCoefficients:
         return [(name, weights) for name, coef, weights in table if coef > 0.0]
 
 
+# each risk term's reads, keyed by its StepCoefficients.terms() name: the
+# batch ("target", "unlabeled" or "sources"), the heads, True for the
+# critic's (pseudo reads both, the critic's with w1_discri_coef1 and the
+# predictor's with w1_discri_coef2), and the weights over the sources
+# ("alpha", or "uniform"; None for the target sets).  Both step paths read it.
+_TERM_READS = {
+    "target": ("target", (False,), None),
+    "critic target": ("target", (True,), None),
+    "pseudo": ("unlabeled", (True, False), None),
+    "source": ("sources", (False,), "alpha"),
+    "reversed critic source": ("sources", (True,), "alpha"),
+    "critic source": ("sources", (True,), "uniform"),
+}
+
+
 def _assemble(coefs, cfg, share):
     """(g_u, g_v, g_vp): every active term's shares scaled by its
     coefficients and summed in table order, then the interpolation penalty
@@ -415,16 +428,15 @@ def _assemble(coefs, cfg, share):
 # reference's bit for bit.  It performs them on stacks: the step's passes of
 # one row count go through one (passes, rows, width) forward while the stack
 # holds at most models.STACK_ROWS rows, the predictor and the critic go
-# through one forward on a leading head axis, and each backward lays its
-# rows out on leading axes (_grid).  Two facts about numpy keep every slice
-# of a stack the bytes of its own 2-D pass: matmul multiplies each slice of
-# a stack with the same BLAS call it makes for that slice alone (a one-row
-# slice with the vector-matrix product, as a one-row batch), and a
-# reduction over the row axis adds the rows in order, slice by slice.  Two
-# facts about the graphs make the step hold without following their own
-# traversal: a node with two consumers sums just two adjoints
-# (floating-point addition commutes), and masked_mean's adjoint is
-# float(g) * mask / n.
+# through one forward on a leading head axis, and each backward keeps its
+# forward's leading axes.  Two facts about numpy keep every slice of a stack
+# the bytes of its own 2-D pass: matmul multiplies each slice of a stack
+# with the same BLAS call it makes for that slice alone (a one-row slice
+# with the vector-matrix product, as a one-row batch), and a reduction over
+# the row axis adds the rows in order, slice by slice.  Two facts about the
+# graphs make the step hold without following their own traversal: a node
+# with two consumers sums just two adjoints (floating-point addition
+# commutes), and masked_mean's adjoint is float(g) * mask / n.
 
 
 def _grad_slots(layers, lead=()):
@@ -465,39 +477,23 @@ def _taped(layers, h, masks=None):
     return tape, h
 
 
-def _grid(passes):
-    """(positions, k): the layout of a stacked backward's rows, one per
-    entry of passes (the index tuple of the pass a row reads, in any
-    order), as a grid of shape (..., k, rows, width) whose [*pass, j] holds
-    the j-th row that reads that pass.  A pass read by fewer than k rows
-    leaves its other slots free: they hold zeros, and nothing reads their
-    results."""
-    positions, count = [], {}
-    for p in passes:
-        j = count.get(p, 0)
-        positions.append(p + (j,))
-        count[p] = j + 1
-    return positions, max(count.values())
-
-
 def _backprop(layers, tape, g, params=True, to_input=True):
     """(flat parameter gradients, input adjoints) of the taped stack from
-    the output adjoints g, a grid (_grid) whose leading axes are the
-    tape's, which it overwrites; the results keep the grid's leading axes.
+    its output adjoints g, which it overwrites.  g and the results carry the
+    stack's leading axes, which the tape's arrays and the layers' weights
+    broadcast against.
 
-    Each tape array and weight gains a length-1 axis in the grid's k place,
-    so the rows that read one pass share its tape by broadcasting, never by
-    a copy.  Each layer's weight and bias gradients are written straight
-    into their slots of the flat gradients (_grad_slots); a layer's mask
-    multiplies the adjoint before its ReLU gate, as in the graph.
-    params=False skips the parameter gradients and to_input=False the input
-    adjoints; a skipped result is None.  The penalty alone does not come
-    through here: _penalty_grads builds its critic gradient, under a
-    one-layer critic from the batch size alone."""
+    Each layer's weight and bias gradients are written straight into their
+    slots of the flat gradients (_grad_slots); a layer's mask multiplies the
+    adjoint before its ReLU gate, as in the graph.  params=False skips the
+    parameter gradients and to_input=False the input adjoints; a skipped
+    result is None.  The penalty alone does not come through here:
+    _penalty_grads builds its critic gradient, under a one-layer critic
+    from the batch size alone."""
     flat, slots = _grad_slots(layers, g.shape[:-2]) if params else (None, None)
     for i in reversed(range(len(layers))):
         w, _, relu = layers[i]
-        h, pre, drawn = (None if a is None else a[..., None, :, :] for a in tape[i])
+        h, pre, drawn = tape[i]
         if drawn is not None:
             g *= drawn
         if relu:
@@ -505,7 +501,7 @@ def _backprop(layers, tape, g, params=True, to_input=True):
         if params:
             np.matmul(h.swapaxes(-1, -2), g, out=slots[i][0])
             np.sum(g, axis=-2, out=slots[i][1])
-        g = g @ w[..., None, :, :].swapaxes(-1, -2) if i or to_input else None
+        g = g @ w.swapaxes(-1, -2) if i or to_input else None
     return flat, g
 
 
@@ -539,11 +535,11 @@ def _penalty_grads(layers, n, x_int=None):
 
 
 class _Step:
-    """The passes of one step, forwarded and differentiated in stacks (the
-    module docstring).  The masks are drawn pass by pass in term order, as
-    the graphs draw them, and a stack is forwarded and differentiated as
-    soon as its last pass's masks are drawn, so a step above the budget
-    holds one pass's tape at a time."""
+    """The passes of one step, one per term, forwarded and differentiated in
+    stacks (the module docstring).  The masks are drawn pass by pass in term
+    order, as the graphs draw them, and a stack is forwarded and
+    differentiated as soon as its last pass's masks are drawn, so a step
+    above the budget holds one pass's tape at a time."""
 
     def __init__(self, model, rng_dropout):
         self.rate = model.arch.dropout_rate
@@ -551,17 +547,7 @@ class _Step:
         self.rep = model.layers("rep")
         self.heads = {False: model.layers("pred"), True: model.layers("dup")}
         self.n_classes = model.arch.n_outputs
-        self.passes = []  # (batch, earlier source batches whose draws follow its masks)
-        self._keys = {}
         self._onehots = {}
-
-    def add(self, key, x, skipped=()):
-        """The index of a pass over batch x; without dropout, every term
-        that names one key reads one pass."""
-        if self.rng is not None or key not in self._keys:
-            self._keys[key] = len(self.passes)
-            self.passes.append((x, skipped))
-        return self._keys[key]
 
     def onehot(self, labels):
         # keyed by identity; the entry holds the labels, so the id stays theirs
@@ -570,27 +556,23 @@ class _Step:
             hit = self._onehots[id(labels)] = (labels, risks._onehot(labels, self.n_classes))
         return hit[1]
 
-    def gradients(self, reads):
-        """{term: [g_u, g_v, g_vp]} of the terms in reads, term -> (pass,
-        head rows, coefficients), a head row being (critic or not, labels,
-        coef, weight).  Only the results the coefficients reach are not
-        None (_stack)."""
+    def gradients(self, passes):
+        """{term: [g_u, g_v, g_vp]} of the passes, each (term, batch, head
+        rows, coefficients, earlier source batches whose draws follow its
+        masks), a head row being (critic or not, labels, coef, weight).
+        Only the results the coefficients reach are not None (_stack)."""
         open_stacks, stacks, at = {}, [], []
-        for p, (x, _) in enumerate(self.passes):
-            n = x.shape[0]
+        for member in passes:
+            n = member[1].shape[0]
             s = open_stacks.get(n)
             if s is None or (len(stacks[s]) + 1) * n > models.STACK_ROWS:
                 s = open_stacks[n] = len(stacks)
                 stacks.append([])
             at.append((s, len(stacks[s])))
-            stacks[s].append(p)
-        shares = {name: [None, None, None] for name in reads}
-        rows = [[] for _ in stacks]
-        for name, (p, heads, coefs) in reads.items():
-            rows[at[p][0]].append((at[p][1], name, heads, coefs))
+            stacks[s].append(member)
+        shares = {name: [None, None, None] for name, *_ in passes}
         masks, left = {}, [len(members) for members in stacks]
-        for p, (x, skipped) in enumerate(self.passes):
-            s, i = at[p]
+        for (s, i), (_, x, *_, skipped) in zip(at, passes):
             if self.rng is not None:
                 if s not in masks:
                     masks[s] = [np.empty((len(stacks[s]), x.shape[0], w.shape[1]))
@@ -605,27 +587,28 @@ class _Step:
                         self.rng.bit_generator.advance(x_skipped.shape[0] * w.shape[1])
             left[s] -= 1
             if not left[s]:
-                self._stack([self.passes[q][0] for q in stacks[s]], masks.pop(s, None),
-                            rows[s], shares)
+                self._stack(stacks[s], masks.pop(s, None), shares)
         return shares
 
-    def _stack(self, xs, masks, rows, shares):
-        """Forward the stack of batches xs and write the shares of its
-        terms, rows of (pass in the stack, term, head rows, coefficients).
+    def _stack(self, passes, masks, shares):
+        """Forward a stack of passes (gradients) and write their terms'
+        shares.
 
         One forward of the representation, with the masks' inverted dropout,
-        then one of the heads the rows read, the predictor's and the
+        then one of the heads the passes read, the predictor's and the
         critic's layers stacked along a leading axis (they share one
         architecture).
 
         A head row stands for weight * the batch mean of -coef * log
         p(label) under its head; a pseudo row's labels (None) are the other
-        head's argmax on the pass.  All the head rows go through one stacked
-        backward of the heads, and each term's feature adjoint, the sum of
-        its head rows' input adjoints (two at most, whose sum commutes),
-        through one of the representation (_backprop).  A backward computes
-        a result for all of its rows when any row's coefficients reach it.
-        The log-softmax adjoint uses the softmax kept by the forward, which
+        head's argmax on the pass.  The head rows go through one stacked
+        backward of the heads, whose (head, pass) slot holds one row, or
+        zeros when the pass does not read the head.  The representation's
+        stacked backward (_backprop) then reads each pass's feature adjoint
+        from its head row's input adjoint, to which the pseudo pass adds its
+        second head's (a sum that commutes).  A backward computes a result
+        for all of its passes when any pass's coefficients reach it.  The
+        log-softmax adjoint uses the softmax kept by the forward, which
         equals the one diffcore recomputes from the logits."""
         if masks is not None:
             keep = 1.0 - self.rate
@@ -633,68 +616,51 @@ class _Step:
                 np.less(mask, keep, out=mask)
                 # the entries are 0 and 1, so this gives the bits of / keep
                 mask *= 1.0 / keep
-        rep_tape, feat = _taped(self.rep, xs[0][None] if len(xs) == 1 else np.array(xs),
-                                masks)
-        dups = tuple(sorted({dup for *_, heads, _ in rows for dup, *_ in heads}))
-        if len(dups) == 1:
-            heads = [(w[None, None], b[None, None, None], relu)
-                     for w, b, relu in self.heads[dups[0]]]
-        else:
-            heads = [(np.array([w for w, _, _ in layer])[:, None],
-                      np.array([b for _, b, _ in layer])[:, None, None], layer[0][2])
-                     for layer in zip(self.heads[False], self.heads[True])]
+        rep_tape, feat = _taped(self.rep, np.array([x for _, x, *_ in passes]), masks)
+        dups = sorted({dup for _, _, rows, *_ in passes for dup, *_ in rows})
+        heads = [(np.array([w for w, _, _ in layer])[:, None],
+                  np.array([b for _, b, _ in layer])[:, None, None], layer[0][2])
+                 for layer in zip(*(self.heads[dup] for dup in dups))]
         tape, logits = _taped(heads, feat)
         log_probs, prob = dc.log_softmax_rows(logits)
 
-        # [((head, pass), term, labels, coef, weight, block)]
-        head_rows = [((dups.index(dup), i), name, labels, coef, weight, 2 if dup else 1)
-                     for i, name, heads_read, _ in rows
-                     for dup, labels, coef, weight in heads_read]
-        positions, k = _grid([at for at, *_ in head_rows])
-        shape = prob.shape[:2] + (k,) + prob.shape[2:]
-        g = (np.empty if math.prod(shape[:3]) == len(head_rows) else np.zeros)(shape)
-        for at, ((h, i), _, labels, coef, weight, _) in zip(positions, head_rows):
+        # one per head row: (pass, head, block, term, coefficients, labels,
+        # coef, weight)
+        reads = [(i, dups.index(dup), 2 if dup else 1, name, coefs, *row)
+                 for i, (name, _, rows, coefs, _) in enumerate(passes) for dup, *row in rows]
+        g = np.zeros(prob.shape)
+        for i, h, *_, labels, coef, weight in reads:
             if labels is None:
                 labels = np.argmax(log_probs[1 - h, i], axis=1)
             # weight * (-coef * one-hot labels) / rows
             onehot = self.onehot(labels)
-            row = g[at]
+            row = g[h, i]
             np.multiply(-coef, onehot, out=row)
             row *= weight
             row /= onehot.shape[0]
-        g -= prob[..., None, :, :] * dc.row_sum(g)[..., None]
-        coefs = {name: c for _, name, _, c in rows}
+        g -= prob * dc.row_sum(g)[..., None]
         flat, adjoint = _backprop(
-            heads, tape, g, params=any(coefs[name][block] is not None
-                                       for _, name, *_, block in head_rows),
-            to_input=any(coefs[name][0] is not None for _, name, *_ in head_rows))
-        feats = {}
-        for at, (_, name, *_, block) in zip(positions, head_rows):
-            if coefs[name][block] is not None:
-                shares[name][block] = flat[at]
-            if coefs[name][0] is not None:
-                feats.setdefault(name, []).append(adjoint[at])
-
-        rep_rows = [((i,), name) for i, name, _, c in rows if c[0] is not None]
-        if not rep_rows:
+            heads, tape, g, params=any(c[block] is not None for _, _, block, _, c, *_ in reads),
+            to_input=any(c[0] is not None for *_, c, _ in passes))
+        for i, h, block, name, c, *_ in reads:
+            if c[block] is not None:
+                shares[name][block] = flat[h, i]
+        if adjoint is None:
             return
-        positions, k = _grid([at for at, _ in rep_rows])
-        n_passes = len(xs)
-        if n_passes == k == 1:
-            # a pass's one row: its feature adjoint is the grid
-            g = feats[rep_rows[0][1]][0]
-            for other in feats[rep_rows[0][1]][1:]:
-                g += other
-            g = g[None, None]
-        else:
-            g = np.zeros((n_passes, k) + adjoint.shape[-2:])
-            for at, (_, name) in zip(positions, rep_rows):
-                g[at] = feats[name][0]
-                for other in feats[name][1:]:
-                    g[at] += other
+
+        # a pass's feature adjoint is its first head row's input adjoint, to
+        # which the pseudo pass adds its second's
+        firsts = {}
+        for i, h, *_ in reads:
+            firsts.setdefault(i, h)
+        g = adjoint[list(firsts.values()), list(firsts)]
+        for i, h, *_ in reads:
+            if h != firsts[i]:
+                g[i] += adjoint[h, i]
         flat, _ = _backprop(self.rep, rep_tape, g, to_input=False)
-        for at, (_, name) in zip(positions, rep_rows):
-            shares[name][0] = flat[at]
+        for i, (name, *_, c, _) in enumerate(passes):
+            if c[0] is not None:
+                shares[name][0] = flat[i]
 
 
 def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
@@ -719,12 +685,11 @@ def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
         alpha = risks.check_simplex(alpha, n=len(source_batches))
     step = _Step(model, rng_dropout)
 
-    # each risk term's pass and head rows, (critic?, labels, coef, weight):
-    # "... target" on the labeled target batch, "... source" on the sources,
-    # "critic ..." under the critic's head, and pseudo under both
-    reads = {}
+    # each term's pass (_Step.gradients), its reads from _TERM_READS
+    passes = []
     for name, weights in coefs.terms():
-        if name == "pseudo":
+        batch, critics, source_weights = _TERM_READS[name]
+        if batch == "unlabeled":
             # pseudo labels from the dropout-free forward at the current
             # parameters, each head's from the other's argmax: the pass's
             # own (labels None), or under dropout one mask-free evaluation
@@ -733,12 +698,12 @@ def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
             if step.rng is not None:
                 labels = [np.argmax(log_probs, axis=1)
                           for log_probs in model.outputs(unlabeled_x, dups=(False, True))]
-            heads = [(True, labels[0], float(cfg.w1_discri_coef1), 1.0),
-                     (False, labels[1], float(cfg.w1_discri_coef2), 1.0)]
-            reads[name] = (step.add("unlabeled", unlabeled_x), heads, weights)
-        elif name.endswith("target"):
-            heads = [("critic" in name, target_batch[1], 1.0, 1.0)]
-            reads[name] = (step.add("target", target_batch[0]), heads, weights)
+            rows = [(critic, y, float(coef), 1.0) for critic, y, coef in
+                    zip(critics, labels, (cfg.w1_discri_coef1, cfg.w1_discri_coef2))]
+            passes.append((name, unlabeled_x, rows, weights, ()))
+        elif batch == "target":
+            x, y = target_batch
+            passes.append((name, x, [(critics[0], y, 1.0, 1.0)], weights, ()))
         else:
             # Known fault, reproduced on purpose: dc.flatten_grads assigns
             # each named gradient instead of adding it, and
@@ -749,10 +714,11 @@ def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
             # draws of their masks, after the last source's, as the graph's
             # topological order draws them.
             x, y = source_batches[-1]
-            weight = 1.0 / len(source_batches) if name == "critic source" else float(alpha[-1])
-            heads = [("critic" in name, y, 1.0, weight)]
-            reads[name] = (step.add("source", x, source_batches[:-1]), heads, weights)
-    shares = step.gradients(reads)
+            weight = (float(alpha[-1]) if source_weights == "alpha"
+                      else 1.0 / len(source_batches))
+            passes.append((name, x, [(critics[0], y, 1.0, weight)], weights,
+                           source_batches[:-1]))
+    shares = step.gradients(passes)
 
     def share(name, weights):
         if name != "penalty":
@@ -794,18 +760,18 @@ def reference_gradients(model, coefs, alpha, target_batch, unlabeled_x,
             src_feats = model.represent(np.concatenate([x for x, _ in source_batches]))
             x_int = risks.interpolate_features(tgt_feats, src_feats, rng_penalty)
             root, dn = risks.interp_penalty_graph(model, x_int)
-        elif name == "pseudo":
+        elif _TERM_READS[name][0] == "unlabeled":
             root, rn, pn, dn = risks.pseudo_risk_graph(
                 model, unlabeled_x, cfg.w1_discri_coef1, cfg.w1_discri_coef2,
                 train_rng=train_rng)
         else:
-            dup = "critic" in name
-            if name.endswith("target"):
+            batch, (dup,), source_weights = _TERM_READS[name]
+            if batch == "target":
                 root, rn, head = risks.target_risk_graph(model, *target_batch, dup=dup,
                                                          train_rng=train_rng)
             else:
                 n = len(source_batches)
-                weights = np.full(n, 1.0 / n) if name == "critic source" else alpha
+                weights = alpha if source_weights == "alpha" else np.full(n, 1.0 / n)
                 root, rn, head, _ = risks.source_risk_graph(model, source_batches, weights,
                                                             dup=dup, train_rng=train_rng)
             pn, dn = (None, head) if dup else (head, None)

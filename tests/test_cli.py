@@ -244,7 +244,7 @@ class TestBoundCommand:
         """With alpha held uniform (warmup covers every epoch), the bound
         from the run's ledger and last combined risk is the run's bound.csv."""
         out = tmp_path / "out"
-        cfg = write_cfg(tmp_path, "mode = semi\nepochs = 2\nwarmup_epochs = 2\n"
+        cfg = write_cfg(tmp_path, "mode = semi\nepochs = 2\nwarmup_epochs = 3\n"
                                   f"steps_per_epoch = 10\noutdir = {out}\n")
         assert cli.main(["run", "--config", cfg]) == 0
         with open(out / "metrics.csv", newline="") as fh:

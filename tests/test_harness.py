@@ -139,6 +139,13 @@ class TestParseConfig:
                                     "domain_size=120", "batch_size=40",
                                     f"outdir={tmp_path}"])
 
+    def test_noiseless_alpha_needs_lambda_when_the_last_epoch_ends_warmup(self):
+        with pytest.raises(ConfigError, match="lambda_r"):
+            parse_config(overrides=["mode=unsupervised", "noiseless=true",
+                                    "epochs=5", "warmup_epochs=5"])
+        parse_config(overrides=["mode=unsupervised", "noiseless=true",
+                                "epochs=4", "warmup_epochs=5"])
+
 
 class TestRunOutputs:
     def test_metrics_row_count_and_files(self, tmp_path):
@@ -159,6 +166,18 @@ class TestRunOutputs:
         assert len(result.metrics) == 1
         before = models.ModelTriple.init(result.model.arch, seed=0)
         assert np.array_equal(before.rep.values, result.model.rep.values)
+
+    def test_rows_do_not_depend_on_the_epochs_that_follow(self, tmp_path):
+        """The weights are solved at the end of every epoch from
+        warmup_epochs on, the run's last epoch included, so an E-epoch run
+        writes the first E + 1 rows of an (E + 1)-epoch run, at E =
+        warmup_epochs too."""
+        base = ["mode=semi", "warmup_epochs=5", "domain_size=200",
+                "labeled_target_size=40", "steps_per_epoch=5"]
+        short = run(parse_config(overrides=base + ["epochs=5", f"outdir={tmp_path}/a"]))
+        long = run(parse_config(overrides=base + ["epochs=6", f"outdir={tmp_path}/b"]))
+        assert short.metrics == long.metrics[:6]
+        assert short.metrics[5]["alpha_1"] != 0.5
 
     def test_combined_reconstructs_from_logged_components(self, tmp_path):
         cfg = parse_config(overrides=["mode=semi", "tau=0.5", "epsilon=0.4"]

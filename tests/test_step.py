@@ -46,6 +46,9 @@ REGIMES.update({
                                      "interp_penalty_weight=0.1", f"batch_size={_LARGE}",
                                      f"domain_size={4 * _LARGE}"],
 })
+# batches of 100 rows, where a semi step's six passes split over two stacks
+_SPLIT = ["mode=semi", "batch_size=100", "domain_size=400", "labeled_target_size=200"]
+REGIMES.update({"split_stacks": _SPLIT, "split_stacks_dropout": _SPLIT + ["dropout=0.1"]})
 
 
 def same(a, b):
@@ -119,17 +122,16 @@ def test_fused_equals_reference_on_an_epochs_short_final_batch(dropout, tmp_path
 
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
 def test_a_small_step_forwards_one_stack_and_a_large_one_stacks_of_one(dropout, monkeypatch):
-    """A semi step reads the target, unlabeled and source batches; with
-    dropout every one of its six terms has its own pass.  At 20 rows they
-    all go through one stacked representation forward; above
-    models.STACK_ROWS each pass is a stack of one."""
+    """A semi step's six terms each have their own pass, with or without
+    dropout.  At 20 rows they all go through one stacked representation
+    forward, at 100 rows five fill one stack and the sixth opens another,
+    and above models.STACK_ROWS each pass is a stack of one."""
     cfg = parse_config(overrides=["mode=semi", f"dropout={dropout}"])
     coefs = harness.StepCoefficients.from_config(cfg)
-    n_passes = 6 if dropout else 3
-    assert n_passes * 20 <= models.STACK_ROWS
+    assert 6 * 20 <= models.STACK_ROWS and 5 * 100 <= models.STACK_ROWS < 6 * 100
     taped = harness._taped
-    for rows, expected in ((20, [(n_passes, 20, 2)]),
-                           (models.STACK_ROWS + 1, [(1, models.STACK_ROWS + 1, 2)] * n_passes)):
+    for rows, expected in ((20, [(6, 20, 2)]), (100, [(5, 100, 2), (1, 100, 2)]),
+                           (models.STACK_ROWS + 1, [(1, models.STACK_ROWS + 1, 2)] * 6)):
         arch = models.ArchSpec(rep_widths=(2, 8, 4), pred_widths=(4, 2), dropout_rate=dropout)
         model = models.ModelTriple.init(arch, seed=0)
         r = np.random.default_rng(0)
@@ -302,17 +304,14 @@ def test_hidden_critic_layer_draws_interpolates_once_per_step(mode, monkeypatch)
 @given(rows=st.integers(1, 9), width=st.integers(1, 9),
        shape=st.lists(st.tuples(st.integers(1, 9), st.booleans(), st.booleans()),
                       min_size=1, max_size=3),
-       reads=st.lists(st.integers(0, 2), min_size=1, max_size=5),
-       seed=st.integers(0, 2**32 - 1))
-def test_backprop_writes_the_graph_gradients_into_the_flat_layout(rows, width, shape, reads,
+       n_passes=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_backprop_writes_the_graph_gradients_into_the_flat_layout(rows, width, shape, n_passes,
                                                                  seed):
-    """Each row of a stacked _backprop, its flat gradient and input adjoint,
-    is bit for bit what dc.backward gives that row's own graph (affine,
-    then ReLU, then a mask, each as drawn, on the pass the row reads), for
-    1 to 5 rows whose pass indices repeat and come in any order; a skipped
-    result is None, never zeros."""
+    """Each pass of a stacked _backprop, its flat gradient and input
+    adjoint, is bit for bit what dc.backward gives that pass's own graph
+    (affine, then ReLU, then a mask, each as drawn), for stacks of 1 to 5
+    passes, one adjoint row each; a skipped result is None, never zeros."""
     r = np.random.default_rng(seed)
-    n_passes = max(reads) + 1
     # zero input rows and zero bias entries give pre-activations of exactly 0,
     # where a ReLU gate must read > 0, as the graph's does
     zeroed = lambda a: np.where(r.random(a.shape[-1]) < 0.3, 0.0, a)
@@ -327,10 +326,10 @@ def test_backprop_writes_the_graph_gradients_into_the_flat_layout(rows, width, s
     layers = [(vector.view(f"w{i}"), vector.view(f"b{i}"), relu)
               for i, (_, relu, _) in enumerate(shape)]
     xs = [zeroed(r.standard_normal((rows, width)).T).T for _ in range(n_passes)]
-    seeds = [r.standard_normal((rows, din)) for _ in reads]
+    seeds = [r.standard_normal((rows, din)) for _ in range(n_passes)]
 
     expected = []
-    for p, seed_g in zip(reads, seeds):
+    for p, seed_g in enumerate(seeds):
         h = x_node = dc.const(xs[p])
         nodes = []
         for i, ((w, b, relu), mask) in enumerate(zip(layers, masks)):
@@ -355,24 +354,18 @@ def test_backprop_writes_the_graph_gradients_into_the_flat_layout(rows, width, s
         tape.append((np.stack(hs), np.stack(pres),
                      None if masks[i] is None else np.stack(masks[i])))
         hs = outs
-    positions, k = harness._grid([(p,) for p in reads])
-    assert sorted(positions) == [(p, j) for p in range(n_passes)
-                                 for j in range(reads.count(p))]
 
-    def grid():  # masked_mean's adjoints; _backprop overwrites the grid
-        g = np.zeros((n_passes, k, rows, din))
-        for at, seed_g in zip(positions, seeds):
-            g[at] = 1.0 * seed_g / rows
-        return g
+    def adjoints():  # masked_mean's adjoints; _backprop overwrites them
+        return np.stack([1.0 * seed_g / rows for seed_g in seeds])
 
-    flat, adjoint = harness._backprop(layers, tape, grid())
-    assert flat.shape == (n_passes, k, vector.values.size)
-    for at, (want_flat, want_adjoint) in zip(positions, expected):
-        assert flat[at].tobytes() == want_flat.tobytes()
-        assert adjoint[at].tobytes() == want_adjoint.tobytes()
-    skipped, only_adjoint = harness._backprop(layers, tape, grid(), params=False)
+    flat, adjoint = harness._backprop(layers, tape, adjoints())
+    assert flat.shape == (n_passes, vector.values.size)
+    for p, (want_flat, want_adjoint) in enumerate(expected):
+        assert flat[p].tobytes() == want_flat.tobytes()
+        assert adjoint[p].tobytes() == want_adjoint.tobytes()
+    skipped, only_adjoint = harness._backprop(layers, tape, adjoints(), params=False)
     assert skipped is None and only_adjoint.tobytes() == adjoint.tobytes()
-    only_flat, skipped = harness._backprop(layers, tape, grid(), to_input=False)
+    only_flat, skipped = harness._backprop(layers, tape, adjoints(), to_input=False)
     assert skipped is None and only_flat.tobytes() == flat.tobytes()
 
 
