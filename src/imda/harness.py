@@ -417,8 +417,12 @@ def _assemble(coefs, cfg, share):
     totals = [None, None, None]
     for name, weights in terms:
         for i, (coef, grad) in enumerate(zip(weights, share(name, weights))):
-            if coef is not None:
-                totals[i] = coef * grad if totals[i] is None else totals[i] + coef * grad
+            if coef is None:
+                continue
+            if totals[i] is None:
+                totals[i] = coef * grad
+            else:
+                totals[i] += coef * grad
     return tuple(totals)
 
 
@@ -436,7 +440,12 @@ def _assemble(coefs, cfg, share):
 # the row axis adds the rows in order, slice by slice.  Two facts about the
 # graphs make the step hold without following their own traversal: a node
 # with two consumers sums just two adjoints (floating-point addition
-# commutes), and masked_mean's adjoint is float(g) * mask / n.
+# commutes), and masked_mean's adjoint is float(g) * mask / n.  The step
+# seeds a head row's adjoint, weight * (-coef * one-hot labels) / n, with
+# one fill and one scatter: the fill writes ((-coef * 0.0) * weight) / n,
+# the bits the product gives a zero of the one-hot (-0.0 when coef and
+# weight are positive, not 0.0), and the scatter writes ((-coef) * weight)
+# / n at the labels.
 
 
 def _grad_slots(layers, lead=()):
@@ -500,7 +509,7 @@ def _backprop(layers, tape, g, params=True, to_input=True):
             np.multiply(g, pre > 0.0, out=g)
         if params:
             np.matmul(h.swapaxes(-1, -2), g, out=slots[i][0])
-            np.sum(g, axis=-2, out=slots[i][1])
+            np.add.reduce(g, axis=-2, out=slots[i][1])
         g = g @ w.swapaxes(-1, -2) if i or to_input else None
     return flat, g
 
@@ -546,15 +555,6 @@ class _Step:
         self.rng = rng_dropout if self.rate > 0.0 else None
         self.rep = model.layers("rep")
         self.heads = {False: model.layers("pred"), True: model.layers("dup")}
-        self.n_classes = model.arch.n_outputs
-        self._onehots = {}
-
-    def onehot(self, labels):
-        # keyed by identity; the entry holds the labels, so the id stays theirs
-        hit = self._onehots.get(id(labels))
-        if hit is None:
-            hit = self._onehots[id(labels)] = (labels, risks._onehot(labels, self.n_classes))
-        return hit[1]
 
     def gradients(self, passes):
         """{term: [g_u, g_v, g_vp]} of the passes, each (term, batch, head
@@ -601,15 +601,18 @@ class _Step:
 
         A head row stands for weight * the batch mean of -coef * log
         p(label) under its head; a pseudo row's labels (None) are the other
-        head's argmax on the pass.  The head rows go through one stacked
-        backward of the heads, whose (head, pass) slot holds one row, or
-        zeros when the pass does not read the head.  The representation's
-        stacked backward (_backprop) then reads each pass's feature adjoint
-        from its head row's input adjoint, to which the pseudo pass adds its
-        second head's (a sum that commutes).  A backward computes a result
-        for all of its passes when any pass's coefficients reach it.  The
-        log-softmax adjoint uses the softmax kept by the forward, which
-        equals the one diffcore recomputes from the logits."""
+        head's argmax on the pass.  Its adjoint is seeded by a fill with the
+        one-hot product's signed zero and a scatter at the labels (the
+        comment above the fused step).  The head rows go through one
+        stacked backward of the heads, whose (head, pass) slot holds one
+        row, or zeros when the pass does not read the head.  The
+        representation's stacked backward (_backprop) then reads each pass's
+        feature adjoint from its head row's input adjoint, to which the
+        pseudo pass adds its second head's (a sum that commutes).  A
+        backward computes a result for all of its passes when any pass's
+        coefficients reach it.  The log-softmax adjoint uses the softmax
+        kept by the forward, which equals the one diffcore recomputes from
+        the logits."""
         if masks is not None:
             keep = 1.0 - self.rate
             for mask in masks:
@@ -629,15 +632,15 @@ class _Step:
         reads = [(i, dups.index(dup), 2 if dup else 1, name, coefs, *row)
                  for i, (name, _, rows, coefs, _) in enumerate(passes) for dup, *row in rows]
         g = np.zeros(prob.shape)
+        n = g.shape[-2]
+        at = np.arange(n)
         for i, h, *_, labels, coef, weight in reads:
             if labels is None:
                 labels = np.argmax(log_probs[1 - h, i], axis=1)
-            # weight * (-coef * one-hot labels) / rows
-            onehot = self.onehot(labels)
+            # weight * (-coef * one-hot labels) / rows, entry for entry
             row = g[h, i]
-            np.multiply(-coef, onehot, out=row)
-            row *= weight
-            row /= onehot.shape[0]
+            row.fill(((-coef * 0.0) * weight) / n)
+            row[at, labels] = ((-coef) * weight) / n
         g -= prob * dc.row_sum(g)[..., None]
         flat, adjoint = _backprop(
             heads, tape, g, params=any(c[block] is not None for _, _, block, _, c, *_ in reads),
@@ -681,8 +684,13 @@ def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
     for i, block in enumerate(models.BLOCK_NAMES):
         if i in reached:
             model.check_finite(block)
+    # the labels the step reads, checked once: the head adjoint's scatter
+    # would take a label of -1 for the last class
+    if coefs.uses_target:
+        risks.check_labels(target_batch[1], model.arch.n_outputs)
     if coefs.uses_sources:
         alpha = risks.check_simplex(alpha, n=len(source_batches))
+        risks.check_labels(source_batches[-1][1], model.arch.n_outputs)
     step = _Step(model, rng_dropout)
 
     # each term's pass (_Step.gradients), its reads from _TERM_READS
@@ -939,21 +947,23 @@ def run(cfg, datasets=None):
                     source_batches, cfg, rng_dropout, rng_penalty)
                 eta_u = _rate(cfg.eta_u, epoch, step_index, cfg.u_ramp_epochs)
                 eta_v = _rate(cfg.eta_v, epoch, step_index, cfg.v_ramp_epochs)
+                # each update is written into its block's own buffer, so the
+                # layer views built at init (ModelTriple.layers) serve the run
                 if g_vp is not None:
                     block = "critic v'"
-                    model.dup = optimizer.duplicate_ascent_step(
-                        model.dup, g_vp, _rate(cfg.eta_dup, epoch, step_index, 0))
+                    model.dup.values[...] = optimizer.duplicate_ascent_step(
+                        model.dup.values, g_vp, _rate(cfg.eta_dup, epoch, step_index, 0))
                 if g_u is not None:
                     block = "representation u"
-                    model.rep = optimizer.sgld_step(model.rep, g_u, eta_u, sigma,
-                                                    rng_noise_u, cfg.noiseless)
+                    model.rep.values[...] = optimizer.sgld_step(
+                        model.rep.values, g_u, eta_u, sigma, rng_noise_u, cfg.noiseless)
                     if ledger is not None:
                         ledger.accumulate("u", eta_u, sigma, float(g_u @ g_u),
                                           step=step_index)
                 if g_v is not None:
                     block = "predictor v"
-                    model.pred = optimizer.sgld_step(model.pred, g_v, eta_v, sigma,
-                                                     rng_noise_v, cfg.noiseless)
+                    model.pred.values[...] = optimizer.sgld_step(
+                        model.pred.values, g_v, eta_v, sigma, rng_noise_v, cfg.noiseless)
                     if ledger is not None:
                         ledger.accumulate("v", eta_v, sigma, float(g_v @ g_v),
                                           step=step_index)

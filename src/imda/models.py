@@ -120,7 +120,9 @@ class ModelTriple:
         """The layers of block "rep", "pred" or "dup" as [(w, b, relu), ...]:
         views of each layer's weight and bias in the flat block, and whether
         a ReLU follows the layer (never after the predictor's last layer).
-        The list is built once per buffer and kept on the block's vector."""
+        The list is built once per buffer and kept on the block's vector;
+        harness.run writes each update into that buffer in place, so the
+        views built at init serve the whole run and see every update."""
         if block == "rep":
             acts = self.arch.rep_activations
         else:

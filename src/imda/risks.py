@@ -36,10 +36,17 @@ def check_simplex(alpha, n):
     return alpha
 
 
-def _onehot(labels, n_classes):
+def check_labels(labels, n_classes):
+    """labels as an array, after raising RiskError if one lies outside
+    [0, n_classes)."""
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise RiskError(f"label outside [0, {n_classes})")
+    return labels
+
+
+def _onehot(labels, n_classes):
+    labels = check_labels(labels, n_classes)
     out = np.zeros((labels.shape[0], n_classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import tracemalloc
 
@@ -387,6 +388,51 @@ class TestDeterminism:
         a = run(small_cfg(tmp_path / "a", "mode=supervised"))
         b = run(small_cfg(tmp_path / "b", "mode=supervised", "seed=1"))
         assert not np.array_equal(a.model.rep.values, b.model.rep.values)
+
+
+# sha256 of metrics.csv + ledger.csv of two short runs, recorded before the
+# step's per-step set-up was cut: a change for speed must not move one bit
+PINNED_OUTPUTS = {
+    "semi": (["mode=semi", "epochs=3", "warmup_epochs=1", "steps_per_epoch=40"],
+             "35fdd213dd225e1b712a2e049fd1beeb8b8b5aeeaade23f6bf069ccea13074a8"),
+    "unsupervised_dropout_penalty": (
+        ["mode=unsupervised", "domain_size=2000", "batch_size=200", "epochs=3",
+         "warmup_epochs=1", "steps_per_epoch=10", "noiseless=true", "lambda_r=0.05",
+         "dropout=0.1", "interp_penalty_weight=0.1"],
+        "dcd99725e51f97ce6a28593144054241e37fdc8dc30d8741b57ac54e818c70a2"),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+    def test_outputs_keep_their_bytes(self, name, tmp_path):
+        overrides, digest = PINNED_OUTPUTS[name]
+        run(parse_config(overrides=overrides + [f"outdir={tmp_path}"]))
+        h = hashlib.sha256()
+        for file in ("metrics.csv", "ledger.csv"):
+            h.update((tmp_path / file).read_bytes())
+        assert h.hexdigest() == digest
+
+    def test_updates_write_in_place_and_views_are_built_once(self, tmp_path, monkeypatch):
+        builds = []
+        memo = dc.ParameterVector.memo
+
+        def spy_memo(vector, key, build):
+            def counted():
+                builds.append((vector, vector.values))
+                return build()
+            return memo(vector, key, counted)
+
+        monkeypatch.setattr(dc.ParameterVector, "memo", spy_memo)
+        model = run(small_cfg(tmp_path, "mode=semi", "dropout=0.1")).model
+        fresh = models.ModelTriple.init(model.arch, seed=0)
+        # one list of views per block, on the buffer the block kept through
+        # training
+        assert [id(vector) for vector, _ in builds] == [id(model.rep), id(model.pred),
+                                                        id(model.dup)]
+        for block, (vector, buffer) in zip(models.BLOCK_NAMES, builds):
+            assert vector.values is buffer
+            assert not np.array_equal(buffer, getattr(fresh, block).values)
 
 
 class TestRegimeReduction:

@@ -52,9 +52,10 @@ REGIMES.update({"split_stacks": _SPLIT, "split_stacks_dropout": _SPLIT + ["dropo
 
 
 def same(a, b):
+    """Bit for bit: np.array_equal would take -0.0 for 0.0."""
     if a is None or b is None:
         return a is None and b is None
-    return np.array_equal(a, b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def compare_on_the_way(monkeypatch):
@@ -399,11 +400,19 @@ def test_off_simplex_weights_rejected():
 
 
 def test_label_out_of_range_rejected():
-    args = step_args()
-    x, y = args[3]
-    args[3] = (x, np.where(np.arange(y.size) == 0, 2, y))
-    with pytest.raises(risks.RiskError, match="label outside"):
-        harness.assemble_gradients(*args)
+    """In the target batch and in the last source batch, and a label of -1
+    too: the head adjoint's scatter would wrap it to the last class."""
+    def relabeled(batch, label):
+        x, y = batch
+        return x, np.where(np.arange(y.size) == 0, label, y)
+
+    for label in (2, -1):
+        target_args, source_args = step_args(), step_args()
+        target_args[3] = relabeled(target_args[3], label)
+        source_args[5][-1] = relabeled(source_args[5][-1], label)
+        for args in (target_args, source_args):
+            with pytest.raises(risks.RiskError, match="label outside"):
+                harness.assemble_gradients(*args)
 
 
 def test_dropout_rate_outside_unit_interval_rejected():
