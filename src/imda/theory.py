@@ -4,8 +4,11 @@ generalization-bound calculators.
 
 The transport oracle takes two equal-size uniform measures, where some
 permutation coupling is optimal, and finds that permutation by one
-O(n^3) assignment solve, so every value it returns is exact at any n;
-everything else in the package that claims a Wasserstein-related
+O(n^3) assignment solve, so every value it returns is exact at any n.
+The solve starts from a column reduction, which matches most rows before
+any search, and runs a shortest augmenting path only for the rows it
+leaves free, moving the dual potentials once per augmentation.
+Everything else in the package that claims a Wasserstein-related
 inequality is tested against it.  Permutation enumeration and a subset
 dynamic program (in the tests and, separately, in the benchmark) stay as
 its independent oracles.
@@ -100,47 +103,71 @@ class DiscreteMeasurePair:
 def _assignment(c):
     """Column matched to each row by a minimum-cost perfect matching of the
     square matrix c: Kuhn-Munkres as shortest augmenting paths with dual
-    potentials (Jonker & Volgenant's form), O(n^3).  Rows join one at a
-    time; column n is the virtual column each augmenting path starts from.
-    A column's reduced path length is set to inf when it joins the tree,
-    so the closest open column is a plain argmin, and the masked updates
-    write in place."""
+    potentials, O(n^3), from Jonker & Volgenant's column-reduced start.
+
+    Start: each column's potential v_j is its minimum over the rows, every
+    row potential u_i is 0, and each column is matched to its cheapest row
+    while that row is still free (a row that several columns pick keeps
+    one of them).  Every reduced cost c_ij - u_i - v_j is then >= 0, and
+    0 on the matched pairs.  Only the rows this leaves free run a shortest
+    augmenting path, by Dijkstra over the reduced costs.  A column joins
+    the tree by a plain argmin; its v is then masked to -inf, so its reach
+    is +inf and never replaces its recorded path length.
+
+    The potentials move once per augmentation, from the final path lengths
+    (Crouse 2016, the form of scipy's linear_sum_assignment): with d the
+    sink's length and d_j each tree column's, v_j -= d - d_j, the row
+    matched to each tree column but the sink gains d - d_j, and the free
+    row gains d; an inner step only updates path lengths.  The path
+    buffers are allocated once per solve and reset for each free row.
+    Ties go to the lowest column index, matched or not, so costs that tie
+    throughout (all equal) take O(n) steps per augmentation."""
     n = c.shape[0]
+    cheapest = c.argmin(axis=0)               # cheapest row of each column
+    v = c[cheapest, np.arange(n)]             # column potentials
     u = np.zeros(n)                           # row potentials
-    v = np.zeros(n)                           # column potentials
-    row_of = np.full(n + 1, -1)               # row matched to each column
+    col_of = np.full(n, -1, dtype=np.intp)    # column matched to each row
+    col_of[cheapest] = np.arange(n)
+    matched = col_of >= 0
+    row_of = np.full(n, -1, dtype=np.intp)    # row matched to each column
+    row_of[col_of[matched]] = np.flatnonzero(matched)
+    dist = np.empty(n)                        # reduced path length to each open column
+    via = np.empty(n, dtype=np.intp)          # row before each column on its path
+    masked_v = np.empty(n)
+    reach = np.empty(n)
     closer = np.empty(n, dtype=bool)
-    for i in range(n):
-        row_of[n] = i
-        j0 = n
-        dist = np.full(n, np.inf)             # reduced path length to each open column
-        via = np.full(n, n)                   # predecessor column on that path
-        tree_rows = np.zeros(n, dtype=bool)
-        tree_cols = np.zeros(n, dtype=bool)
-        open_cols = np.ones(n, dtype=bool)
-        while row_of[j0] != -1:
-            i0 = row_of[j0]
-            tree_rows[i0] = True
-            if j0 < n:
-                tree_cols[j0], open_cols[j0], dist[j0] = True, False, np.inf
-            reach = c[i0] - u[i0]
-            reach -= v
+    for free in np.flatnonzero(~matched):
+        np.subtract(c[free], v, out=dist)     # a free row's potential is still 0
+        via.fill(free)
+        np.copyto(masked_v, v)
+        tree, lengths = [], []                # columns in joining order, their lengths
+        while True:
+            j = int(dist.argmin())
+            low = dist[j]
+            tree.append(j)
+            lengths.append(low)
+            i = row_of[j]
+            if i < 0:                         # a free column: the path's sink
+                break
+            dist[j] = np.inf
+            masked_v[j] = -np.inf
+            np.subtract(c[i], masked_v, out=reach)
+            reach += low - u[i]
             np.less(reach, dist, out=closer)
-            closer &= open_cols
             np.copyto(dist, reach, where=closer)
-            np.copyto(via, j0, where=closer)
-            j1 = int(np.argmin(dist))
-            delta = dist[j1]
-            np.add(u, delta, out=u, where=tree_rows)
-            np.subtract(v, delta, out=v, where=tree_cols)
-            dist -= delta                     # a tree column's inf stays inf
-            j0 = j1
-        while j0 != n:                        # flip the path back to column n
-            row_of[j0] = row_of[via[j0]]
-            j0 = via[j0]
-    perm = np.empty(n, dtype=np.intp)
-    perm[row_of[:n]] = np.arange(n)
-    return perm
+            np.copyto(via, i, where=closer)
+        tree = np.array(tree)
+        gain = low - np.array(lengths)
+        u[row_of[tree[:-1]]] += gain[:-1]
+        u[free] += low
+        v[tree] -= gain
+        while True:                           # flip the path back to the free row
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == free:
+                break
+    return col_of
 
 
 def exact_w1(pair, metric):
@@ -210,7 +237,8 @@ class BoundConstants:
     """Constants feeding the generalization bounds.  The ideal joint error
     and the joint approximation error have no estimator and are taken as
     user-supplied; the sub-Gaussian scales for the loss and the critic
-    class are merged into one sigma."""
+    class are merged into one sigma.  alpha holds one domain weight per
+    source and lies on the simplex (default: uniform)."""
 
     sigma: float = 1.0
     m_t: int = 1
@@ -226,13 +254,21 @@ class BoundConstants:
 
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=np.float64)
-        if self.alpha is None:
-            self.alpha = np.full(self.m.size, 1.0 / self.m.size)
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
         if self.sigma < 0:
             raise TheoryError("sigma must be >= 0")
+        if self.m.size == 0:
+            raise TheoryError("m must hold one sample count per source, got none")
         if np.any(self.m < 1) or self.m_t < 1 or self.m_t_prime < 1:
             raise TheoryError("sample counts must be >= 1")
+        if self.alpha is None:
+            self.alpha = np.full(self.m.size, 1.0 / self.m.size)
+        self.alpha = _finite("alpha", self.alpha)
+        if self.alpha.shape != (self.m.size,):
+            raise TheoryError(f"alpha must hold one weight per source ({self.m.size}), "
+                              f"got shape {self.alpha.shape}")
+        if self.alpha.min() < -1e-9 or abs(self.alpha.sum() - 1.0) > 1e-9:
+            raise TheoryError(f"alpha must lie on the simplex (weights >= 0 that sum "
+                              f"to 1), got {self.alpha}")
 
     @property
     def alpha_sq_over_m(self):

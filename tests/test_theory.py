@@ -120,6 +120,51 @@ class TestExactW1:
         expected = c[rows, cols].sum() / n
         assert abs(theory.exact_w1(pair, metric) - expected) <= 1e-12 * expected
 
+    @pytest.mark.parametrize("n", [20, 50, 200])
+    @pytest.mark.parametrize("case", ["zero_one_scale_0", "zero_one_scale_0.3",
+                                      "duplicated_points", "two_clusters_zero_one",
+                                      "two_clusters_absolute"])
+    def test_matches_scipy_on_tied_costs(self, case, n):
+        # costs that tie, so several columns share a cheapest row and the
+        # column-reduced start leaves many rows free
+        rng = np.random.default_rng(n)
+        ys_a, ys_b = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        if case == "duplicated_points":
+            pool = rng.standard_normal((4, 2))
+            xs_a, xs_b = pool[rng.integers(0, 4, n)], pool[rng.integers(0, 4, n)]
+        elif case.startswith("two_clusters"):
+            centers = np.array([[0.0, 0.0], [3.0, 0.0]])
+            xs_a = centers[ys_a] + 0.1 * rng.standard_normal((n, 2))
+            xs_b = centers[ys_b] + 0.1 * rng.standard_normal((n, 2))
+        else:
+            xs_a, xs_b = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+        metric = GroundMetric(kind="example",
+                              label_cost="absolute" if case.endswith("absolute") else "zero_one",
+                              scale=0.0 if case == "zero_one_scale_0" else 0.3)
+        pair = DiscreteMeasurePair(xs_a=xs_a, ys_a=ys_a, xs_b=xs_b, ys_b=ys_b)
+        c = metric.cost_matrix(pair)
+        assert len(set(c.argmin(axis=0))) < n
+        rows, cols = linear_sum_assignment(c)
+        expected = c[rows, cols].sum() / n
+        assert abs(theory.exact_w1(pair, metric) - expected) <= 1e-12 * max(expected, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    def test_all_equal_costs(self, n):
+        # every column's cheapest row is the same row, so the start matches
+        # only that row and every other row runs an augmenting path
+        pair = DiscreteMeasurePair(xs_a=np.zeros((n, 2)), ys_a=np.zeros(n),
+                                   xs_b=np.full((n, 2), 0.3), ys_b=np.ones(n))
+        metric = GroundMetric(kind="example", label_cost="zero_one", scale=0.7)
+        c = metric.cost_matrix(pair)
+        assert np.unique(c).size == 1
+        assert sorted(theory._assignment(c)) == list(range(n))
+        assert theory.exact_w1(pair, metric) == c[0].sum() / n
+
+    def test_single_point(self):
+        pair = DiscreteMeasurePair(xs_a=[[1.0, 2.0]], ys_a=[0], xs_b=[[4.0, 6.0]], ys_b=[1])
+        metric = GroundMetric(kind="example", label_cost="zero_one", scale=0.5)
+        assert theory.exact_w1(pair, metric) == 1.0 + 0.5 * 5.0
+
     def test_unequal_sizes_rejected(self):
         with pytest.raises(theory.TheoryError):
             DiscreteMeasurePair(xs_a=np.zeros((2, 1)), ys_a=[0, 0],
@@ -272,6 +317,35 @@ class TestSubgaussian:
     def test_inverted_range_rejected(self):
         with pytest.raises(theory.TheoryError):
             theory.subgaussian_from_range(1.0, 0.0)
+
+
+class TestBoundConstants:
+    def test_default_alpha_is_uniform(self):
+        assert BoundConstants(m=[10, 20, 30]).alpha.tolist() == [1 / 3] * 3
+
+    @pytest.mark.parametrize("alpha, message", [
+        ([1.0], "one weight per source"),
+        ([0.2, 0.3, 0.5], "one weight per source"),
+        ([[0.5, 0.5]], "one weight per source"),
+        ([0.9, 0.9], "simplex"),
+        ([1.2, -0.2], "simplex"),
+        ([0.4, 0.4], "simplex"),
+        ([np.nan, 1.0], "non-finite"),
+        (["a", "b"], "numeric"),
+    ], ids=["too_few", "too_many", "two_dimensional", "sums_past_one", "negative",
+            "sums_short_of_one", "nan", "not_numeric"])
+    def test_bad_alpha_rejected(self, alpha, message):
+        with pytest.raises(theory.TheoryError, match=f"alpha.*{message}|{message}.*alpha"):
+            BoundConstants(m=[100, 100], alpha=alpha)
+
+    def test_no_sources_rejected(self):
+        for alpha in (None, []):
+            with pytest.raises(theory.TheoryError, match="one sample count per source"):
+                BoundConstants(m=[], alpha=alpha)
+
+    def test_rounding_off_the_simplex_accepted(self):
+        c = BoundConstants(m=[100, 100, 100], alpha=[0.1, 0.2, 0.7 + 1e-12])
+        assert c.alpha_sq_over_m > 0.0
 
 
 class TestSupervisedGapBound:
