@@ -20,8 +20,7 @@ ledger = GradNormLedger()
 for k in range(200):
     ledger.accumulate("u", eta=0.1, sigma=0.05, grad_sq_norm=0.4 / (1 + k))
     ledger.accumulate("v", eta=0.1, sigma=0.05, grad_sq_norm=0.2 / (1 + k))
-lam = asol.adaptive_reg_weight(eps=1.0, tau=1.0, c1=0.5,
-                               delta_u=ledger.delta_u, delta_v=ledger.delta_v)
+lam = asol.regularizer_weight(eps=1.0, tau=1.0, c1=0.5, ledger=ledger)
 print(f"ledger deltas: du={ledger.delta_u:.3f} dv={ledger.delta_v:.3f} -> lambda_R={lam:.3f}")
 
 # per-source risks feed the linear coefficients; the solver beats the grid

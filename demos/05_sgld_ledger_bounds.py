@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """SGLD updates, the gradient-norm ledger they feed, and the
-generalization-bound calculators evaluated from it."""
+generalization-bound calculators: the two regime bounds, and the
+training-risk bound that mixes them with the ledger's sums."""
 
 import os
 import tempfile
@@ -32,17 +33,22 @@ du, dv = opt.replay_ledger_csv(path)
 print(f"live deltas ({ledger.delta_u:.6f}, {ledger.delta_v:.6f}) == replay ({du:.6f}, {dv:.6f}): "
       f"{(du, dv) == (ledger.delta_u, ledger.delta_v)}")
 
-# the three bound calculators
+# the two regime bounds, from mutual-information values
 consts = theory.BoundConstants(sigma=0.5, m_t=100, m_t_prime=2000, m=[2000, 2000],
                                alpha=[0.6, 0.4], epsilon=0.8, tau=0.5,
-                               delta_u=du, delta_v=dv, r_star=0.05, r_star_rep=0.1)
+                               r_star=0.05, r_star_rep=0.1)
 sup_total, sup_terms = theory.supervised_gap_bound(consts, i_uv=2.0, i_u=1.0)
 print(f"supervised gap bound: {sup_total:.4f} terms={ {k: round(v, 4) for k, v in sup_terms.items()} }")
 
 unsup_total, _ = theory.unsupervised_gap_bound(consts, i_uv=2.0)
 print(f"pseudo-label gap bound: {unsup_total:.4f}")
 
-report = theory.training_risk_bound(consts, empirical_combined_risk=0.35)
+# the training-risk bound is their tau-mixture, with the ledger sums in place
+# of the information
+report = theory.training_risk_bound(consts, du, dv, empirical_combined_risk=0.35)
 print("training-risk bound report:")
 for name, value in report.csv_rows():
     print(f"  {name:28s} {value:.6f}")
+mixture = (0.35 + consts.tau * theory.supervised_gap_bound(consts, du + dv, du)[0]
+           + (1 - consts.tau) * theory.unsupervised_gap_bound(consts, du + dv)[0])
+print(f"0.35 + tau*supervised(du+dv, du) + (1-tau)*pseudo(du+dv) = {mixture:.6f}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizer import GradNormLedger, NoiselessLedgerError
+from .optimizer import NoiselessLedgerError
 
 
 class AlphaSolverError(Exception):
@@ -74,18 +74,24 @@ class AlphaObjective:
         return self.linear + self.reg_weight * (alpha / self.m) / r
 
 
-def adaptive_reg_weight(eps, tau, c1, delta_u, delta_v):
-    """C1 * ((1 - tau + tau*eps) sqrt(delta_u + delta_v) + tau*eps sqrt(delta_u))."""
-    return c1 * ((1.0 - tau + tau * eps) * np.sqrt(delta_u + delta_v)
-                 + tau * eps * np.sqrt(delta_u))
+def regularizer_weight(eps, tau, c1, ledger, fixed=None):
+    """lambda_R of a weight solve: `fixed` (the config's lambda_r) if set,
+    else the ledger-adaptive C1((1-tau+tau*eps) sqrt(du+dv) + tau*eps sqrt(du)),
+    else None (a noiseless run has no ledger)."""
+    if fixed is not None:
+        return float(fixed)
+    if ledger is None:
+        return None
+    du, dv = ledger.delta_u, ledger.delta_v
+    return c1 * ((1.0 - tau + tau * eps) * np.sqrt(du + dv) + tau * eps * np.sqrt(du))
 
 
 def build_objective(risks_pred, risks_dup, eps, tau, c0, c1, ledger, m,
                     reg_weight_override=None):
     """Per-source linear coefficients
     (eps*tau + C0(1-tau)) r_i(v) - (eps*tau + 1 - tau) r_i(v')
-    with the ledger-adaptive regularizer weight.  A noiseless run has no
-    ledger; pass reg_weight_override to supply a fixed weight instead.
+    with the regularizer weight of regularizer_weight.  A noiseless run has
+    no ledger; pass reg_weight_override to supply a fixed weight instead.
     """
     risks_pred = np.asarray(risks_pred, dtype=np.float64)
     risks_dup = np.asarray(risks_dup, dtype=np.float64)
@@ -93,14 +99,10 @@ def build_objective(risks_pred, risks_dup, eps, tau, c0, c1, ledger, m,
         raise AlphaSolverError("risk vectors differ in length")
     linear = ((eps * tau + c0 * (1.0 - tau)) * risks_pred
               - (eps * tau + 1.0 - tau) * risks_dup)
-    if reg_weight_override is not None:
-        lam = float(reg_weight_override)
-    else:
-        if ledger is None or not isinstance(ledger, GradNormLedger):
-            raise NoiselessLedgerError(
-                "no gradient-norm ledger available (noiseless run?); pass "
-                "reg_weight_override to use a fixed regularizer weight")
-        lam = adaptive_reg_weight(eps, tau, c1, ledger.delta_u, ledger.delta_v)
+    lam = regularizer_weight(eps, tau, c1, ledger, reg_weight_override)
+    if lam is None:
+        raise NoiselessLedgerError("no gradient-norm ledger available (noiseless run?); pass "
+                                   "reg_weight_override to use a fixed regularizer weight")
     return AlphaObjective(linear=linear, reg_weight=lam, m=np.asarray(m))
 
 

@@ -3,7 +3,8 @@
     imda run --config cfg [--set key=value ...]   full training run
     imda check                                    fast property battery
     imda oracle-w1 measures.csv [--scale S] [--label-cost zero_one|absolute]
-    imda bound --config cfg [--set ...] [--ledger ledger.csv]
+    imda bound --config cfg [--set ...] (--ledger ledger.csv | --delta-u U --delta-v V)
+               [--empirical-risk R]
 
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -243,19 +245,20 @@ def _cmd_oracle_w1(args):
 
 def _cmd_bound(args):
     cfg = harness.parse_config(args.config, args.set or ())
-    if args.ledger:
-        du, dv = optimizer.replay_ledger_csv(args.ledger)
-    else:
-        du, dv = cfg.delta_u, cfg.delta_v
-        if du is None or dv is None:
-            raise harness.ConfigError(
-                "bound needs delta_u/delta_v config keys or --ledger ledger.csv")
+    deltas = {"--delta-u": args.delta_u, "--delta-v": args.delta_v}
+    if sum(v is not None for v in deltas.values()) != (0 if args.ledger else 2):
+        raise harness.ConfigError("bound takes --ledger ledger.csv, or --delta-u and --delta-v")
+    for flag, value in deltas.items():
+        if value is not None and not 0.0 <= value < math.inf:
+            raise harness.ConfigError(f"{flag} must be >= 0 and finite")
+    if not math.isfinite(args.empirical_risk):
+        raise harness.ConfigError("--empirical-risk must be finite")
+    du, dv = optimizer.replay_ledger_csv(args.ledger) if args.ledger else deltas.values()
     train, _ = harness.build_datasets(cfg)
-    consts = harness.bound_constants(cfg, train, None, du, dv)
-    report = theory.training_risk_bound(consts, cfg.empirical_risk)
+    report = theory.training_risk_bound(harness.bound_constants(cfg, train, None), du, dv,
+                                        args.empirical_risk)
     print("term,value")
-    for name, value in report.csv_rows():
-        print(f"{name},{value!r}")
+    print("\n".join(f"{name},{value!r}" for name, value in report.csv_rows()))
     return 0
 
 
@@ -284,6 +287,9 @@ def build_parser():
     p_bound.add_argument("--config", required=True)
     p_bound.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_bound.add_argument("--ledger", help="replay delta_u/delta_v from a ledger.csv")
+    p_bound.add_argument("--delta-u", type=float, help="ledger sum of u, without --ledger")
+    p_bound.add_argument("--delta-v", type=float, help="ledger sum of v, without --ledger")
+    p_bound.add_argument("--empirical-risk", type=float, default=0.0)
     p_bound.set_defaults(fn=_cmd_bound)
     return parser
 

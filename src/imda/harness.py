@@ -132,9 +132,6 @@ _SCHEMA = {
     "bound_sigma": ("float", 1.0, _NON_NEGATIVE),
     "r_star": ("float", 0.0, _NON_NEGATIVE),
     "r_star_rep": ("float", 0.0, _NON_NEGATIVE),
-    "delta_u": ("float", None, _NON_NEGATIVE),
-    "delta_v": ("float", None, _NON_NEGATIVE),
-    "empirical_risk": ("float", 0.0, None),
     "data": ("str", "synthetic", _one_of("synthetic", "csv")),
     "drop_rate": ("float", 0.5, _BELOW_ONE),
     "domain_size": ("int", 2000, _AT_LEAST_ONE),
@@ -792,7 +789,7 @@ def reference_gradients(model, coefs, alpha, target_batch, unlabeled_x,
     return _assemble(coefs, cfg, share)
 
 
-def bound_constants(cfg, train, alpha, delta_u, delta_v):
+def bound_constants(cfg, train, alpha):
     """theory.BoundConstants of a run of cfg on the training set `train`
     (alpha None: uniform); the labeled and unlabeled target sizes count
     only in the regimes that train on them, and are 1 otherwise."""
@@ -802,7 +799,6 @@ def bound_constants(cfg, train, alpha, delta_u, delta_v):
         m_t=train.target[0].shape[0] if coefs.uses_target else 1,
         m_t_prime=train.target_unlabeled.shape[0] if coefs.uses_unlabeled else 1,
         m=train.source_sizes, epsilon=cfg.epsilon, tau=cfg.tau, alpha=alpha,
-        delta_u=delta_u, delta_v=delta_v,
         r_star=cfg.r_star, r_star_rep=cfg.r_star_rep)
 
 
@@ -899,15 +895,13 @@ def run(cfg, datasets=None):
                                           cfg.w1_discri_coef1, cfg.w1_discri_coef2) - rs_dup
         combined = (risks.assemble_combined(eps, tau, rt, rs, w1s, w1p)
                     if cfg.alignment else None)
-        lam = du = dv = report = None
+        lam = alpha_solver.regularizer_weight(eps, tau, cfg.c1, ledger, cfg.lambda_r)
+        du = dv = report = None
         if ledger is not None:
             du, dv = ledger.delta_u, ledger.delta_v
-            lam = alpha_solver.adaptive_reg_weight(eps, tau, cfg.c1, du, dv)
             report = theory.training_risk_bound(
-                bound_constants(cfg, train, alpha, du, dv),
+                bound_constants(cfg, train, alpha), du, dv,
                 combined if combined is not None else rs)
-        elif cfg.lambda_r is not None:
-            lam = cfg.lambda_r
         row = {"epoch": epoch, "acc_target": evaluate(model, *test.target)}
         row.update((f"acc_src_{i + 1}", evaluate(model, x, y))
                    for i, (x, y) in enumerate(test.sources))

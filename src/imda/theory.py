@@ -11,7 +11,8 @@ leaves free, moving the dual potentials once per augmentation.
 Everything else in the package that claims a Wasserstein-related
 inequality is tested against it.  Permutation enumeration and a subset
 dynamic program (in the tests and, separately, in the benchmark) stay as
-its independent oracles.
+its independent oracles.  Of the bound calculators, the training-risk
+bound is the tau-mixture of the two regime bounds.
 """
 
 from __future__ import annotations
@@ -238,7 +239,8 @@ class BoundConstants:
     and the joint approximation error have no estimator and are taken as
     user-supplied; the sub-Gaussian scales for the loss and the critic
     class are merged into one sigma.  alpha holds one domain weight per
-    source and lies on the simplex (default: uniform)."""
+    source and lies on the simplex (default: uniform).  The ledger sums are
+    run state, not constants: training_risk_bound takes them as arguments."""
 
     sigma: float = 1.0
     m_t: int = 1
@@ -247,15 +249,17 @@ class BoundConstants:
     epsilon: float = 1.0
     tau: float = 1.0
     alpha: np.ndarray = None
-    delta_u: float = None
-    delta_v: float = None
     r_star: float = 0.0
     r_star_rep: float = 0.0
 
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=np.float64)
-        if self.sigma < 0:
-            raise TheoryError("sigma must be >= 0")
+        for name in ("sigma", "r_star", "r_star_rep"):
+            if _finite(name, getattr(self, name)) < 0:
+                raise TheoryError(f"{name} must be >= 0")
+        for name in ("epsilon", "tau"):
+            if not 0.0 <= _finite(name, getattr(self, name)) <= 1.0:
+                raise TheoryError(f"{name} must be in [0, 1]")
         if self.m.size == 0:
             raise TheoryError("m must hold one sample count per source, got none")
         if np.any(self.m < 1) or self.m_t < 1 or self.m_t_prime < 1:
@@ -280,17 +284,17 @@ def supervised_gap_bound(c, i_uv, i_u):
     information between parameters and data:
 
     sigma*sqrt(2((1-eps)^2/m_t + eps^2 sum alpha_i^2/m_i) I_uv)
-    + sigma*sqrt(2 eps^2 (sum alpha_i^2/m_i + 1/m_t) I_u)
+    + sigma*eps*sqrt(2(sum alpha_i^2/m_i + 1/m_t) I_u)
 
+    (sigma and eps outside the roots: their squares could underflow).
     Returns (total, {term name: value}).
     """
-    if i_uv < 0 or i_u < 0:
+    if not (i_uv >= 0 and i_u >= 0):  # NaN fails too
         raise TheoryError("mutual-information values must be >= 0")
     eps = c.epsilon
     t1 = c.sigma * np.sqrt(
         2.0 * ((1.0 - eps) ** 2 / c.m_t + eps ** 2 * c.alpha_sq_over_m) * i_uv)
-    t2 = c.sigma * np.sqrt(
-        2.0 * eps ** 2 * (c.alpha_sq_over_m + 1.0 / c.m_t) * i_u)
+    t2 = c.sigma * eps * np.sqrt(2.0 * (c.alpha_sq_over_m + 1.0 / c.m_t) * i_u)
     terms = {"joint_information_term": float(t1), "representation_information_term": float(t2)}
     return float(t1 + t2), terms
 
@@ -298,13 +302,13 @@ def supervised_gap_bound(c, i_uv, i_u):
 def unsupervised_gap_bound(c, i_uv):
     """Generalization-gap bound for the pseudo-label regime:
 
-    sqrt(2 sigma^2 (sum alpha_i^2/m_i + 1/m_t') I_uv) + R*_rep + R*
+    sigma*sqrt(2(sum alpha_i^2/m_i + 1/m_t') I_uv) + R*_rep + R*
 
     Returns (total, {term name: value}).
     """
-    if i_uv < 0:
+    if not i_uv >= 0:  # NaN fails too
         raise TheoryError("mutual-information values must be >= 0")
-    t1 = np.sqrt(2.0 * c.sigma ** 2 * (c.alpha_sq_over_m + 1.0 / c.m_t_prime) * i_uv)
+    t1 = c.sigma * np.sqrt(2.0 * (c.alpha_sq_over_m + 1.0 / c.m_t_prime) * i_uv)
     terms = {"information_term": float(t1),
              "joint_approximation_error": float(c.r_star_rep),
              "ideal_joint_error": float(c.r_star)}
@@ -319,37 +323,30 @@ class BoundReport:
     total: float
 
     def csv_rows(self):
-        rows = [(name, value) for name, value in self.terms]
-        rows.append(("total", self.total))
-        return rows
+        return [*self.terms, ("total", self.total)]
 
 
-def training_risk_bound(c, empirical_combined_risk):
+def training_risk_bound(c, delta_u, delta_v, empirical_combined_risk):
     """Full right-hand side of the gradient-norm risk bound for the unified
-    algorithm, built from the ledger accumulators delta_u, delta_v:
+    algorithm: the tau-mixture of the two regime bounds, with the ledger
+    sums delta_u, delta_v in place of the mutual information,
 
       empirical combined risk
-      + tau*sigma*sqrt(2((1-eps)^2/m_t + eps^2 sum a^2/m)(delta_u+delta_v))
-      + tau*eps*sigma*sqrt(2(sum a^2/m + 1/m_t) delta_u)
-      + (1-tau)*sigma*sqrt(2(sum a^2/m + 1/m_t')(delta_u+delta_v))
-      + (1-tau)*R*_rep + (1-tau)*R*
-    """
-    if c.delta_u is None or c.delta_v is None:
-        raise TheoryError("ledger accumulators are absent (noiseless run?)")
-    if c.delta_u < 0 or c.delta_v < 0:
-        raise TheoryError("ledger accumulators must be >= 0")
-    eps, tau = c.epsilon, c.tau
-    asm = c.alpha_sq_over_m
-    d_uv = c.delta_u + c.delta_v
+      + tau * supervised_gap_bound(c, delta_u + delta_v, delta_u)
+      + (1 - tau) * unsupervised_gap_bound(c, delta_u + delta_v)
+
+    with each regime term listed under its own name, times its weight."""
+    for name, value in (("delta_u", delta_u), ("delta_v", delta_v)):
+        if _finite(name, value) < 0:
+            raise TheoryError(f"ledger sum {name} must be >= 0")
+    _, sup = supervised_gap_bound(c, delta_u + delta_v, delta_u)
+    _, pseudo = unsupervised_gap_bound(c, delta_u + delta_v)
     terms = [
         ("empirical_combined_risk", float(empirical_combined_risk)),
-        ("supervised_parameter_term",
-         float(tau * c.sigma * np.sqrt(2.0 * ((1.0 - eps) ** 2 / c.m_t + eps ** 2 * asm) * d_uv))),
-        ("supervised_alignment_term",
-         float(tau * eps * c.sigma * np.sqrt(2.0 * (asm + 1.0 / c.m_t) * c.delta_u))),
-        ("pseudo_alignment_term",
-         float((1.0 - tau) * c.sigma * np.sqrt(2.0 * (asm + 1.0 / c.m_t_prime) * d_uv))),
-        ("joint_approximation_error", float((1.0 - tau) * c.r_star_rep)),
-        ("ideal_joint_error", float((1.0 - tau) * c.r_star)),
+        ("supervised_parameter_term", float(c.tau * sup["joint_information_term"])),
+        ("supervised_alignment_term", float(c.tau * sup["representation_information_term"])),
+        ("pseudo_alignment_term", float((1.0 - c.tau) * pseudo["information_term"])),
+        ("joint_approximation_error", float((1.0 - c.tau) * pseudo["joint_approximation_error"])),
+        ("ideal_joint_error", float((1.0 - c.tau) * pseudo["ideal_joint_error"])),
     ]
     return BoundReport(terms=terms, total=float(sum(v for _, v in terms)))

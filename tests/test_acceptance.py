@@ -378,8 +378,8 @@ def test_c9_bound_calculators():
 
     # training-risk worked example, hand computed
     c = theory.BoundConstants(sigma=1.0, m_t=100, m=[100, 100], alpha=[1.0, 0.0],
-                              epsilon=1.0, tau=1.0, delta_u=1.0, delta_v=1.0)
-    report = theory.training_risk_bound(c, 0.25)
+                              epsilon=1.0, tau=1.0)
+    report = theory.training_risk_bound(c, 1.0, 1.0, 0.25)
     want = 0.25 + np.sqrt(2.0 * 0.01 * 2.0) + np.sqrt(2.0 * 0.02 * 1.0)
     assert abs(report.total - want) < 1e-12
 
@@ -389,17 +389,16 @@ def test_c9_bound_calculators():
     for _ in range(1000):
         du, dv, sig = rng.uniform(0.05, 5.0, 3)
         bump = float(rng.uniform(1.01, 3.0))
-        base_c = theory.BoundConstants(sigma=sig, m_t=50, m_t_prime=80, m=[60, 90],
-                                       alpha=[0.5, 0.5], epsilon=0.7, tau=0.4,
-                                       delta_u=du, delta_v=dv,
-                                       r_star=0.1, r_star_rep=0.1)
-        base = theory.training_risk_bound(base_c, 0.3).total
+        def total(sigma, delta_u, delta_v):
+            c = theory.BoundConstants(sigma=sigma, m_t=50, m_t_prime=80, m=[60, 90],
+                                      alpha=[0.5, 0.5], epsilon=0.7, tau=0.4,
+                                      r_star=0.1, r_star_rep=0.1)
+            return theory.training_risk_bound(c, delta_u, delta_v, 0.3).total
+
+        base = total(sig, du, dv)
         for field in ("delta_u", "delta_v", "sigma"):
             kwargs = dict(sigma=sig, delta_u=du, delta_v=dv)
             kwargs[field] = kwargs[field] * bump
-            bumped = theory.BoundConstants(m_t=50, m_t_prime=80, m=[60, 90],
-                                           alpha=[0.5, 0.5], epsilon=0.7, tau=0.4,
-                                           r_star=0.1, r_star_rep=0.1, **kwargs)
-            assert theory.training_risk_bound(bumped, 0.3).total >= base
+            assert total(**kwargs) >= base
             checked += 1
     announce("C9", f"worked examples exact to 1e-12; {checked} monotonicity bumps hold")

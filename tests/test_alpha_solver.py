@@ -78,8 +78,18 @@ class TestBuildObjective:
         assert np.allclose(obj.linear, want, atol=1e-15)
 
     def test_adaptive_weight_value(self):
-        assert a.adaptive_reg_weight(eps=1.0, tau=1.0, c1=0.5, delta_u=4.0,
-                                     delta_v=0.0) == 2.0
+        assert a.regularizer_weight(eps=1.0, tau=1.0, c1=0.5,
+                                    ledger=GradNormLedger(delta_u=4.0)) == 2.0
+
+    def test_regularizer_weight_prefers_the_fixed_weight(self):
+        led = GradNormLedger()
+        led.accumulate("u", 0.1, 0.1, 1.0)
+        assert a.regularizer_weight(0.5, 0.5, 0.5, led, 0.25) == 0.25
+        # C1 ((1 - tau + tau*eps) sqrt(du + dv) + tau*eps sqrt(du)) at C1 = eps = tau = 1/2
+        assert a.regularizer_weight(0.5, 0.5, 0.5, led) == 0.5 * (
+            0.75 * np.sqrt(led.delta_u + led.delta_v) + 0.25 * np.sqrt(led.delta_u)) > 0.0
+        assert a.regularizer_weight(0.5, 0.5, 0.5, None, 0.25) == 0.25
+        assert a.regularizer_weight(0.5, 0.5, 0.5, None) is None
 
     def test_noiseless_ledger_instructs_override(self):
         with pytest.raises(NoiselessLedgerError, match="reg_weight_override"):

@@ -30,7 +30,7 @@ BAD_VALUES = [
         "w1_sup_coef", "w1_discri_coef1", "w1_discri_coef2", "interp_penalty_weight",
         "c0", "c1", "lambda_r", "bound_sigma", "r_star", "r_star_rep",
         "eta_decay_steps", "u_ramp_epochs", "v_ramp_epochs", "labeled_target_size",
-        "seed", "delta_u", "delta_v")],
+        "seed")],
     ("drop_rate", "1"),
     ("drop_rate", "-0.5"),
     ("domain_size", "0"),
@@ -49,6 +49,10 @@ BAD_VALUES = [
     ("radius", "2", "data=csv", "source_csvs=s.csv"),
     # test source i is the held-out set of training source i
     ("test_source_csvs", "t.csv", "data=csv", "source_csvs=s0.csv,s1.csv"),
+    # the bound's inputs are `imda bound` flags, not config keys: a run config
+    # that sets one exits 2 naming it, whatever the value
+    *[(key, value) for key in ("delta_u", "delta_v", "empirical_risk")
+      for value in ("-1", "nan", "inf", "5")],
     # every float key, present and future, must be finite
     *[(key, value) for key, (kind, *_) in harness._SCHEMA.items()
       if kind in ("float", "floats") for value in ("nan", "inf")],
@@ -183,11 +187,26 @@ class TestOracleW1Command:
         assert "non-finite" in capsys.readouterr().err
 
 
+# `imda bound`'s rows for a semi config (domain_size 300) with delta_u 4,
+# delta_v 2.5 and empirical risk -0.25, as they read when these inputs were
+# the config keys delta_u, delta_v and empirical_risk
+SEMI_BOUND_ROWS = [
+    "term,value",
+    "empirical_combined_risk,-0.25",
+    "supervised_parameter_term,0.0766295361691043",
+    "supervised_alignment_term,0.06011315388366568",
+    "pseudo_alignment_term,0.13443093612447093",
+    "joint_approximation_error,0.0",
+    "ideal_joint_error,0.0",
+    "total,0.02117362617724089",
+]
+
+
 class TestBoundCommand:
     def test_bound_from_config_constants(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "mode = supervised\ndelta_u = 4.0\ndelta_v = 2.0\n"
-                                  "empirical_risk = 0.5\n")
-        code = cli.main(["bound", "--config", cfg])
+        cfg = write_cfg(tmp_path, "mode = supervised\n")
+        code = cli.main(["bound", "--config", cfg, "--delta-u", "4.0", "--delta-v", "2.0",
+                         "--empirical-risk", "0.5"])
         assert code == 0
         out = capsys.readouterr().out
         rows = dict(line.split(",") for line in out.strip().splitlines()[1:])
@@ -198,6 +217,36 @@ class TestBoundCommand:
     def test_bound_needs_deltas(self, tmp_path):
         cfg = write_cfg(tmp_path, "mode = supervised\n")
         assert cli.main(["bound", "--config", cfg]) == 2
+        assert cli.main(["bound", "--config", cfg, "--delta-u", "4.0"]) == 2
+
+    def test_semi_bound_from_flags(self, tmp_path, capsys):
+        """The rows the same inputs gave as the config keys delta_u,
+        delta_v and empirical_risk, byte for byte."""
+        cfg = write_cfg(tmp_path, "mode = semi\ndomain_size = 300\n")
+        assert cli.main(["bound", "--config", cfg, "--delta-u", "4.0", "--delta-v", "2.5",
+                         "--empirical-risk", "-0.25"]) == 0
+        assert capsys.readouterr().out.splitlines() == SEMI_BOUND_ROWS
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--delta-u", "-1", "--delta-v", "2"], "--delta-u"),
+        (["--delta-u", "4", "--delta-v", "nan"], "--delta-v"),
+        (["--delta-u", "4", "--delta-v", "2", "--empirical-risk", "inf"], "--empirical-risk"),
+    ], ids=["negative_delta_u", "nan_delta_v", "infinite_empirical_risk"])
+    def test_bad_flag_exits_two_naming_it(self, tmp_path, capsys, flags, named):
+        cfg = write_cfg(tmp_path, "mode = supervised\n")
+        assert cli.main(["bound", "--config", cfg, *flags]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_ledger_and_delta_flags_exit_two(self, tmp_path, capsys):
+        from imda.optimizer import GradNormLedger
+        led = GradNormLedger()
+        led.accumulate("u", 0.1, 0.01, 4.0)
+        led.accumulate("v", 0.1, 0.01, 2.0)
+        led.write_csv(tmp_path / "ledger.csv")
+        cfg = write_cfg(tmp_path, "mode = supervised\n")
+        assert cli.main(["bound", "--config", cfg, "--ledger", str(tmp_path / "ledger.csv"),
+                         "--delta-u", "4.0"]) == 2
+        assert "--delta-u" in capsys.readouterr().err
 
     def test_bound_from_ledger_csv(self, tmp_path, capsys):
         from imda.optimizer import GradNormLedger
@@ -251,7 +300,7 @@ class TestBoundCommand:
             combined = list(csv.DictReader(fh))[-1]["combined"]
         capsys.readouterr()
         code = cli.main(["bound", "--config", cfg, "--ledger", str(out / "ledger.csv"),
-                         "--set", f"empirical_risk={combined}"])
+                         "--empirical-risk", combined])
         assert code == 0
         with open(out / "bound.csv", newline="") as fh:
             expected = [",".join(row) for row in csv.reader(fh)]

@@ -42,7 +42,7 @@ def _spelled(flag):
 # value for, the drawn values, the strategy spelling a value for --set)
 ROUND_TRIPS = {
     "str": ("outdir", _WORD, st.just),
-    "float": ("empirical_risk", st.floats(allow_nan=False, allow_infinity=False),
+    "float": ("radius", st.floats(allow_nan=False, allow_infinity=False),
               lambda v: st.just(repr(v))),
     "int": ("seed", st.integers(0, 10**12), lambda v: st.just(str(v))),
     "bool": ("alignment", st.booleans(), _spelled),
@@ -55,10 +55,9 @@ ROUND_TRIPS = {
 
 
 # keys whose _SCHEMA row has no range rule: the bools, the paths, sigma
-# (checked against noiseless) and two constants any finite value suits
+# (checked against noiseless) and radius, which any finite value suits
 FREE_KEYS = {"noiseless", "alignment", "source_csvs", "target_csv", "target_unlabeled_csv",
-             "test_target_csv", "test_source_csvs", "outdir", "sigma", "empirical_risk",
-             "radius"}
+             "test_target_csv", "test_source_csvs", "outdir", "sigma", "radius"}
 
 
 class TestParseConfig:
@@ -197,6 +196,19 @@ class TestRunOutputs:
             a = np.array([row["alpha_1"], row["alpha_2"]])
             assert a.min() >= -1e-9 and abs(a.sum() - 1.0) < 1e-9
 
+    def test_lambda_r_column_is_the_weight_the_solve_used(self, tmp_path, monkeypatch):
+        """A noisy run that sets lambda_r solves with it in every epoch, and
+        metrics.csv and alpha.csv report it, not the ledger's adaptive weight."""
+        used = []
+        solve = harness.alpha_solver.solve_alpha
+        monkeypatch.setattr(harness.alpha_solver, "solve_alpha",
+                            lambda objective: used.append(objective.reg_weight) or solve(objective))
+        result = run(small_cfg(tmp_path, "mode=semi", "lambda_r=0.05", "epochs=3"))
+        assert result.ledger is not None and used == [0.05] * 3
+        assert [row["lambda_r"] for row in result.metrics] == [0.05] * 4
+        with open(os.path.join(str(tmp_path), "alpha.csv"), newline="") as fh:
+            assert [row["lambda_r"] for row in csv.DictReader(fh)] == ["0.05"] * 4
+
     def test_accuracies_within_unit_interval(self, tmp_path):
         result = run(small_cfg(tmp_path, "mode=supervised"))
         for row in result.metrics:
@@ -287,11 +299,11 @@ class TestSharedEvaluation:
             m_t_prime=(train.target_unlabeled.shape[0]
                        if cfg.tau < 1.0 and cfg.alignment else 1),
             m=train.source_sizes, epsilon=cfg.epsilon, tau=cfg.tau, alpha=alpha,
-            delta_u=result.ledger.delta_u, delta_v=result.ledger.delta_v,
             r_star=cfg.r_star, r_star_rep=cfg.r_star_rep)
         empirical = (last["combined"] if last["combined"] is not None
                      else last["r_source_alpha"])
-        report = theory.training_risk_bound(consts, empirical)
+        report = theory.training_risk_bound(consts, result.ledger.delta_u,
+                                            result.ledger.delta_v, empirical)
         with open(os.path.join(result.outdir, "bound.csv"), newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert rows == [[name, repr(float(value))] for name, value in report.csv_rows()]

@@ -173,7 +173,8 @@ class TestExactW1:
     def test_overflowing_costs_rejected(self):
         pair = DiscreteMeasurePair(xs_a=[[-1e300], [0.0]], ys_a=[0, 0],
                                    xs_b=[[1e300], [0.0]], ys_b=[0, 0])
-        with pytest.raises(theory.TheoryError, match="non-finite"):
+        with pytest.raises(theory.TheoryError, match="non-finite"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             theory.exact_w1(pair, GroundMetric(kind="example", scale=1e10))
 
 
@@ -343,6 +344,22 @@ class TestBoundConstants:
             with pytest.raises(theory.TheoryError, match="one sample count per source"):
                 BoundConstants(m=[], alpha=alpha)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("sigma", np.nan, "non-finite"),
+        ("sigma", np.inf, "non-finite"),
+        ("sigma", -0.5, ">= 0"),
+        ("epsilon", 2.0, r"in \[0, 1\]"),
+        ("epsilon", -0.1, r"in \[0, 1\]"),
+        ("tau", -0.5, r"in \[0, 1\]"),
+        ("tau", 1.5, r"in \[0, 1\]"),
+        ("tau", np.nan, "non-finite"),
+        ("r_star", -1.0, ">= 0"),
+        ("r_star_rep", -1.0, ">= 0"),
+    ])
+    def test_bad_constant_rejected_naming_it(self, field, value, message):
+        with pytest.raises(theory.TheoryError, match=f"^{field} .*{message}"):
+            BoundConstants(m=[100, 100], **{field: value})
+
     def test_rounding_off_the_simplex_accepted(self):
         c = BoundConstants(m=[100, 100, 100], alpha=[0.1, 0.2, 0.7 + 1e-12])
         assert c.alpha_sq_over_m > 0.0
@@ -377,6 +394,16 @@ class TestSupervisedGapBound:
             theory.supervised_gap_bound(c, -1.0, 0.0)
 
 
+    @pytest.mark.parametrize("bound, args", [
+        (theory.supervised_gap_bound, (np.nan, 1.0)),
+        (theory.supervised_gap_bound, (1.0, np.nan)),
+        (theory.unsupervised_gap_bound, (np.nan,)),
+    ], ids=["supervised_i_uv", "supervised_i_u", "unsupervised_i_uv"])
+    def test_nan_information_rejected(self, bound, args):
+        with pytest.raises(theory.TheoryError, match="mutual-information"):
+            bound(BoundConstants(m_t=10, m_t_prime=10, m=[10]), *args)
+
+
 class TestUnsupervisedGapBound:
     def test_zero_information_and_errors_give_zero(self):
         c = BoundConstants(sigma=1.0, m_t_prime=10, m=[10], alpha=[1.0])
@@ -403,33 +430,34 @@ class TestUnsupervisedGapBound:
 class TestTrainingRiskBound:
     def _consts(self, **kw):
         base = dict(sigma=0.5, m_t=100, m_t_prime=200, m=[80, 120],
-                    alpha=[0.5, 0.5], epsilon=0.6, tau=0.5,
-                    delta_u=4.0, delta_v=2.0, r_star=0.1, r_star_rep=0.2)
+                    alpha=[0.5, 0.5], epsilon=0.6, tau=0.5, r_star=0.1, r_star_rep=0.2)
         base.update(kw)
         return BoundConstants(**base)
 
+    def _bound(self, delta_u=4.0, delta_v=2.0, risk=0.3, **kw):
+        return theory.training_risk_bound(self._consts(**kw), delta_u, delta_v, risk)
+
     def test_supervised_extreme_drops_pseudo_terms(self):
-        report = theory.training_risk_bound(self._consts(tau=1.0), 0.3)
+        report = self._bound(tau=1.0)
         by_name = dict(report.terms)
         assert by_name["pseudo_alignment_term"] == 0.0
         assert by_name["joint_approximation_error"] == 0.0
         assert by_name["ideal_joint_error"] == 0.0
 
     def test_unsupervised_extreme_drops_supervised_terms(self):
-        report = theory.training_risk_bound(self._consts(tau=0.0), 0.3)
+        report = self._bound(tau=0.0)
         by_name = dict(report.terms)
         assert by_name["supervised_parameter_term"] == 0.0
         assert by_name["supervised_alignment_term"] == 0.0
 
     def test_total_is_sum_of_terms(self):
-        report = theory.training_risk_bound(self._consts(), 0.3)
+        report = self._bound()
         assert abs(report.total - sum(v for _, v in report.terms)) < 1e-12
 
     def test_hand_computed_case(self):
-        consts = self._consts(sigma=1.0, epsilon=1.0, tau=1.0, m_t=100,
-                              m=[100, 100], alpha=[1.0, 0.0],
-                              delta_u=1.0, delta_v=1.0)
-        report = theory.training_risk_bound(consts, 0.25)
+        report = self._bound(sigma=1.0, epsilon=1.0, tau=1.0, m_t=100,
+                             m=[100, 100], alpha=[1.0, 0.0],
+                             delta_u=1.0, delta_v=1.0, risk=0.25)
         want = (0.25 + np.sqrt(2.0 * (1.0 / 100) * 2.0)
                 + np.sqrt(2.0 * (2.0 / 100) * 1.0))
         assert abs(report.total - want) < 1e-12
@@ -438,22 +466,104 @@ class TestTrainingRiskBound:
         rng = np.random.default_rng(6)
         for _ in range(200):
             du, dv, sig = rng.uniform(0.1, 5, 3)
-            base = theory.training_risk_bound(
-                self._consts(delta_u=du, delta_v=dv, sigma=sig), 0.3).total
-            up_u = theory.training_risk_bound(
-                self._consts(delta_u=du * 1.7, delta_v=dv, sigma=sig), 0.3).total
-            up_v = theory.training_risk_bound(
-                self._consts(delta_u=du, delta_v=dv * 1.7, sigma=sig), 0.3).total
-            up_s = theory.training_risk_bound(
-                self._consts(delta_u=du, delta_v=dv, sigma=sig * 1.7), 0.3).total
+            base = self._bound(delta_u=du, delta_v=dv, sigma=sig).total
+            up_u = self._bound(delta_u=du * 1.7, delta_v=dv, sigma=sig).total
+            up_v = self._bound(delta_u=du, delta_v=dv * 1.7, sigma=sig).total
+            up_s = self._bound(delta_u=du, delta_v=dv, sigma=sig * 1.7).total
             assert up_u >= base and up_v >= base and up_s >= base
 
     def test_missing_ledger_rejected(self):
         with pytest.raises(theory.TheoryError):
-            theory.training_risk_bound(self._consts(delta_u=None), 0.3)
+            self._bound(delta_u=None)
 
     def test_csv_rows_end_with_total(self):
-        report = theory.training_risk_bound(self._consts(), 0.3)
+        report = self._bound()
         rows = report.csv_rows()
         assert rows[-1][0] == "total"
         assert rows[0][0] == "empirical_combined_risk"
+
+    @pytest.mark.parametrize("name, delta_u, delta_v", [
+        ("delta_u", -1.0, 2.0), ("delta_v", 4.0, -1.0), ("delta_v", 4.0, np.nan)])
+    def test_bad_ledger_sum_rejected_naming_it(self, name, delta_u, delta_v):
+        with pytest.raises(theory.TheoryError, match=name):
+            self._bound(delta_u=delta_u, delta_v=delta_v)
+
+
+def closed_form_terms(c, delta_u, delta_v, risk):
+    """The training-risk bound term by term, as written out before it became
+    the tau-mixture of the two regime bounds: the reference the composition
+    is held to."""
+    eps, tau = c.epsilon, c.tau
+    asm = c.alpha_sq_over_m
+    d_uv = delta_u + delta_v
+    return [
+        ("empirical_combined_risk", float(risk)),
+        ("supervised_parameter_term",
+         float(tau * c.sigma * np.sqrt(2.0 * ((1.0 - eps) ** 2 / c.m_t + eps ** 2 * asm) * d_uv))),
+        ("supervised_alignment_term",
+         float(tau * eps * c.sigma * np.sqrt(2.0 * (asm + 1.0 / c.m_t) * delta_u))),
+        ("pseudo_alignment_term",
+         float((1.0 - tau) * c.sigma * np.sqrt(2.0 * (asm + 1.0 / c.m_t_prime) * d_uv))),
+        ("joint_approximation_error", float((1.0 - tau) * c.r_star_rep)),
+        ("ideal_joint_error", float((1.0 - tau) * c.r_star)),
+    ]
+
+
+def _or_zero(low, high):
+    """0, or a float in [low, high].  With every scale factor 0 or at least
+    1e-50, no product of the bound's factors leaves the normal range, where
+    the two forms would round a subnormal differently."""
+    return st.one_of(st.just(0.0), st.floats(low, high))
+
+
+@st.composite
+def bound_inputs(draw, sigma=_or_zero(1e-50, 1e3),
+                 unit=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(1e-50, 1.0))):
+    n = draw(st.integers(1, 5))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+                            .filter(lambda w: sum(w) > 0.0)))
+    consts = BoundConstants(
+        sigma=draw(sigma), m_t=draw(st.integers(1, 10**6)),
+        m_t_prime=draw(st.integers(1, 10**6)),
+        m=draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n)),
+        alpha=weights / weights.sum(), epsilon=draw(unit), tau=draw(unit),
+        r_star=draw(st.floats(0.0, 10.0)), r_star_rep=draw(st.floats(0.0, 10.0)))
+    deltas = draw(_or_zero(1e-50, 1e12)), draw(_or_zero(1e-50, 1e12))
+    return consts, *deltas, draw(st.floats(-10.0, 10.0))
+
+
+class TestTrainingBoundIsTheRegimeMixture:
+    """training_risk_bound composes the two regime calculators; its terms
+    must be the closed-form terms it replaced."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(bound_inputs())
+    def test_terms_match_the_closed_form(self, inputs):
+        report = theory.training_risk_bound(*inputs)
+        want = closed_form_terms(*inputs)
+        assert [name for name, _ in report.terms] == [name for name, _ in want]
+        for (name, got), (_, value) in zip(report.terms, want):
+            assert abs(got - value) <= 1e-12 * abs(value), name
+        # the risk may cancel the other terms, so the total is held to the
+        # terms' scale
+        scale = sum(abs(v) for _, v in want)
+        assert abs(report.total - sum(v for _, v in want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("epsilon, tau", itertools.product((0.0, 0.5, 1.0), repeat=2))
+    def test_bit_equal_at_unit_sigma(self, epsilon, tau):
+        rng = np.random.default_rng([int(4 * epsilon), int(4 * tau)])
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            c = BoundConstants(sigma=1.0, m_t=int(rng.integers(1, 10**5)),
+                               m_t_prime=int(rng.integers(1, 10**5)),
+                               m=rng.integers(1, 10**5, n), alpha=rng.dirichlet(np.ones(n)),
+                               epsilon=epsilon, tau=tau, r_star=float(rng.uniform(0, 2)),
+                               r_star_rep=float(rng.uniform(0, 2)))
+            inputs = (c, *(float(v) for v in rng.uniform(0, 1e4, 2)),
+                      float(rng.uniform(-1, 3)))
+            report = theory.training_risk_bound(*inputs)
+            want = closed_form_terms(*inputs)
+            got = np.array([v for _, v in report.terms] + [report.total])
+            assert [name for name, _ in report.terms] == [name for name, _ in want]
+            assert got.tobytes() == np.array([v for _, v in want]
+                                             + [sum(v for _, v in want)]).tobytes()
