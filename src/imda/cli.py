@@ -22,7 +22,7 @@ from . import alpha_solver, data, diffcore as dc, harness, models, optimizer, ri
 
 _NUMERIC_ERRORS = (harness.RunError, optimizer.OptimizerError,
                    alpha_solver.AlphaSolverError, theory.TheoryError, risks.RiskError,
-                   dc.GraphError, data.DataError)
+                   dc.GraphError, data.DataError, models.ArchitectureError)
 
 
 def _cmd_run(args):
@@ -218,25 +218,22 @@ def _cmd_check(args):
 
 
 def _cmd_oracle_w1(args):
-    _, rows = data.read_table(args.csv, ("measure", "label"))
-    rows_a, rows_b = [], []
+    if not 0.0 <= args.scale < math.inf:
+        raise harness.ConfigError("--scale must be >= 0 and finite")
+    header, rows = data.read_table(args.csv, ("measure", "label"))
+    measures = {"a": [], "b": []}
     for line_no, row in rows:
-        side = row[0].strip().lower()
-        if side not in ("a", "b"):
+        side = measures.get(row[0].strip().lower())
+        if side is None:
             raise data.CsvFormatError(args.csv, line_no,
                                       f"measure must be 'a' or 'b', got {row[0]!r}")
         try:
-            label = float(row[1])
-            feats = [float(v) for v in row[2:]]
+            side.append([float(v) for v in row[1:]])
         except ValueError:
             raise data.CsvFormatError(args.csv, line_no, "unparseable numeric value")
-        (rows_a if side == "a" else rows_b).append((feats, label))
-    if len(rows_a) != len(rows_b):
-        raise theory.TheoryError(
-            f"measures must have equal support sizes, got {len(rows_a)} vs {len(rows_b)}")
-    pair = theory.DiscreteMeasurePair(
-        xs_a=np.array([f for f, _ in rows_a]), ys_a=np.array([l for _, l in rows_a]),
-        xs_b=np.array([f for f, _ in rows_b]), ys_b=np.array([l for _, l in rows_b]))
+    # each measure's (label, f0, f1, ...) rows; the pair checks their sizes
+    a, b = (np.reshape(measures[side], (-1, len(header) - 1)) for side in "ab")
+    pair = theory.DiscreteMeasurePair(xs_a=a[:, 1:], ys_a=a[:, 0], xs_b=b[:, 1:], ys_b=b[:, 0])
     metric = theory.GroundMetric(kind="example", label_cost=args.label_cost,
                                  scale=args.scale)
     print(repr(float(theory.exact_w1(pair, metric))))

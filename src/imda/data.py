@@ -226,24 +226,30 @@ def read_table(path, leading=()):
     """(header, [(line number, row), ...]) of a csv table's non-blank rows,
     the twin of write_table.  The header, its cells stripped, must start
     with `leading`, and each row must have its field count.  Bytes that are
-    not UTF-8 (read as lone surrogates, which do not encode) name their line."""
+    not UTF-8 (read as lone surrogates, which do not encode) name their
+    line, as does a fault of the csv reader itself (a field longer than
+    csv.field_size_limit)."""
     header, rows = None, []
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            try:
-                "".join(row).encode("utf-8")
-            except UnicodeEncodeError:
-                raise CsvFormatError(path, reader.line_num, "bytes that are not UTF-8 text")
-            if header is None:
-                header = [cell.strip() for cell in row]
-                if header[:len(leading)] != list(leading):
-                    raise CsvFormatError(path, 1, f"header must start with {','.join(leading)}")
-            elif row:
-                if len(row) != len(header):
-                    raise CsvFormatError(path, reader.line_num, f"expected {len(header)} fields "
-                                         f"as in the header, found {len(row)}")
-                rows.append((reader.line_num, row))
+        try:
+            for row in reader:
+                try:
+                    "".join(row).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise CsvFormatError(path, reader.line_num, "bytes that are not UTF-8 text")
+                if header is None:
+                    header = [cell.strip() for cell in row]
+                    if header[:len(leading)] != list(leading):
+                        raise CsvFormatError(path, 1,
+                                             f"header must start with {','.join(leading)}")
+                elif row:
+                    if len(row) != len(header):
+                        raise CsvFormatError(path, reader.line_num, f"expected {len(header)} "
+                                             f"fields as in the header, found {len(row)}")
+                    rows.append((reader.line_num, row))
+        except csv.Error as exc:
+            raise CsvFormatError(path, reader.line_num, str(exc)) from None
     if header is None:
         raise CsvFormatError(path, 1, "missing header row")
     return header, rows

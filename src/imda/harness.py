@@ -985,10 +985,8 @@ def run(cfg, datasets=None):
     data.write_table(os.path.join(outdir, "metrics.csv"), header,
                      (row.values() for row in metrics_rows))
     data.write_table(os.path.join(outdir, "alpha.csv"), alpha_header, alpha_rows)
-    if ledger is not None:
-        ledger.write_csv(os.path.join(outdir, "ledger.csv"))
-    else:
-        data.write_table(os.path.join(outdir, "ledger.csv"), optimizer.LEDGER_HEADER)
+    # a noiseless run writes the empty ledger: the header alone
+    (ledger or optimizer.GradNormLedger()).write_csv(os.path.join(outdir, "ledger.csv"))
     # the last epoch's bound, one row per term (header only without a ledger)
     data.write_table(os.path.join(outdir, "bound.csv"), ("term", "value"),
                      bound.csv_rows() if bound is not None else ())

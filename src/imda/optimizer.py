@@ -2,8 +2,10 @@
 
 The ledger sums eta^2 * ||G||^2 / (2 sigma^2) per step and block, using
 the realized squared gradient norm of each step as the surrogate for its
-expectation; every increment is logged so the accumulators can be
-replayed offline (and averaged over seeds externally).
+expectation.  Every increment is logged, and replay_ledger_csv replays a
+written log through a fresh GradNormLedger, so the run and the replay
+share one accumulator (the sums can then be averaged over seeds
+externally).
 """
 
 from __future__ import annotations
@@ -75,38 +77,31 @@ def duplicate_ascent_step(params, gradient, eta):
 LEDGER_HEADER = ("step", "block", "eta", "sigma", "grad_sq_norm", "delta_after")
 
 
-def _accumulated(delta, eta, sigma, grad_sq_norm):
-    """delta + eta^2 * grad_sq_norm / (2 sigma^2): the ledger's one update
-    rule, which the run and the replay share so that they agree bit for bit."""
-    if not (sigma > 0 and 2.0 * sigma * sigma > 0):
-        raise NoiselessLedgerError(f"sigma must be > 0, with 2*sigma^2 > 0 in floating point "
-                                   f"(no ledger without noise), got {sigma!r}")
-    if not 0.0 <= grad_sq_norm < math.inf:
-        raise OptimizerError(f"grad_sq_norm must be >= 0 and finite, got {grad_sq_norm!r}")
-    after = delta + (eta * eta) * grad_sq_norm / (2.0 * sigma * sigma)
-    if not math.isfinite(after):
-        raise OptimizerError(f"the ledger accumulator overflows: {delta!r} + eta {eta!r}^2 "
-                             f"* grad_sq_norm {grad_sq_norm!r} / (2 sigma^2) is {after!r}")
-    return after
-
-
 @dataclass
 class GradNormLedger:
-    """Accumulators delta_u, delta_v with a per-step log that replays to the
-    same values bit-for-bit."""
+    """Accumulators delta_u, delta_v and a per-step log, which
+    replay_ledger_csv feeds back through a fresh ledger."""
 
     delta_u: float = 0.0
     delta_v: float = 0.0
     log: list = field(default_factory=list)
 
     def accumulate(self, which, eta, sigma, grad_sq_norm, step=None):
-        """Add eta^2 * grad_sq_norm / (2 sigma^2) to the chosen block."""
-        if which == "u":
-            self.delta_u = after = _accumulated(self.delta_u, eta, sigma, grad_sq_norm)
-        elif which == "v":
-            self.delta_v = after = _accumulated(self.delta_v, eta, sigma, grad_sq_norm)
-        else:
+        """Add eta^2 * grad_sq_norm / (2 sigma^2) to block `which` (u or v)
+        and log the step; returns the ledger."""
+        if which not in ("u", "v"):
             raise OptimizerError(f"unknown block {which!r}")
+        if not (sigma > 0 and 2.0 * sigma * sigma > 0):
+            raise NoiselessLedgerError(f"sigma must be > 0, with 2*sigma^2 > 0 in floating point "
+                                       f"(no ledger without noise), got {sigma!r}")
+        if not 0.0 <= grad_sq_norm < math.inf:
+            raise OptimizerError(f"grad_sq_norm must be >= 0 and finite, got {grad_sq_norm!r}")
+        delta = getattr(self, f"delta_{which}")
+        after = delta + (eta * eta) * grad_sq_norm / (2.0 * sigma * sigma)
+        if not math.isfinite(after):
+            raise OptimizerError(f"the ledger accumulator overflows: {delta!r} + eta {eta!r}^2 "
+                                 f"* grad_sq_norm {grad_sq_norm!r} / (2 sigma^2) is {after!r}")
+        setattr(self, f"delta_{which}", after)
         self.log.append((len(self.log) if step is None else step,
                          which, eta, sigma, grad_sq_norm, after))
         return self
@@ -115,35 +110,24 @@ class GradNormLedger:
         data.write_table(path, LEDGER_HEADER, self.log)
 
 
-def _replayed(rows):
-    """(block, its accumulator after the row) for each (block, eta, sigma,
-    grad_sq_norm) row in order, by the run's update rule."""
-    deltas = {"u": 0.0, "v": 0.0}
-    for i, (block, eta, sigma, gsq) in enumerate(rows, start=1):
-        if block not in deltas:
-            raise OptimizerError(f"ledger row {i}: unknown block {block!r}")
-        try:
-            deltas[block] = _accumulated(deltas[block], eta, sigma, gsq)
-        except OptimizerError as exc:
-            raise OptimizerError(f"ledger row {i}: {exc}") from None
-        yield block, deltas[block]
-
-
 def replay_ledger_csv(path):
-    """Replay a ledger.csv written by GradNormLedger.write_csv.  A format
-    fault raises data.CsvFormatError naming the file and the line: a row
-    whose field count is not the header's, a missing column, a value that
-    is not a finite number (which also names its column), or a delta_after
-    that is not the replayed accumulator."""
+    """(delta_u, delta_v) of a ledger.csv written by GradNormLedger.write_csv:
+    each row's (block, eta, sigma, grad_sq_norm) goes, in file order, to a
+    fresh GradNormLedger's accumulate, and its delta_after must be the
+    result.  A format fault raises data.CsvFormatError naming the file and
+    the line: a row whose field count is not the header's, a missing
+    column, a value that is not a finite number (which also names its
+    column), or a wrong delta_after.  A row accumulate rejects raises its
+    OptimizerError as "ledger row i: ..."."""
     header, table = data.read_table(path)
     columns = ("block", "eta", "sigma", "grad_sq_norm", "delta_after")
     for column in columns:
         if column not in header:
             raise data.CsvFormatError(path, 1, f"no {column} column")
     at = [header.index(column) for column in columns]
-    rows, stored = [], []
-    for line_no, row in table:
-        block, *texts = (row[i] for i in at)
+    ledger = GradNormLedger()
+    for i, (line_no, row) in enumerate(table, start=1):
+        block, *texts = (row[k] for k in at)
         numbers = []
         for column, text in zip(columns[1:], texts):
             try:
@@ -154,12 +138,12 @@ def replay_ledger_csv(path):
                 raise data.CsvFormatError(path, line_no,
                                           f"{column} {text!r} is not a finite number")
             numbers.append(value)
-        rows.append((block, *numbers[:-1]))
-        stored.append((line_no, numbers[-1]))
-    deltas = {"u": 0.0, "v": 0.0}
-    for (line_no, value), (block, after) in zip(stored, _replayed(rows)):
-        if value != after:
-            raise data.CsvFormatError(path, line_no, f"delta_after {value!r} is not the "
+        *step, stored = numbers
+        try:
+            after = ledger.accumulate(block, *step).log[-1][-1]
+        except OptimizerError as exc:
+            raise OptimizerError(f"ledger row {i}: {exc}") from None
+        if stored != after:
+            raise data.CsvFormatError(path, line_no, f"delta_after {stored!r} is not the "
                                       f"replayed accumulator {after!r}")
-        deltas[block] = after
-    return deltas["u"], deltas["v"]
+    return ledger.delta_u, ledger.delta_v

@@ -29,6 +29,8 @@ def _check_batch(x):
 
 def check_simplex(alpha, n):
     alpha = np.asarray(alpha, dtype=np.float64)
+    if n < 1:
+        raise RiskError("no domain weights: need at least one source")
     if alpha.shape != (n,):
         raise RiskError(f"expected {n} domain weights, got shape {alpha.shape}")
     if np.min(alpha) < -1e-9 or abs(alpha.sum() - 1.0) > 1e-9:
@@ -85,8 +87,6 @@ def empirical_risk_sources(model, source_batches, alpha, dup=False):
     """(combined, per-source) risks; combined = sum_i alpha_i * r_i with the
     r_i unweighted per-source batch means."""
     alpha = check_simplex(alpha, n=len(source_batches))
-    if len(source_batches) == 0:
-        raise RiskError("no source batches")
     per_source = [empirical_risk_target(model, x, y, dup=dup) for x, y in source_batches]
     combined = float(np.dot(alpha, per_source))
     return combined, per_source

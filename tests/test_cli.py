@@ -1,10 +1,14 @@
 import csv
+import importlib
+import inspect
 import os
+import pkgutil
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import imda
 from imda import cli, data, harness
 
 
@@ -136,10 +140,11 @@ class TestOracleW1Command:
         assert code == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.5, abs=1e-12)
 
-    def test_unequal_measures_exit_three(self, tmp_path):
+    def test_unequal_measures_exit_three(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("measure,label,f0\na,0,0.0\nb,0,0.5\nb,0,1.5\n")
         assert cli.main(["oracle-w1", str(path)]) == 3
+        assert "(1, 1) vs (2, 1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, line", [
         ("measure,label,f0\nq,0,0.0\n", 2),
@@ -175,16 +180,21 @@ class TestOracleW1Command:
         expected = cost[rows, cols].sum() / 10
         assert abs(float(capsys.readouterr().out.strip()) - expected) <= 1e-12 * expected
 
-    @pytest.mark.parametrize("row, flags", [
-        ("a,0,nan", []),
-        ("a,inf,0.0", []),
-        ("a,0,0.0", ["--scale", "nan"]),
-    ], ids=["nan_point", "infinite_label", "nan_scale"])
-    def test_non_finite_input_exits_three_naming_it(self, tmp_path, capsys, row, flags):
+    @pytest.mark.parametrize("row", ["a,0,nan", "a,inf,0.0"],
+                             ids=["nan_point", "infinite_label"])
+    def test_non_finite_input_exits_three_naming_it(self, tmp_path, capsys, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"measure,label,f0\n{row}\nb,0,1.0\n")
-        assert cli.main(["oracle-w1", str(path), *flags]) == 3
+        assert cli.main(["oracle-w1", str(path)]) == 3
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+    def test_bad_scale_exits_two_naming_it(self, tmp_path, capsys, scale):
+        """A flag, like imda bound's, is a config error, not a numeric one."""
+        path = tmp_path / "tiny.csv"
+        path.write_text("measure,label,f0\na,0,0.0\nb,0,1.0\n")
+        assert cli.main(["oracle-w1", str(path), "--scale", scale]) == 2
+        assert "--scale" in capsys.readouterr().err
 
 
 # `imda bound`'s rows for a semi config (domain_size 300) with delta_u 4,
@@ -307,19 +317,20 @@ class TestBoundCommand:
         assert capsys.readouterr().out.splitlines() == expected
 
 
-def bad_byte_input(tmp_path, command):
-    """The argv of `command` reading a table whose line 3 holds byte 0xff."""
+def bad_field_input(tmp_path, command, field=b"\xff"):
+    """The argv of `command` reading a table whose line 3 holds `field` in
+    a numeric column."""
     table = tmp_path / "bad.csv"
     cfg = write_cfg(tmp_path, "mode = supervised\n")
     if command == "load_csv":
-        table.write_bytes(b"label,f0\n0,1.0\n1,\xff\n")
+        table.write_bytes(b"label,f0\n0,1.0\n1," + field + b"\n")
         return ["run", "--config", cfg, "--set", "data=csv",
                 "--set", f"source_csvs={table}", "--set", f"target_csv={table}"]
     if command == "oracle-w1":
-        table.write_bytes(b"measure,label,f0\na,0,1.0\nb,0,\xff\n")
+        table.write_bytes(b"measure,label,f0\na,0,1.0\nb,0," + field + b"\n")
         return ["oracle-w1", str(table)]
     table.write_bytes(b"step,block,eta,sigma,grad_sq_norm,delta_after\n"
-                      b"0,u,0.1,0.01,4.0,200.0\n1,v,0.1,0.01,\xff,1.0\n")
+                      b"0,u,0.1,0.01,4.0,200.0\n1,v,0.1,0.01," + field + b",1.0\n")
     return ["bound", "--config", cfg, "--ledger", str(table)]
 
 
@@ -327,9 +338,18 @@ class TestInputFiles:
     @pytest.mark.parametrize("command", ["load_csv", "oracle-w1", "--ledger"])
     def test_bytes_that_are_not_utf8_exit_three_naming_the_line(self, tmp_path, capsys,
                                                                command):
-        assert cli.main(bad_byte_input(tmp_path, command)) == 3
+        assert cli.main(bad_field_input(tmp_path, command)) == 3
         err = capsys.readouterr().err
         assert "line 3: bytes that are not UTF-8 text" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["load_csv", "oracle-w1", "--ledger"])
+    def test_an_oversized_field_exits_three_naming_the_line(self, tmp_path, capsys, command):
+        """A field longer than csv.field_size_limit stops the csv reader."""
+        field = b"1" * (csv.field_size_limit() + 1)
+        assert cli.main(bad_field_input(tmp_path, command, field)) == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'bad.csv'}: line 3: field larger than field limit" in err
+        assert len(err.splitlines()) == 1
 
     def test_a_table_error_names_its_file(self, tmp_path, capsys):
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
@@ -371,6 +391,28 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert "epoch 1, step 0" in err and "predictor v" in err and "overflows" in err
         assert not (out / "metrics.csv").exists()
+
+
+# every Exception subclass an imda module defines
+PACKAGE_ERRORS = sorted(
+    (cls for info in pkgutil.iter_modules(imda.__path__)
+     for _, cls in inspect.getmembers(importlib.import_module(f"imda.{info.name}"),
+                                      inspect.isclass)
+     if issubclass(cls, Exception) and cls.__module__ == f"imda.{info.name}"),
+    key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS,
+                         ids=[f"{c.__module__}.{c.__qualname__}" for c in PACKAGE_ERRORS])
+def test_every_package_error_exits_two_or_three(monkeypatch, capsys, error):
+    """The exit-code contract: whatever error a command raises, main
+    reports it and exits 2 (config error) or 3 (numeric failure)."""
+    def fail(args):
+        raise error.__new__(error)
+
+    monkeypatch.setattr(cli, "_cmd_check", fail)
+    assert cli.main(["check"]) in (2, 3)
+    assert capsys.readouterr().err.startswith(("config error:", "numeric failure:"))
 
 
 class TestCheckCommand:

@@ -1,10 +1,12 @@
 import csv
+import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imda import optimizer as opt
+from imda import data, optimizer as opt
 from imda.diffcore import ParameterVector
 
 
@@ -87,6 +89,19 @@ class TestDuplicateAscent:
         assert np.array_equal(a, b)
 
 
+# one fault each, in a (block, eta, sigma, grad_sq_norm) row; delta_after
+# is a stored accumulator one ulp off (write_ledger)
+FAULTS = {
+    "block": lambda row: ("w", *row[1:]),
+    "zero_sigma": lambda row: (*row[:2], 0.0, row[3]),
+    "negative_sigma": lambda row: (*row[:2], -row[2], row[3]),
+    "underflowing_sigma": lambda row: (*row[:2], 1e-200, row[3]),
+    "negative_grad_sq_norm": lambda row: (*row[:3], -1.0 - row[3]),
+    "overflowing_eta": lambda row: (row[0], 1e200, *row[2:]),
+    "delta_after": lambda row: row,
+}
+
+
 class TestLedger:
     def test_increment_example(self):
         led = opt.GradNormLedger()
@@ -114,33 +129,54 @@ class TestLedger:
             led.accumulate("u", eta=0.1, sigma=0.0, grad_sq_norm=1.0)
 
     @pytest.mark.parametrize("sigma", [0.0, -0.01, float("nan")])
-    def test_replay_rejects_non_positive_sigma(self, sigma):
-        with pytest.raises(opt.OptimizerError, match="row 2: sigma must be > 0"):
-            list(opt._replayed([("u", 0.1, 0.01, 4.0), ("v", 0.1, sigma, 1.0)]))
+    def test_replay_rejects_non_positive_sigma(self, tmp_path, sigma):
+        """A NaN sigma never reaches accumulate in a replay: the table's
+        reader rejects it first, as a value that is not a finite number."""
+        with pytest.raises(opt.NoiselessLedgerError, match="sigma must be > 0"):
+            opt.GradNormLedger().accumulate("v", eta=0.1, sigma=sigma, grad_sq_norm=1.0)
+        path = write_ledger(tmp_path, [("u", 0.1, 0.01, 4.0), ("v", 0.1, sigma, 1.0)])
+        named = ("line 3: sigma 'nan' is not a finite number" if math.isnan(sigma)
+                 else "ledger row 2: sigma must be > 0")
+        with pytest.raises((opt.OptimizerError, data.CsvFormatError), match=named):
+            opt.replay_ledger_csv(path)
 
     @pytest.mark.parametrize("gsq", [-400.0, float("nan")])
-    def test_replay_rejects_negative_grad_sq_norm(self, gsq):
-        with pytest.raises(opt.OptimizerError, match="row 2: grad_sq_norm must be >= 0"):
-            list(opt._replayed([("u", 0.1, 0.01, 4.0), ("u", 0.1, 0.01, gsq)]))
+    def test_replay_rejects_negative_grad_sq_norm(self, tmp_path, gsq):
+        with pytest.raises(opt.OptimizerError, match="grad_sq_norm must be >= 0"):
+            opt.GradNormLedger().accumulate("u", eta=0.1, sigma=0.01, grad_sq_norm=gsq)
+        path = write_ledger(tmp_path, [("u", 0.1, 0.01, 4.0), ("u", 0.1, 0.01, gsq)])
+        named = ("line 3: grad_sq_norm 'nan' is not a finite number" if math.isnan(gsq)
+                 else "ledger row 2: grad_sq_norm must be >= 0")
+        with pytest.raises((opt.OptimizerError, data.CsvFormatError), match=named):
+            opt.replay_ledger_csv(path)
 
     @pytest.mark.parametrize("gsq", [float("inf"), float("nan")])
     def test_accumulate_rejects_a_non_finite_squared_norm(self, gsq):
         with pytest.raises(opt.OptimizerError, match="grad_sq_norm must be >= 0 and finite"):
             opt.GradNormLedger().accumulate("v", eta=0.1, sigma=0.01, grad_sq_norm=gsq)
 
-    def test_overflow_is_rejected_by_the_run_and_the_replay(self):
+    def test_overflow_is_rejected_by_the_run_and_the_replay(self, tmp_path):
         led = opt.GradNormLedger()
         with pytest.raises(opt.OptimizerError, match="overflows"):
             led.accumulate("u", eta=1e200, sigma=0.01, grad_sq_norm=1.0)
         assert led.delta_u == 0.0 and led.log == []
+        path = write_ledger(tmp_path, [("u", 0.1, 0.01, 4.0), ("u", 1e200, 0.01, 1.0)])
         with pytest.raises(opt.OptimizerError, match="row 2: the ledger accumulator overflows"):
-            list(opt._replayed([("u", 0.1, 0.01, 4.0), ("u", 1e200, 0.01, 1.0)]))
+            opt.replay_ledger_csv(path)
 
-    def test_sigma_whose_square_underflows_is_rejected(self):
+    def test_sigma_whose_square_underflows_is_rejected(self, tmp_path):
         with pytest.raises(opt.NoiselessLedgerError):
             opt.GradNormLedger().accumulate("u", eta=0.1, sigma=1e-200, grad_sq_norm=1.0)
+        path = write_ledger(tmp_path, [("u", 0.1, 1e-200, 1.0)])
         with pytest.raises(opt.OptimizerError, match="row 1: sigma must be > 0"):
-            list(opt._replayed([("u", 0.1, 1e-200, 1.0)]))
+            opt.replay_ledger_csv(path)
+
+    def test_replay_reports_the_first_bad_row(self, tmp_path):
+        """Rows are checked one at a time: a row accumulate rejects is
+        reported before a later row's unreadable value."""
+        path = write_ledger(tmp_path, [("u", 0.1, 0.0, 4.0), ("u", 0.1, 0.01, math.nan)])
+        with pytest.raises(opt.OptimizerError, match="ledger row 1: sigma must be > 0"):
+            opt.replay_ledger_csv(path)
 
     def test_three_step_offline_replay_is_exact(self):
         led = opt.GradNormLedger()
@@ -190,3 +226,82 @@ class TestLedger:
             rows = list(csv.reader(fh))
         assert rows[0] == list(opt.LEDGER_HEADER)
         assert rows[1][0] == "7" and rows[1][1] == "u"
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("uv"), st.floats(-10.0, 10.0),
+                              st.floats(1e-4, 1.0), st.floats(0.0, 1e6)), max_size=30),
+           st.integers(-1, 30), st.sampled_from(sorted(FAULTS)))
+    def test_replay_agrees_with_the_reference_replay(self, tmp_path_factory, rows, at, fault):
+        """The same (delta_u, delta_v) bits as the reference replay, or the
+        same error, on seeded random ledgers with at most one fault: row
+        `at`, when there is one, gets `fault` (FAULTS)."""
+        if 0 <= at < len(rows):
+            rows[at] = FAULTS[fault](rows[at])
+        path = write_ledger(tmp_path_factory.mktemp("ledger"), rows,
+                            wrong=at if fault == "delta_after" else -1)
+        with open(path, newline="") as fh:
+            stored = [float(row[-1]) for row in list(csv.reader(fh))[1:]]
+        outcomes = []
+        for replay in (lambda: reference_replay_csv(path, rows, stored),
+                       lambda: opt.replay_ledger_csv(path)):
+            try:
+                outcomes.append([v.hex() for v in replay()])
+            except (opt.OptimizerError, data.CsvFormatError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+
+def reference_replayed(rows):
+    """The reference replay, written apart from GradNormLedger: (block, its
+    accumulator after the row) for each (block, eta, sigma, grad_sq_norm)
+    row in order, by the ledger's update rule and checks."""
+    deltas = {"u": 0.0, "v": 0.0}
+    for i, (block, eta, sigma, gsq) in enumerate(rows, start=1):
+        if block not in deltas:
+            raise opt.OptimizerError(f"ledger row {i}: unknown block {block!r}")
+        if not (sigma > 0 and 2.0 * sigma * sigma > 0):
+            raise opt.OptimizerError(
+                f"ledger row {i}: sigma must be > 0, with 2*sigma^2 > 0 in floating point "
+                f"(no ledger without noise), got {sigma!r}")
+        if not 0.0 <= gsq < math.inf:
+            raise opt.OptimizerError(
+                f"ledger row {i}: grad_sq_norm must be >= 0 and finite, got {gsq!r}")
+        after = deltas[block] + (eta * eta) * gsq / (2.0 * sigma * sigma)
+        if not math.isfinite(after):
+            raise opt.OptimizerError(
+                f"ledger row {i}: the ledger accumulator overflows: {deltas[block]!r} + eta "
+                f"{eta!r}^2 * grad_sq_norm {gsq!r} / (2 sigma^2) is {after!r}")
+        deltas[block] = after
+        yield block, after
+
+
+def reference_replay_csv(path, rows, stored):
+    """(delta_u, delta_v) of a ledger of finite values by the reference:
+    each row's stored delta_after checked against reference_replayed."""
+    deltas = {"u": 0.0, "v": 0.0}
+    for line_no, value, (block, after) in zip(itertools.count(2), stored,
+                                              reference_replayed(rows)):
+        if value != after:
+            raise data.CsvFormatError(path, line_no, f"delta_after {value!r} is not the "
+                                      f"replayed accumulator {after!r}")
+        deltas[block] = after
+    return deltas["u"], deltas["v"]
+
+
+def write_ledger(directory, rows, wrong=-1):
+    """directory/ledger.csv of (block, eta, sigma, grad_sq_norm) rows, each
+    delta_after reference_replayed's accumulator (0.0 from the first row it
+    rejects on), row `wrong`'s one ulp above it."""
+    afters = []
+    try:
+        for _, after in reference_replayed(rows):
+            afters.append(after)
+    except opt.OptimizerError:
+        pass
+    afters += [0.0] * (len(rows) - len(afters))
+    if 0 <= wrong < len(rows):
+        afters[wrong] = math.nextafter(afters[wrong], math.inf)
+    path = directory / "ledger.csv"
+    data.write_table(path, opt.LEDGER_HEADER,
+                     ((k, *row, after) for k, (row, after) in enumerate(zip(rows, afters))))
+    return path

@@ -89,6 +89,12 @@ class TestSourceRisk:
         with pytest.raises(risks.RiskError):
             risks.empirical_risk_sources(m, batches, np.array([0.7, 0.7]))
 
+    @pytest.mark.parametrize("risk", [risks.empirical_risk_sources, risks.source_risk_graph])
+    def test_no_sources_rejected(self, risk):
+        """An empty weight vector is no point of a simplex."""
+        with pytest.raises(risks.RiskError, match="no domain weights"):
+            risk(clf_model(), [], [])
+
     def test_affine_in_alpha(self):
         rng = np.random.default_rng(4)
         m = clf_model(seed=4)

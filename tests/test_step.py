@@ -384,6 +384,55 @@ def step_args(mode="semi", dropout=0.0):
             np.random.default_rng(1), np.random.default_rng(2)]
 
 
+def test_head_adjoint_is_seeded_with_the_one_hot_products_signed_zero(monkeypatch):
+    """_Step._stack seeds a read head row's adjoint, weight * (-coef *
+    one-hot labels) / n, by a fill and a scatter, then hands it to
+    dc.row_sum; its first row_sum, in log_softmax_rows, sums the
+    exponentials.  With positive coef and weight a read row holds -0.0 off
+    its labels, the product's zero, and ((-coef) * weight) / n at them; a
+    (head, pass) slot no row reads holds +0.0.  A pseudo row's labels are
+    the other head's argmax."""
+    calls = []
+    stack, log_softmax_rows, row_sum = harness._Step._stack, dc.log_softmax_rows, dc.row_sum
+
+    def spy_stack(self, passes, masks, shares):
+        calls.append(("passes", passes))
+        return stack(self, passes, masks, shares)
+
+    def spy_log_softmax_rows(x):
+        out = log_softmax_rows(x)
+        calls.append(("log_probs", out[0].copy()))
+        return out
+
+    def spy_row_sum(x):
+        calls.append(("row_sum", x.copy()))
+        return row_sum(x)
+
+    monkeypatch.setattr(harness._Step, "_stack", spy_stack)
+    monkeypatch.setattr(dc, "log_softmax_rows", spy_log_softmax_rows)
+    monkeypatch.setattr(dc, "row_sum", spy_row_sum)
+    harness.assemble_gradients(*step_args())
+    kinds = [kind for kind, _ in calls]
+    assert kinds == ["passes", "row_sum", "log_probs", "row_sum"]
+    passes, log_probs, g = calls[0][1], calls[2][1], calls[3][1]
+    dups = sorted({dup for _, _, rows, *_ in passes for dup, *_ in rows})
+    assert g.shape == (len(dups), len(passes), 5, 2)
+
+    n = g.shape[-2]
+    unread = {(h, i) for h in range(len(dups)) for i in range(len(passes))}
+    for i, (_, _, rows, *_) in enumerate(passes):
+        for dup, labels, coef, weight in rows:
+            h = dups.index(dup)
+            unread.remove((h, i))
+            if labels is None:
+                labels = np.argmax(log_probs[1 - h, i], axis=1)
+            assert coef > 0 and weight > 0
+            expected = np.full((n, 2), -0.0)
+            expected[np.arange(n), labels] = ((-coef) * weight) / n
+            assert same(g[h, i], expected)
+    assert unread and all(same(g[h, i], np.zeros((n, 2))) for h, i in unread)
+
+
 @pytest.mark.parametrize("block", ["rep", "pred", "dup"])
 def test_non_finite_parameters_rejected(block):
     args = step_args()
