@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import risks
 from .optimizer import NoiselessLedgerError
 
 
@@ -134,15 +135,12 @@ def solve_alpha(objective):
 
 
 def moving_average_update(old, new, c):
-    """C * old + (1 - C) * new; stays on the simplex for 0 < C < 1."""
+    """C * old + (1 - C) * new; stays on the simplex for 0 < C < 1.  Both
+    weight vectors must pass risks.check_simplex, at one length."""
     if not 0.0 < c < 1.0:
         raise AlphaSolverError(f"moving-average weight must be in (0,1), got {c}")
-    old = np.asarray(old, dtype=np.float64)
-    new = np.asarray(new, dtype=np.float64)
-    for a in (old, new):
-        if np.min(a) < -1e-9 or abs(a.sum() - 1.0) > 1e-9:
-            raise AlphaSolverError(f"{a} is not on the simplex")
-    return c * old + (1.0 - c) * new
+    old = risks.check_simplex(old, n=np.size(old))
+    return c * old + (1.0 - c) * risks.check_simplex(new, n=old.size)
 
 
 def simplex_grid(n, step):
@@ -165,11 +163,7 @@ def simplex_grid(n, step):
 
 def grid_oracle(objective, step=0.005):
     """Exhaustive minimizer over the simplex grid (N <= 3, step <= 0.01)."""
-    n = objective.m.size
-    if n > 3:
-        raise AlphaSolverError("grid oracle supports at most 3 sources")
     if step > 0.01:
         raise AlphaSolverError("grid step must be <= 0.01")
-    grid = simplex_grid(n, step)
-    values = grid @ objective.linear + objective.reg_weight * objective.regularizer(grid)
-    return grid[int(np.argmin(values))]
+    grid = simplex_grid(objective.m.size, step)
+    return grid[int(np.argmin(objective.value(grid)))]

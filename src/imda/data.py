@@ -60,7 +60,7 @@ class DomainSpec:
             raise DataError("stds must match means in shape")
         if self.prior.shape != (self.means.shape[0],):
             raise DataError("one prior entry per class required")
-        if np.min(self.prior) < -1e-9 or abs(self.prior.sum() - 1.0) > 1e-9:
+        if not (np.min(self.prior) >= -1e-9 and abs(self.prior.sum() - 1.0) <= 1e-9):
             raise DataError(f"class prior {self.prior} is not a distribution")
         if self.size < 0:
             raise DataError("size must be >= 0")
@@ -259,6 +259,8 @@ def load_csv(path):
     """Parse a labeled feature table; returns (X, y).  Structured errors
     carry the offending 1-based line number."""
     header, rows = read_table(path, ("label",))
+    if len(header) < 2:
+        raise CsvFormatError(path, 1, "no feature column after label")
     xs, ys = [], []
     for line_no, row in rows:
         try:

@@ -223,6 +223,8 @@ def parse_config(path=None, overrides=()):
             raise ConfigError(f"{key} must be {rule[0]}")
     # test source i is the held-out set of training source i
     tests, trains = values["test_source_csvs"], values["source_csvs"]
+    if values["data"] == "csv" and not trains:
+        raise ConfigError("csv data needs source_csvs")
     if values["data"] == "csv" and tests and len(tests) != len(trains):
         raise ConfigError(f"test_source_csvs has {len(tests)} entries but source_csvs "
                           f"has {len(trains)}; give one test file per source, or none")
@@ -248,19 +250,19 @@ def parse_config(path=None, overrides=()):
     if values["c1"] is None:
         values["c1"] = 0.5 if mode == "supervised" else 1.0
 
-    sigma = values["sigma"]
-    if not values["noiseless"] and not (sigma > 0 and 2.0 * sigma * sigma > 0):
-        raise ConfigError("sigma must be > 0, with 2*sigma^2 > 0 in floating "
-                          "point, unless noiseless")
+    if not values["noiseless"] and not optimizer.usable_sigma(values["sigma"]):
+        raise ConfigError(f"{optimizer.SIGMA_RULE}, unless noiseless")
     cfg = types.SimpleNamespace(**values)
+    coefs = StepCoefficients.from_config(cfg)
+    if values["data"] == "synthetic" and coefs.uses_target and not cfg.labeled_target_size:
+        raise ConfigError("labeled_target_size must be >= 1: the step reads the labeled target")
     n_sources = len(values["source_csvs" if values["data"] == "csv" else "source_angles"])
     if cfg.noiseless and cfg.lambda_r is None and _solves_alpha(cfg, n_sources):
         raise ConfigError("noiseless runs have no ledger; set lambda_r to a "
                           "fixed regularizer weight to optimize domain weights")
     # the penalty joins only a step that trains the critic; elsewhere it would
     # be silently ignored
-    if (values["interp_penalty_weight"] > 0.0
-            and not StepCoefficients.from_config(cfg).uses_critic):
+    if values["interp_penalty_weight"] > 0.0 and not coefs.uses_critic:
         raise ConfigError("interp_penalty_weight > 0 needs a step term that trains the "
                           "critic: alignment on, with tau < 1 or epsilon * w1_sup_coef > 0")
     return cfg
@@ -285,8 +287,6 @@ def build_datasets(cfg):
             std=cfg.class_std, size=cfg.domain_size,
             labeled_target_size=cfg.labeled_target_size)
         return train, test
-    if not cfg.source_csvs:
-        raise ConfigError("csv data needs source_csvs")
     sources = [data.load_csv(p) for p in cfg.source_csvs]
     dim = sources[0][0].shape[1]
     target = data.load_csv(cfg.target_csv) if cfg.target_csv else (

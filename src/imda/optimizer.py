@@ -1,11 +1,11 @@
 """SGLD parameter updates and the accumulated gradient-norm ledger.
 
-The ledger sums eta^2 * ||G||^2 / (2 sigma^2) per step and block, using
-the realized squared gradient norm of each step as the surrogate for its
-expectation.  Every increment is logged, and replay_ledger_csv replays a
-written log through a fresh GradNormLedger, so the run and the replay
-share one accumulator (the sums can then be averaged over seeds
-externally).
+Every parameter move is p - step * g: SGLD's at step eta plus noise, the
+critic's ascent at step -eta.  The ledger sums eta^2 * ||G||^2 / (2 sigma^2)
+per step and block, the realized squared gradient norm of each step standing
+in for its expectation; every increment is logged, and replay_ledger_csv
+feeds a written log through a fresh GradNormLedger, so the run and the
+replay share one accumulator (the sums can be averaged over seeds outside).
 """
 
 from __future__ import annotations
@@ -34,44 +34,49 @@ class NoiselessLedgerError(OptimizerError):
     pass
 
 
-def _check_update(params, gradient):
+SIGMA_RULE = "sigma must be > 0, with 2*sigma^2 > 0 in floating point"
+
+
+def usable_sigma(sigma):
+    """Whether sigma obeys SIGMA_RULE, the one noise rule (NaN fails)."""
+    return sigma > 0 and 2.0 * sigma * sigma > 0
+
+
+def _rate(eta):
+    if not 0.0 < eta < math.inf:
+        raise OptimizerError(f"learning rate must be > 0 and finite, got {eta!r}")
+    return eta
+
+
+def _moved(params, gradient, step, rng=None, sigma=0.0):
+    """params - step * gradient (a finite flat array of their shape), plus
+    N(0, sigma^2 I) from `rng` if given; a ParameterVector in gives one out."""
     p = params.values if hasattr(params, "values") else np.asarray(params, dtype=np.float64)
-    g = gradient.values if hasattr(gradient, "values") else np.asarray(gradient, dtype=np.float64)
+    g = np.asarray(gradient, dtype=np.float64)
     if p.shape != g.shape:
         raise OptimizerError(f"parameter shape {p.shape} vs gradient shape {g.shape}")
-    bad = ~np.isfinite(g)
-    if bad.any():
-        raise NonFiniteGradientError(int(np.flatnonzero(bad)[0]))
-    return p, g
+    if not np.isfinite(g).all():
+        raise NonFiniteGradientError(int(np.flatnonzero(~np.isfinite(g))[0]))
+    new = p - step * g
+    if rng is not None:
+        new = new + rng.normal(0.0, sigma, size=p.shape)
+    return params.replaced(new) if hasattr(params, "replaced") else new
 
 
 def sgld_step(params, gradient, eta, sigma, rng=None, noiseless=False):
     """params - eta * gradient + xi with xi ~ N(0, sigma^2 I) from `rng`;
-    noiseless mode omits xi.  Returns a new flat array (or ParameterVector
-    when one was passed)."""
-    p, g = _check_update(params, gradient)
-    new = p - eta * g
-    if not noiseless:
-        if sigma <= 0:
-            raise OptimizerError(f"noise std must be positive, got {sigma}")
-        if rng is None:
-            raise OptimizerError("noisy update needs an rng")
-        new = new + rng.normal(0.0, sigma, size=p.shape)
-    if hasattr(params, "replaced"):
-        return params.replaced(new)
-    return new
+    noiseless mode omits xi (and ignores sigma)."""
+    if not (noiseless or usable_sigma(sigma)):
+        raise OptimizerError(f"{SIGMA_RULE} for a noisy step, got {sigma!r}")
+    if not (noiseless or rng is not None):
+        raise OptimizerError("noisy update needs an rng")
+    return _moved(params, gradient, _rate(eta), None if noiseless else rng, sigma)
 
 
 def duplicate_ascent_step(params, gradient, eta):
-    """Plain gradient ascent for the duplicate predictor: params + eta * g;
-    no noise, no ledger entry."""
-    p, g = _check_update(params, gradient)
-    if eta <= 0:
-        raise OptimizerError(f"learning rate must be positive, got {eta}")
-    new = p + eta * g
-    if hasattr(params, "replaced"):
-        return params.replaced(new)
-    return new
+    """Plain ascent for the critic: the SGLD move at step -eta, with the bits
+    of params + eta * g; no noise, no ledger entry."""
+    return _moved(params, gradient, -_rate(eta))
 
 
 LEDGER_HEADER = ("step", "block", "eta", "sigma", "grad_sq_norm", "delta_after")
@@ -91,9 +96,8 @@ class GradNormLedger:
         and log the step; returns the ledger."""
         if which not in ("u", "v"):
             raise OptimizerError(f"unknown block {which!r}")
-        if not (sigma > 0 and 2.0 * sigma * sigma > 0):
-            raise NoiselessLedgerError(f"sigma must be > 0, with 2*sigma^2 > 0 in floating point "
-                                       f"(no ledger without noise), got {sigma!r}")
+        if not usable_sigma(sigma):
+            raise NoiselessLedgerError(f"{SIGMA_RULE} (no ledger without noise), got {sigma!r}")
         if not 0.0 <= grad_sq_norm < math.inf:
             raise OptimizerError(f"grad_sq_norm must be >= 0 and finite, got {grad_sq_norm!r}")
         delta = getattr(self, f"delta_{which}")

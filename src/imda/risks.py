@@ -33,7 +33,7 @@ def check_simplex(alpha, n):
         raise RiskError("no domain weights: need at least one source")
     if alpha.shape != (n,):
         raise RiskError(f"expected {n} domain weights, got shape {alpha.shape}")
-    if np.min(alpha) < -1e-9 or abs(alpha.sum() - 1.0) > 1e-9:
+    if not (np.min(alpha) >= -1e-9 and abs(alpha.sum() - 1.0) <= 1e-9):
         raise RiskError(f"weights {alpha} are off the simplex beyond 1e-9")
     return alpha
 
@@ -275,8 +275,6 @@ def interp_penalty_graph(model, x_int):
 
 
 def gradient_penalty_param(gradient):
-    """Squared Euclidean norm of a parameter gradient (flat array or
-    ParameterVector)."""
-    values = gradient.values if hasattr(gradient, "values") else np.asarray(gradient)
-    values = values.ravel()
+    """Squared Euclidean norm of a flat parameter gradient."""
+    values = np.asarray(gradient).ravel()
     return float(values @ values)

@@ -42,9 +42,9 @@ def _finite(name, values):
 class GroundMetric:
     """rho(z, z') = label_cost(y, y') + scale * ||x - x'||_2.
 
-    kind: 'example' for raw-input space (scale typically L*M*K) or
-    'representation' for feature space (scale L*M).  label_cost:
-    'zero_one' ([y != y']) or 'absolute' (|y - y'|).
+    kind, a label the cost never reads: 'example' for raw-input space (scale
+    typically L*M*K), 'representation' for feature space (scale L*M).
+    label_cost: 'zero_one' ([y != y']) or 'absolute' (|y - y'|).
     """
 
     kind: str = "representation"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from imda import alpha_solver as a
+from imda import alpha_solver as a, risks
 from imda.optimizer import GradNormLedger, NoiselessLedgerError
 
 
@@ -235,8 +235,19 @@ class TestMovingAverage:
             assert out.min() >= -1e-12 and abs(out.sum() - 1) < 1e-9
 
     def test_off_simplex_rejected(self):
-        with pytest.raises(a.AlphaSolverError):
+        with pytest.raises(risks.RiskError):
             a.moving_average_update(np.array([0.7, 0.7]), np.array([0.5, 0.5]), 0.5)
+
+    @pytest.mark.parametrize("old, new", [
+        ([np.nan, 1.0], [0.5, 0.5]),
+        ([0.5, 0.5], [np.nan, np.nan]),
+        ([0.5, 0.5], [0.2, 0.3, 0.5]),
+        ([1.0], [0.5, 0.5]),
+    ], ids=["nan_old", "nan_new", "longer_new", "shorter_old"])
+    def test_weights_off_the_step_simplex_rejected(self, old, new):
+        """The step's own check, risks.check_simplex, at one length."""
+        with pytest.raises(risks.RiskError):
+            a.moving_average_update(np.array(old), np.array(new), 0.5)
 
 
 class TestGridOracle:

@@ -113,6 +113,17 @@ class TestRunCommand:
         assert "test_target_csv" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    def test_a_table_with_no_feature_column_exits_three(self, tmp_path, capsys):
+        table = tmp_path / "labels.csv"
+        table.write_text("label\n0\n1\n")
+        cfg = write_cfg(tmp_path, "mode = supervised\ndata = csv\n"
+                                  f"source_csvs = {table}\ntarget_csv = {table}\n"
+                                  f"epochs = 1\noutdir = {tmp_path}/out\n")
+        assert cli.main(["run", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert f"{table}: line 1: no feature column" in err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_csv_run_without_labeled_rows_exits_two(self, tmp_path, capsys):
         for name in ("s0", "s1", "t"):
             data.write_csv(tmp_path / f"{name}.csv", np.zeros((0, 2)), np.zeros(0))
@@ -123,6 +134,31 @@ class TestRunCommand:
         assert cli.main(["run", "--config", cfg]) == 2
         assert "source_csvs" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
+
+
+# configs that are wrong whatever their data, with the key the error names
+PARSE_TIME_FAILURES = [
+    (["mode=semi", "labeled_target_size=0"], "labeled_target_size"),
+    (["mode=supervised", "labeled_target_size=0"], "labeled_target_size"),
+    (["mode=semi", "data=csv"], "source_csvs"),
+]
+
+
+@pytest.mark.parametrize("command", [["run"], ["bound", "--delta-u", "1", "--delta-v", "1"]],
+                         ids=["run", "bound"])
+@pytest.mark.parametrize("items, key", PARSE_TIME_FAILURES,
+                         ids=["semi_target", "supervised_target", "csv_sources"])
+def test_config_fails_at_parse_time_naming_the_key(tmp_path, capsys, monkeypatch,
+                                                    command, items, key):
+    """Exit 2 naming the key, before any data is built."""
+    def build(cfg):
+        raise AssertionError("data built for a config that cannot run")
+
+    monkeypatch.setattr(harness, "build_datasets", build)
+    cfg = write_cfg(tmp_path, "\n".join(items) + f"\noutdir = {tmp_path}/out\n")
+    assert cli.main([command[0], "--config", cfg, *command[1:]]) == 2
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 class TestOracleW1Command:

@@ -60,6 +60,11 @@ class TestGeneration:
             DomainSpec(means=np.zeros((2, 1)), stds=np.ones((2, 1)),
                        prior=np.array([0.6, 0.6]), size=10)
 
+    def test_nan_prior_rejected(self):
+        with pytest.raises(data.DataError, match="not a distribution"):
+            DomainSpec(means=np.zeros((2, 1)), stds=np.ones((2, 1)),
+                       prior=np.array([np.nan, 1.0]), size=10)
+
 
 class TestTargetShift:
     def _dataset(self, seed=0):

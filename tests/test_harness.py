@@ -127,6 +127,29 @@ class TestParseConfig:
         assert ruled.isdisjoint(FREE_KEYS)
         assert ruled | FREE_KEYS == set(harness._SCHEMA)
 
+    def test_readme_names_every_key(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8") as fh:
+            readme = fh.read()
+        assert [key for key in harness._SCHEMA if f"`{key}`" not in readme] == []
+
+    @pytest.mark.parametrize("context, reads_target", [
+        (["mode=semi"], True),
+        (["mode=supervised"], True),
+        (["mode=supervised", "epsilon=0.5", "w1_sup_coef=0"], True),
+        (["mode=supervised", "alignment=off"], False),
+        (["mode=supervised", "w1_sup_coef=0"], False),
+        (["mode=unsupervised"], False),
+    ])
+    def test_an_empty_labeled_target_only_where_no_term_reads_it(self, context, reads_target):
+        overrides = [*context, "labeled_target_size=0"]
+        if reads_target:
+            with pytest.raises(ConfigError, match="labeled_target_size must be >= 1"):
+                parse_config(overrides=overrides)
+        else:
+            cfg = parse_config(overrides=overrides)
+            assert not harness.StepCoefficients.from_config(cfg).uses_target
+
     def test_defaults_satisfy_their_rules(self):
         for key, (_, default, rule) in harness._SCHEMA.items():
             if rule is not None and default is not None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imda import data, optimizer as opt
+from imda import data, harness, optimizer as opt
 from imda.diffcore import ParameterVector
 
 
@@ -31,8 +31,7 @@ class TestSgldStep:
 
     def test_parameter_vector_round_trip(self):
         vec = ParameterVector.from_arrays([("w", np.ones((2, 2)))])
-        out = opt.sgld_step(vec, vec.replaced(np.full(4, 2.0)), eta=1.0, sigma=0.0,
-                            noiseless=True)
+        out = opt.sgld_step(vec, np.full(4, 2.0), eta=1.0, sigma=0.0, noiseless=True)
         assert isinstance(out, ParameterVector)
         assert np.array_equal(out.values, -np.ones(4))
         assert np.array_equal(out.view("w"), -np.ones((2, 2)))
@@ -69,6 +68,41 @@ class TestSgldStep:
             prev = val
 
 
+@pytest.mark.parametrize("sigma", [1e-3, 1e-150, 1e-170, 5e-324, 0.0, -1e-3, math.nan])
+def test_step_ledger_and_config_share_one_noise_rule(sigma):
+    """A noisy step, a ledger entry and a config accept the same sigmas: not
+    one whose 2 sigma^2 underflows to 0, nor NaN."""
+    checks = (
+        lambda: opt.sgld_step(np.zeros(1), np.zeros(1), 0.1, sigma, np.random.default_rng(0)),
+        lambda: opt.GradNormLedger().accumulate("u", 0.1, sigma, 1.0),
+        lambda: harness.parse_config(overrides=["mode=semi", f"sigma={sigma!r}"]),
+    )
+    for check in checks:
+        try:
+            check()
+        except (opt.OptimizerError, harness.ConfigError):
+            assert not opt.usable_sigma(sigma)
+        else:
+            assert opt.usable_sigma(sigma)
+
+
+# a rate must be > 0 and finite, in every update
+BAD_RATES = [-1.0, 0.0, math.nan, math.inf]
+UPDATES = {
+    "sgld": lambda p, g, eta: opt.sgld_step(p, g, eta, sigma=0.0, noiseless=True),
+    "noisy_sgld": lambda p, g, eta: opt.sgld_step(p, g, eta, sigma=0.1,
+                                                  rng=np.random.default_rng(0)),
+    "ascent": opt.duplicate_ascent_step,
+}
+
+
+@pytest.mark.parametrize("update", UPDATES.values(), ids=UPDATES)
+@pytest.mark.parametrize("eta", BAD_RATES)
+def test_bad_rate_rejected(update, eta):
+    with pytest.raises(opt.OptimizerError, match="learning rate must be > 0 and finite"):
+        update(np.zeros(2), np.ones(2), eta)
+
+
 class TestDuplicateAscent:
     def test_zero_gradient_unchanged(self):
         p = np.array([1.0, 2.0])
@@ -87,6 +121,24 @@ class TestDuplicateAscent:
         a = opt.duplicate_ascent_step(p, g, 0.25)
         b = opt.sgld_step(p, -g, eta=0.25, sigma=0.0, noiseless=True)
         assert np.array_equal(a, b)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_has_the_bits_of_params_plus_eta_g(self, seed):
+        """The move at step -eta, signed zeros included."""
+        rng = np.random.default_rng(seed)
+        p, g = rng.standard_normal((2, 12)) * 10.0 ** rng.integers(-3, 4, (2, 12))
+        p[rng.random(12) < 0.3] = 0.0
+        g[rng.random(12) < 0.3] = 0.0
+        p, g = (np.where(rng.random(12) < 0.5, -v, v) for v in (p, g))
+        eta = float(rng.uniform(1e-3, 2.0))
+        assert opt.duplicate_ascent_step(p, g, eta).tobytes() == (p + eta * g).tobytes()
+
+    def test_parameter_vector_round_trip(self):
+        vec = ParameterVector.from_arrays([("w", np.ones((2, 2)))])
+        out = opt.duplicate_ascent_step(vec, np.full(4, 2.0), 0.5)
+        assert isinstance(out, ParameterVector)
+        assert np.array_equal(out.view("w"), np.full((2, 2), 2.0))
 
 
 # one fault each, in a (block, eta, sigma, grad_sq_norm) row; delta_after

@@ -89,6 +89,11 @@ class TestSourceRisk:
         with pytest.raises(risks.RiskError):
             risks.empirical_risk_sources(m, batches, np.array([0.7, 0.7]))
 
+    @pytest.mark.parametrize("alpha", [[np.nan, 1.0], [np.nan, np.nan], [0.5, np.inf]])
+    def test_non_finite_weights_rejected(self, alpha):
+        with pytest.raises(risks.RiskError, match="off the simplex"):
+            risks.check_simplex(np.array(alpha), n=2)
+
     @pytest.mark.parametrize("risk", [risks.empirical_risk_sources, risks.source_risk_graph])
     def test_no_sources_rejected(self, risk):
         """An empty weight vector is no point of a simplex."""
