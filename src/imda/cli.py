@@ -227,10 +227,7 @@ def _cmd_oracle_w1(args):
         if side is None:
             raise data.CsvFormatError(args.csv, line_no,
                                       f"measure must be 'a' or 'b', got {row[0]!r}")
-        try:
-            side.append([float(v) for v in row[1:]])
-        except ValueError:
-            raise data.CsvFormatError(args.csv, line_no, "unparseable numeric value")
+        side.append(data.finite_floats(args.csv, line_no, header[1:], row[1:]))
     # each measure's (label, f0, f1, ...) rows; the pair checks their sizes
     a, b = (np.reshape(measures[side], (-1, len(header) - 1)) for side in "ab")
     pair = theory.DiscreteMeasurePair(xs_a=a[:, 1:], ys_a=a[:, 0], xs_b=b[:, 1:], ys_b=b[:, 0])

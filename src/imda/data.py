@@ -9,6 +9,7 @@ order never depends on model iterates.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -219,7 +220,7 @@ def default_benchmark(drop_rate=0.5, seed=0, labeled_target=False, **spec_kw):
 
 # ---------------------------------------------------------------------------
 # CSV files: labeled feature tables (header: label,f0,f1,...), and the one
-# reader and the one writer every input and output table goes through
+# reader, cell rule and writer every input and output table goes through
 
 
 def read_table(path, leading=()):
@@ -228,7 +229,7 @@ def read_table(path, leading=()):
     with `leading`, and each row must have its field count.  Bytes that are
     not UTF-8 (read as lone surrogates, which do not encode) name their
     line, as does a fault of the csv reader itself (a field longer than
-    csv.field_size_limit)."""
+    csv.field_size_limit).  Cells stay text: see finite_floats."""
     header, rows = None, []
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
@@ -255,9 +256,25 @@ def read_table(path, leading=()):
     return header, rows
 
 
+def finite_floats(path, line_no, columns, cells):
+    """The floats of a row's cells, each under its header column: the one
+    rule for a number read from a table.  A cell that is not a finite
+    number raises CsvFormatError naming the file, the line and the column."""
+    values = []
+    for column, text in zip(columns, cells):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise CsvFormatError(path, line_no, f"{column} {text!r} is not a finite number")
+        values.append(value)
+    return values
+
+
 def load_csv(path):
-    """Parse a labeled feature table; returns (X, y).  Structured errors
-    carry the offending 1-based line number."""
+    """Parse a labeled feature table; returns (X, y).  Each label must be an
+    integer, each feature a finite number (finite_floats)."""
     header, rows = read_table(path, ("label",))
     if len(header) < 2:
         raise CsvFormatError(path, 1, "no feature column after label")
@@ -267,10 +284,7 @@ def load_csv(path):
             ys.append(int(row[0]))
         except ValueError:
             raise CsvFormatError(path, line_no, f"non-integer label {row[0]!r}")
-        try:
-            xs.append([float(v) for v in row[1:]])
-        except ValueError:
-            raise CsvFormatError(path, line_no, "unparseable feature value")
+        xs.append(finite_floats(path, line_no, header[1:], row[1:]))
     return (np.asarray(xs, dtype=np.float64).reshape(len(ys), len(header) - 1),
             np.asarray(ys, dtype=np.int64))
 

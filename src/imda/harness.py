@@ -152,6 +152,11 @@ _SCHEMA = {
     "outdir": ("str", "imda_out", None),
 }
 
+# data kind -> the keys that supply the labeled and the unlabeled target set,
+# each with the rule a set the step reads must meet
+_TARGET_KEYS = {"synthetic": (("labeled_target_size", ">= 1"), ("domain_size", ">= 1")),
+                "csv": (("target_csv", "set"), ("target_unlabeled_csv", "set"))}
+
 # data kind -> the keys only the other kind reads
 _UNREAD = {"synthetic": ("source_csvs", "target_csv", "target_unlabeled_csv",
                          "test_target_csv", "test_source_csvs"),
@@ -254,8 +259,10 @@ def parse_config(path=None, overrides=()):
         raise ConfigError(f"{optimizer.SIGMA_RULE}, unless noiseless")
     cfg = types.SimpleNamespace(**values)
     coefs = StepCoefficients.from_config(cfg)
-    if values["data"] == "synthetic" and coefs.uses_target and not cfg.labeled_target_size:
-        raise ConfigError("labeled_target_size must be >= 1: the step reads the labeled target")
+    for reads, name, (key, rule) in zip((coefs.uses_target, coefs.uses_unlabeled),
+                                        ("labeled", "unlabeled"), _TARGET_KEYS[cfg.data]):
+        if reads and not values[key]:
+            raise ConfigError(f"{key} must be {rule}: the step reads the {name} target")
     n_sources = len(values["source_csvs" if values["data"] == "csv" else "source_angles"])
     if cfg.noiseless and cfg.lambda_r is None and _solves_alpha(cfg, n_sources):
         raise ConfigError("noiseless runs have no ledger; set lambda_r to a "
@@ -287,12 +294,23 @@ def build_datasets(cfg):
             std=cfg.class_std, size=cfg.domain_size,
             labeled_target_size=cfg.labeled_target_size)
         return train, test
-    sources = [data.load_csv(p) for p in cfg.source_csvs]
-    dim = sources[0][0].shape[1]
-    target = data.load_csv(cfg.target_csv) if cfg.target_csv else (
+
+    def load(key, path):
+        """The feature table at `path`, one of `key`'s, which must have the
+        first source's feature width."""
+        x, y = data.load_csv(path)
+        if x.shape[1] != dim:
+            raise data.CsvFormatError(path, 1, f"{x.shape[1]} feature columns in {key}, "
+                                      f"where {cfg.source_csvs[0]} has {dim}")
+        return x, y
+
+    first = data.load_csv(cfg.source_csvs[0])
+    dim = first[0].shape[1]
+    sources = [first] + [load("source_csvs", p) for p in cfg.source_csvs[1:]]
+    target = load("target_csv", cfg.target_csv) if cfg.target_csv else (
         np.zeros((0, dim)), np.zeros(0, dtype=np.int64))
     if cfg.target_unlabeled_csv:
-        unl = data.load_csv(cfg.target_unlabeled_csv)[0]
+        unl = load("target_unlabeled_csv", cfg.target_unlabeled_csv)[0]
     else:
         unl = np.zeros((0, dim))
     labeled_sets = [y for _, y in sources] + [target[1]]
@@ -301,12 +319,15 @@ def build_datasets(cfg):
     n_classes = int(max(y.max() for y in labeled_sets if y.size)) + 1
     train = data.MultiSourceDataset(sources=sources, target=target,
                                     target_unlabeled=unl, n_classes=n_classes, dim=dim)
-    test_target = data.load_csv(cfg.test_target_csv) if cfg.test_target_csv else target
+    test_target = load("test_target_csv", cfg.test_target_csv) if cfg.test_target_csv else target
     if test_target[0].shape[0] == 0:
         raise ConfigError("no test target to evaluate on: test_target_csv (or, "
                           "without it, target_csv) must hold at least one row")
-    test_sources = ([data.load_csv(p) for p in cfg.test_source_csvs]
-                    if cfg.test_source_csvs else sources)
+    test_sources = [load("test_source_csvs", p) for p in cfg.test_source_csvs] or sources
+    for path, (x, _) in zip(cfg.test_source_csvs, test_sources):
+        if x.shape[0] == 0:
+            raise ConfigError(f"no test source to evaluate on in {path}: each "
+                              "test_source_csvs file must hold at least one row")
     test = data.MultiSourceDataset(sources=test_sources, target=test_target,
                                    target_unlabeled=np.zeros((0, dim)),
                                    n_classes=n_classes, dim=dim)
@@ -839,8 +860,12 @@ def run(cfg, datasets=None):
     for name, (x, _, _) in sets.items():
         if x.shape[0] == 0:
             raise ConfigError(f"this regime needs {name} data, and the set is empty")
-    # the step takes its batches as finite; check the arrays it draws from once
-    for name, (x, _, _) in sets.items():
+    # the step takes its batches as finite, and record() evaluates the test
+    # sets; check the arrays they read once
+    read = {name: x for name, (x, _, _) in sets.items()}
+    read["test target"] = test.target[0]
+    read.update((f"test source {i + 1}", x) for i, (x, _) in enumerate(test.sources))
+    for name, x in read.items():
         if not np.all(np.isfinite(x)):
             raise RunError(f"non-finite entries in the {name} features")
 

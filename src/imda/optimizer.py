@@ -93,9 +93,11 @@ class GradNormLedger:
 
     def accumulate(self, which, eta, sigma, grad_sq_norm, step=None):
         """Add eta^2 * grad_sq_norm / (2 sigma^2) to block `which` (u or v)
-        and log the step; returns the ledger."""
+        and log the step; returns the ledger.  eta obeys the rate rule of
+        the updates, sigma the noise rule."""
         if which not in ("u", "v"):
             raise OptimizerError(f"unknown block {which!r}")
+        _rate(eta)
         if not usable_sigma(sigma):
             raise NoiselessLedgerError(f"{SIGMA_RULE} (no ledger without noise), got {sigma!r}")
         if not 0.0 <= grad_sq_norm < math.inf:
@@ -118,33 +120,17 @@ def replay_ledger_csv(path):
     """(delta_u, delta_v) of a ledger.csv written by GradNormLedger.write_csv:
     each row's (block, eta, sigma, grad_sq_norm) goes, in file order, to a
     fresh GradNormLedger's accumulate, and its delta_after must be the
-    result.  A format fault raises data.CsvFormatError naming the file and
-    the line: a row whose field count is not the header's, a missing
-    column, a value that is not a finite number (which also names its
-    column), or a wrong delta_after.  A row accumulate rejects raises its
-    OptimizerError as "ledger row i: ..."."""
-    header, table = data.read_table(path)
-    columns = ("block", "eta", "sigma", "grad_sq_norm", "delta_after")
-    for column in columns:
-        if column not in header:
-            raise data.CsvFormatError(path, 1, f"no {column} column")
-    at = [header.index(column) for column in columns]
+    result; the columns are read by position.  A format fault raises
+    data.CsvFormatError naming the file and the line: a header that does
+    not start with LEDGER_HEADER, a row whose field count is not the
+    header's, a cell data.finite_floats rejects, or a wrong delta_after.  A
+    row accumulate rejects raises its OptimizerError as "ledger row i: ..."."""
+    _, table = data.read_table(path, LEDGER_HEADER)
     ledger = GradNormLedger()
     for i, (line_no, row) in enumerate(table, start=1):
-        block, *texts = (row[k] for k in at)
-        numbers = []
-        for column, text in zip(columns[1:], texts):
-            try:
-                value = float(text)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise data.CsvFormatError(path, line_no,
-                                          f"{column} {text!r} is not a finite number")
-            numbers.append(value)
-        *step, stored = numbers
+        *step, stored = data.finite_floats(path, line_no, LEDGER_HEADER[2:], row[2:])
         try:
-            after = ledger.accumulate(block, *step).log[-1][-1]
+            after = ledger.accumulate(row[1], *step).log[-1][-1]
         except OptimizerError as exc:
             raise OptimizerError(f"ledger row {i}: {exc}") from None
         if stored != after:

@@ -1,8 +1,10 @@
+import argparse
 import csv
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -135,19 +137,79 @@ class TestRunCommand:
         assert "source_csvs" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    def test_a_nan_in_the_test_target_exits_three_naming_its_cell(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((30, 2))
+        x[4, 1] = np.nan
+        data.write_csv(tmp_path / "test.csv", x, rng.integers(0, 2, 30))
+        for name in ("s0", "t"):
+            data.write_csv(tmp_path / f"{name}.csv", rng.standard_normal((40, 2)),
+                           rng.integers(0, 2, 40))
+        cfg = write_cfg(tmp_path, "mode = supervised\ndata = csv\n"
+                                  f"source_csvs = {tmp_path}/s0.csv\n"
+                                  f"target_csv = {tmp_path}/t.csv\n"
+                                  f"test_target_csv = {tmp_path}/test.csv\n"
+                                  f"epochs = 1\noutdir = {tmp_path}/out\n")
+        assert cli.main(["run", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path}/test.csv: line 6: f1 'nan' is not a finite number" in err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_a_table_of_another_width_exits_three_naming_its_key_and_file(self, tmp_path,
+                                                                         capsys):
+        rng = np.random.default_rng(0)
+        for name, width in (("s0", 2), ("s1", 3)):
+            data.write_csv(tmp_path / f"{name}.csv", rng.standard_normal((40, width)),
+                           rng.integers(0, 2, 40))
+        cfg = write_cfg(tmp_path, "mode = supervised\ndata = csv\n"
+                                  f"source_csvs = {tmp_path}/s0.csv,{tmp_path}/s1.csv\n"
+                                  f"target_csv = {tmp_path}/s0.csv\n"
+                                  f"epochs = 1\noutdir = {tmp_path}/out\n")
+        assert cli.main(["run", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert (f"{tmp_path}/s1.csv: line 1: 3 feature columns in source_csvs, "
+                f"where {tmp_path}/s0.csv has 2") in err
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("sources", [1, 2], ids=["one_source", "two_sources"])
+    def test_an_empty_test_source_exits_two_naming_its_key_and_file(self, tmp_path, capsys,
+                                                                     sources):
+        """Every test source is evaluated, so each file must hold a row."""
+        rng = np.random.default_rng(0)
+        for i in range(sources):
+            data.write_csv(tmp_path / f"s{i}.csv", rng.standard_normal((40, 2)),
+                           rng.integers(0, 2, 40))
+            data.write_csv(tmp_path / f"ts{i}.csv", rng.standard_normal((20, 2)),
+                           rng.integers(0, 2, 20))
+        empty = tmp_path / f"ts{sources - 1}.csv"
+        data.write_csv(empty, np.zeros((0, 2)), np.zeros(0))
+        listed = lambda stem: ",".join(f"{tmp_path}/{stem}{i}.csv" for i in range(sources))
+        cfg = write_cfg(tmp_path, "mode = supervised\ndata = csv\n"
+                                  f"source_csvs = {listed('s')}\n"
+                                  f"test_source_csvs = {listed('ts')}\n"
+                                  f"target_csv = {tmp_path}/s0.csv\n"
+                                  f"epochs = 1\noutdir = {tmp_path}/out\n")
+        assert cli.main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "test_source_csvs" in err and str(empty) in err
+        assert not os.path.exists(tmp_path / "out")
+
 
 # configs that are wrong whatever their data, with the key the error names
 PARSE_TIME_FAILURES = [
     (["mode=semi", "labeled_target_size=0"], "labeled_target_size"),
     (["mode=supervised", "labeled_target_size=0"], "labeled_target_size"),
     (["mode=semi", "data=csv"], "source_csvs"),
+    (["mode=semi", "data=csv", "source_csvs=s.csv"], "target_csv"),
+    (["mode=unsupervised", "data=csv", "source_csvs=s.csv"], "target_unlabeled_csv"),
 ]
 
 
 @pytest.mark.parametrize("command", [["run"], ["bound", "--delta-u", "1", "--delta-v", "1"]],
                          ids=["run", "bound"])
 @pytest.mark.parametrize("items, key", PARSE_TIME_FAILURES,
-                         ids=["semi_target", "supervised_target", "csv_sources"])
+                         ids=["semi_target", "supervised_target", "csv_sources", "csv_target",
+                              "csv_unlabeled_target"])
 def test_config_fails_at_parse_time_naming_the_key(tmp_path, capsys, monkeypatch,
                                                     command, items, key):
     """Exit 2 naming the key, before any data is built."""
@@ -216,13 +278,17 @@ class TestOracleW1Command:
         expected = cost[rows, cols].sum() / 10
         assert abs(float(capsys.readouterr().out.strip()) - expected) <= 1e-12 * expected
 
-    @pytest.mark.parametrize("row", ["a,0,nan", "a,inf,0.0"],
-                             ids=["nan_point", "infinite_label"])
-    def test_non_finite_input_exits_three_naming_it(self, tmp_path, capsys, row):
+    @pytest.mark.parametrize("rows, named", [
+        ("a,0,nan\nb,0,1.0", "line 2: f0 'nan' is not a finite number"),
+        ("a,inf,0.0\nb,0,1.0", "line 2: label 'inf' is not a finite number"),
+        ("a,0,0.0\nb,1,-inf", "line 3: f0 '-inf' is not a finite number"),
+    ], ids=["nan_point", "infinite_label", "infinite_point"])
+    def test_non_finite_input_exits_three_naming_it(self, tmp_path, capsys, rows, named):
+        """The file, the line and the column, before the measure pair."""
         path = tmp_path / "bad.csv"
-        path.write_text(f"measure,label,f0\n{row}\nb,0,1.0\n")
+        path.write_text(f"measure,label,f0\n{rows}\n")
         assert cli.main(["oracle-w1", str(path)]) == 3
-        assert "non-finite" in capsys.readouterr().err
+        assert f"{path}: {named}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
     def test_bad_scale_exits_two_naming_it(self, tmp_path, capsys, scale):
@@ -324,9 +390,11 @@ class TestBoundCommand:
         ("step,block,eta,sigma,grad_sq_norm,delta_after\n0,u,0.1,0.01,4.0,0.5\n"
          "1,v,0.1,0.01,4.0,-7\n",
          ["line 2: delta_after 0.5", "200.0"]),
+        ("step,eta,block,sigma,grad_sq_norm,delta_after\n0,0.1,u,0.01,4.0,200.0\n",
+         ["line 1: header must start with step,block,eta,sigma,grad_sq_norm,delta_after"]),
     ], ids=["no_block_column", "non_numeric_sigma", "zero_sigma", "nan_grad_sq_norm",
             "negative_grad_sq_norm", "eight_fields", "four_fields", "underflowing_sigma",
-            "wrong_delta_after"])
+            "wrong_delta_after", "reordered_header"])
     def test_malformed_ledger_exits_three_naming_it(self, tmp_path, capsys, text, named):
         (tmp_path / "ledger.csv").write_text(text)
         cfg = write_cfg(tmp_path, "mode = supervised\n")
@@ -449,6 +517,21 @@ def test_every_package_error_exits_two_or_three(monkeypatch, capsys, error):
     monkeypatch.setattr(cli, "_cmd_check", fail)
     assert cli.main(["check"]) in (2, 3)
     assert capsys.readouterr().err.startswith(("config error:", "numeric failure:"))
+
+
+def test_readme_names_every_flag():
+    """The twin of test_readme_names_every_key: every flag of every imda
+    subcommand, read from the parser, appears in README as a whole word."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    commands, = (action.choices for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for parser in commands.values() for action in parser._actions
+             for flag in action.option_strings if flag not in ("-h", "--help")}
+    assert flags
+    assert sorted(flag for flag in flags
+                  if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", readme)) == []
 
 
 class TestCheckCommand:

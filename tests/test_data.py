@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +162,14 @@ class TestCsv:
             data.load_csv(path)
         assert info.value.line_no == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", "wide", ""])
+    def test_a_feature_that_is_not_a_finite_number_names_its_cell(self, tmp_path, cell):
+        path = tmp_path / "f.csv"
+        path.write_text(f"label,f0,f1\n0,1.0,2.0\n1,3.0,{cell}\n")
+        with pytest.raises(data.CsvFormatError, match=re.escape(
+                f"f.csv: line 3: f1 '{cell}' is not a finite number")):
+            data.load_csv(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("f0,f1\n")
@@ -221,6 +231,22 @@ class TestReadTable:
         with pytest.raises(data.CsvFormatError) as info:
             data.read_table(path)
         assert info.value.line_no == 5002 and "UTF-8" in str(info.value)
+
+
+class TestFiniteFloats:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    def test_reads_each_finite_float_back_bit_for_bit(self, values):
+        """The floats of the cells write_table writes (their repr)."""
+        columns = [f"c{i}" for i in range(len(values))]
+        got = data.finite_floats("t.csv", 2, columns, [repr(v) for v in values])
+        assert [v.hex() for v in got] == [v.hex() for v in values]
+
+    def test_names_the_first_cell_that_is_not_a_finite_number(self):
+        with pytest.raises(data.CsvFormatError) as info:
+            data.finite_floats("t.csv", 7, ["a", "b", "c"], ["1.0", " nan", "x"])
+        assert str(info.value) == "t.csv: line 7: b ' nan' is not a finite number"
+        assert info.value.path == "t.csv" and info.value.line_no == 7
 
 
 class TestBatchStream:

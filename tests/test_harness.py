@@ -116,7 +116,9 @@ class TestParseConfig:
         assert harness._SCHEMA[key][0] == kind
         value = data.draw(values)
         raw = data.draw(spell(value))
-        context = ["data=csv"] if key == "source_csvs" else []
+        # a semi csv config names both target sets its step reads
+        context = (["data=csv", "target_csv=t.csv", "target_unlabeled_csv=u.csv"]
+                   if key == "source_csvs" else [])
         assert getattr(parse_config(overrides=["mode=semi", *context, f"{key}={raw}"]), key) == value
 
     def test_round_trips_cover_every_kind(self):

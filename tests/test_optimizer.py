@@ -150,6 +150,8 @@ FAULTS = {
     "underflowing_sigma": lambda row: (*row[:2], 1e-200, row[3]),
     "negative_grad_sq_norm": lambda row: (*row[:3], -1.0 - row[3]),
     "overflowing_eta": lambda row: (row[0], 1e200, *row[2:]),
+    "negative_eta": lambda row: (row[0], -row[1], *row[2:]),
+    "zero_eta": lambda row: (row[0], 0.0, *row[2:]),
     "delta_after": lambda row: row,
 }
 
@@ -189,6 +191,19 @@ class TestLedger:
         path = write_ledger(tmp_path, [("u", 0.1, 0.01, 4.0), ("v", 0.1, sigma, 1.0)])
         named = ("line 3: sigma 'nan' is not a finite number" if math.isnan(sigma)
                  else "ledger row 2: sigma must be > 0")
+        with pytest.raises((opt.OptimizerError, data.CsvFormatError), match=named):
+            opt.replay_ledger_csv(path)
+
+    @pytest.mark.parametrize("eta", [-0.5, 0.0, float("nan")])
+    def test_replay_rejects_a_rate_that_is_not_positive(self, tmp_path, eta):
+        """accumulate takes the updates' rate rule, where eta^2 alone would
+        let -0.5 add 1250.0 and report NaN as an overflow.  A NaN eta never
+        reaches accumulate in a replay: the cell rule rejects it first."""
+        with pytest.raises(opt.OptimizerError, match="learning rate must be > 0 and finite"):
+            opt.GradNormLedger().accumulate("u", eta=eta, sigma=0.01, grad_sq_norm=1.0)
+        path = write_ledger(tmp_path, [("u", 0.1, 0.01, 4.0), ("v", eta, 0.01, 1.0)])
+        named = ("line 3: eta 'nan' is not a finite number" if math.isnan(eta)
+                 else "ledger row 2: learning rate must be > 0")
         with pytest.raises((opt.OptimizerError, data.CsvFormatError), match=named):
             opt.replay_ledger_csv(path)
 
@@ -280,7 +295,7 @@ class TestLedger:
         assert rows[1][0] == "7" and rows[1][1] == "u"
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from("uv"), st.floats(-10.0, 10.0),
+    @given(st.lists(st.tuples(st.sampled_from("uv"), st.floats(0.0, 10.0, exclude_min=True),
                               st.floats(1e-4, 1.0), st.floats(0.0, 1e6)), max_size=30),
            st.integers(-1, 30), st.sampled_from(sorted(FAULTS)))
     def test_replay_agrees_with_the_reference_replay(self, tmp_path_factory, rows, at, fault):
@@ -311,6 +326,9 @@ def reference_replayed(rows):
     for i, (block, eta, sigma, gsq) in enumerate(rows, start=1):
         if block not in deltas:
             raise opt.OptimizerError(f"ledger row {i}: unknown block {block!r}")
+        if not 0.0 < eta < math.inf:
+            raise opt.OptimizerError(
+                f"ledger row {i}: learning rate must be > 0 and finite, got {eta!r}")
         if not (sigma > 0 and 2.0 * sigma * sigma > 0):
             raise opt.OptimizerError(
                 f"ledger row {i}: sigma must be > 0, with 2*sigma^2 > 0 in floating point "

@@ -483,8 +483,23 @@ def test_nan_in_used_training_data_exits_three(tmp_path):
                    f"target_csv = {tmp_path}/t.csv\nepochs = 1\nwarmup_epochs = 1\n"
                    f"outdir = {tmp_path}/out\n")
     assert cli.main(["run", "--config", str(cfg)]) == 3
-    with pytest.raises(harness.RunError, match="source 2"):
+    # the table's reader names the cell, before any set is built
+    with pytest.raises(data.CsvFormatError, match="s1.csv: line 9: f0 'nan' is not a finite"):
         run(parse_config(str(cfg)))
+
+
+@pytest.mark.parametrize("which", ["test target", "test source 2"])
+def test_nan_in_an_evaluated_test_set_exits_three_naming_it(tmp_path, which):
+    """record() evaluates every test set, so run checks them as it checks the
+    training sets, before anything is written."""
+    cfg = parse_config(overrides=["mode=supervised", "epochs=1", "domain_size=60",
+                                  "labeled_target_size=20", f"outdir={tmp_path}/out"])
+    train, test = harness.build_datasets(cfg)
+    x = test.target[0] if which == "test target" else test.sources[1][0]
+    x[3, 1] = np.nan
+    with pytest.raises(harness.RunError, match=f"non-finite entries in the {which} features"):
+        run(cfg, (train, test))
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_overflowing_parameters_name_epoch_and_step(tmp_path):
