@@ -228,6 +228,9 @@ def _cmd_oracle_w1(args):
             raise data.CsvFormatError(args.csv, line_no,
                                       f"measure must be 'a' or 'b', got {row[0]!r}")
         side.append(data.finite_floats(args.csv, line_no, header[1:], row[1:]))
+        if args.label_cost == "zero_one":
+            # zero_one compares class labels: a feature table's label rule
+            data.integer_label(args.csv, line_no, row[1])
     # each measure's (label, f0, f1, ...) rows; the pair checks their sizes
     a, b = (np.reshape(measures[side], (-1, len(header) - 1)) for side in "ab")
     pair = theory.DiscreteMeasurePair(xs_a=a[:, 1:], ys_a=a[:, 0], xs_b=b[:, 1:], ys_b=b[:, 0])
@@ -274,7 +277,8 @@ def build_parser():
     p_w1.add_argument("csv", help="columns: measure(a|b),label,f0,f1,...")
     p_w1.add_argument("--scale", type=float, default=1.0)
     p_w1.add_argument("--label-cost", choices=("zero_one", "absolute"),
-                      default="zero_one")
+                      default="zero_one",
+                      help="zero_one: integer class labels; absolute: real-valued labels")
     p_w1.set_defaults(fn=_cmd_oracle_w1)
 
     p_bound = sub.add_parser("bound", help="evaluate the risk bound from constants")

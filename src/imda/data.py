@@ -272,18 +272,31 @@ def finite_floats(path, line_no, columns, cells):
     return values
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def integer_label(path, line_no, text):
+    """The class label a table cell spells: the one rule for a label read
+    from a table.  A cell that is not an integer, or not one a 64-bit label
+    array holds, raises CsvFormatError naming the file and the line."""
+    try:
+        label = int(text)
+    except ValueError:
+        raise CsvFormatError(path, line_no, f"non-integer label {text!r}") from None
+    if not _INT64.min <= label <= _INT64.max:
+        raise CsvFormatError(path, line_no, f"label {text!r} is outside the 64-bit integers")
+    return label
+
+
 def load_csv(path):
     """Parse a labeled feature table; returns (X, y).  Each label must be an
-    integer, each feature a finite number (finite_floats)."""
+    integer (integer_label), each feature a finite number (finite_floats)."""
     header, rows = read_table(path, ("label",))
     if len(header) < 2:
         raise CsvFormatError(path, 1, "no feature column after label")
     xs, ys = [], []
     for line_no, row in rows:
-        try:
-            ys.append(int(row[0]))
-        except ValueError:
-            raise CsvFormatError(path, line_no, f"non-integer label {row[0]!r}")
+        ys.append(integer_label(path, line_no, row[0]))
         xs.append(finite_floats(path, line_no, header[1:], row[1:]))
     return (np.asarray(xs, dtype=np.float64).reshape(len(ys), len(header) - 1),
             np.asarray(ys, dtype=np.int64))

@@ -3,7 +3,10 @@
 Small define-then-run engine: build a DAG of `Node` objects over `param`
 and `const` leaves, call :func:`forward` to evaluate it, then
 :func:`backward` to populate adjoints (a `const` leaf's adjoint is the
-input gradient).  Serves the graph reference of the training step
+input gradient); adjoints are valid after `backward`, not after a later
+`forward`.  A node binds its op's (forward, backward) pair when it is
+built, so an unknown kind is rejected there, and the passes look nothing
+up per node.  Serves the graph reference of the training step
 (harness.reference_gradients), `imda check` and the benchmark's
 `oracle_audit` workload, and supports exactly what their MLP losses and
 adversarial objectives need -- affine layers, ReLU, log-softmax, means,
@@ -43,21 +46,31 @@ _node_counter = itertools.count()
 class Node:
     """One operation in the compute graph.
 
-    Holds the op kind, references to input nodes, and (after a forward
-    pass) the cached value; after a backward pass, the cached adjoint.
+    Holds the op kind and its (forward, backward) pair (None for a leaf),
+    references to input nodes, and (after a forward pass) the cached value;
+    after a backward pass, the cached adjoint.
     """
 
-    __slots__ = ("kind", "inputs", "name", "extras", "value", "adjoint", "uid", "order")
+    __slots__ = ("kind", "op", "inputs", "given_name", "extras", "value", "adjoint", "uid",
+                 "order")
 
     def __init__(self, kind, inputs=(), name=None, **extras):
+        self.op = _OPS.get(kind)
+        if self.op is None and kind not in _LEAVES:
+            raise GraphError(f"unknown op kind '{kind}'")
         self.kind = kind
         self.inputs = tuple(inputs)
         self.uid = next(_node_counter)
-        self.name = name if name is not None else f"{kind}#{self.uid}"
+        self.given_name = name
         self.extras = extras
         self.value = None
         self.adjoint = None
         self.order = None  # its ancestors in topo_order, once forwarded as a root
+
+    @property
+    def name(self):
+        """The name given at construction, else kind#uid."""
+        return self.given_name if self.given_name is not None else f"{self.kind}#{self.uid}"
 
     def __repr__(self):
         return f"<Node {self.name} kind={self.kind}>"
@@ -65,7 +78,7 @@ class Node:
 
 def _as_f64(a):
     out = np.asarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise GraphShapeError(f"non-finite entries in array of shape {out.shape}")
     return out
 
@@ -148,6 +161,13 @@ def neg_grad(x, lam=1.0, name=None):
     return Node("neg_grad", (x,), name=name, lam=float(lam))
 
 
+def mean_all(x):
+    """The mean of every entry of a float64 array x, as np.mean gives it bit
+    for bit (the same pairwise sum, then the same division), without
+    np.mean's Python wrapper."""
+    return np.add.reduce(x, axis=None) / x.size
+
+
 def row_sum(x):
     """Row sums of a (..., rows, classes) array, over a class-major copy:
     numpy then adds whole columns left to right, where axis=-1 runs one
@@ -172,34 +192,33 @@ def log_softmax_rows(x):
 
 
 def topo_order(root):
-    """Ancestors of root in dependency order (iterative, no recursion)."""
-    order, seen = [], set()
-    stack = [(root, False)]
+    """Ancestors of root in dependency order: the post-order of a depth-first
+    walk that takes a node's inputs last to first, which is the order
+    forward draws dropout masks in.  Iterative: a node popped the first
+    time goes back on the stack under its inputs, and is placed when it is
+    popped again (in a DAG no other copy of it lies above it then)."""
+    order, placed = [], {}
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
+        node = stack.pop()
+        state = placed.get(node)
+        if state is None:
+            placed[node] = False
+            stack.append(node)
+            stack += node.inputs
+        elif not state:
+            placed[node] = True
             order.append(node)
-            continue
-        if node.uid in seen:
-            continue
-        seen.add(node.uid)
-        stack.append((node, True))
-        for parent in node.inputs:
-            stack.append((parent, False))
     return order
 
 
 def _order(root):
-    """topo_order(root), walked and checked once and kept on the root: a
-    node's inputs never change, so neither do its ancestors.  The root
-    keeps its ancestors only (topo_order puts the root last), since a root
-    that referred to itself would leave every graph to the cycle collector."""
+    """topo_order(root), walked once and kept on the root: a node's inputs
+    never change, so neither do its ancestors.  The root keeps its
+    ancestors only (topo_order puts the root last), since a root that
+    referred to itself would leave every graph to the cycle collector."""
     if root.order is None:
-        order = topo_order(root)
-        for node in order:
-            if node.kind not in _OPS and node.kind not in _LEAVES:
-                raise GraphError(f"unknown op kind '{node.kind}'")
-        root.order = tuple(order[:-1])
+        root.order = tuple(topo_order(root)[:-1])
     return (*root.order, root)
 
 
@@ -220,7 +239,9 @@ def _affine(node, rng, x, w, b):
         _shape_err(node, f"cannot multiply {x.shape} by {w.shape}")
     if b.shape != (w.shape[1],):
         _shape_err(node, f"bias {b.shape} does not match output width {w.shape[1]}")
-    return x @ w + b
+    out = x @ w
+    out += b
+    return out
 
 
 def _affine_grad(node, g, x, w, b):
@@ -295,7 +316,7 @@ _OPS = {
     "relu": (lambda node, rng, x: np.maximum(x, 0.0),
              lambda node, g, x: _acc(x, g * (x.value > 0.0))),
     "log_softmax": (_log_softmax, _log_softmax_grad),
-    "mean": (lambda node, rng, x: np.asarray(np.mean(x)),
+    "mean": (lambda node, rng, x: np.asarray(mean_all(x)),
              lambda node, g, x: _acc(x, np.full(x.value.shape, float(g) / x.value.size))),
     "masked_mean": (_masked_mean, _masked_mean_grad),
     "scale": (lambda node, rng, x: x * node.extras["factor"],
@@ -315,10 +336,9 @@ _OPS = {
 def forward(root, rng=None):
     """Evaluate the graph, caching every intermediate value on the nodes
     for the backward pass, and return the root value.  `rng` draws the
-    dropout masks."""
+    dropout masks.  Adjoints are left as they were: backward resets them."""
     for node in _order(root):
-        node.adjoint = None
-        op = _OPS.get(node.kind)
+        op = node.op
         if op is None:
             node.value = node.extras["array"]
         else:
@@ -340,13 +360,13 @@ def backward(root):
     order = _order(root)
     for node in order:
         node.adjoint = None
-    root.adjoint = np.ones_like(root.value)
+    root.adjoint = np.ones(root.value.shape)
     grads = {}
     for node in reversed(order):
         g = node.adjoint
         if g is None:
             continue
-        op = _OPS.get(node.kind)
+        op = node.op
         if op is not None:
             op[1](node, g, *node.inputs)
         elif node.kind == "param":

@@ -152,6 +152,10 @@ _SCHEMA = {
     "outdir": ("str", "imda_out", None),
 }
 
+# former keys -> the `imda bound` flag that took each one's place
+_MOVED_TO_BOUND = {"delta_u": "--delta-u", "delta_v": "--delta-v",
+                   "empirical_risk": "--empirical-risk"}
+
 # data kind -> the keys that supply the labeled and the unlabeled target set,
 # each with the rule a set the step reads must meet
 _TARGET_KEYS = {"synthetic": (("labeled_target_size", ">= 1"), ("domain_size", ">= 1")),
@@ -210,6 +214,9 @@ def parse_config(path=None, overrides=()):
         pairs.append((key.strip(), raw, "--set"))
     explicit = {}
     for key, raw, where in pairs:
+        if key in _MOVED_TO_BOUND:
+            raise ConfigError(f"{where}: unknown key '{key}'; it is now the flag "
+                              f"`imda bound {_MOVED_TO_BOUND[key]}`")
         if key not in _SCHEMA:
             raise ConfigError(f"{where}: unknown key '{key}'")
         raw = raw.strip()
@@ -304,6 +311,18 @@ def build_datasets(cfg):
                                       f"where {cfg.source_csvs[0]} has {dim}")
         return x, y
 
+    def check_table_labels(key, path, y):
+        """Raise CsvFormatError naming `key`, `path` and the line of the
+        first label of y, the labels of the table at `path`, outside the
+        training labels 0..n_classes-1; the line is read again from the
+        file only then."""
+        outside = np.flatnonzero((y < 0) | (y >= n_classes))
+        if outside.size:
+            _, rows = data.read_table(path)
+            line_no = rows[outside[0]][0]
+            raise data.CsvFormatError(path, line_no, f"label {y[outside[0]]} in {key} is "
+                                      f"outside the training labels 0..{n_classes - 1}")
+
     first = data.load_csv(cfg.source_csvs[0])
     dim = first[0].shape[1]
     sources = [first] + [load("source_csvs", p) for p in cfg.source_csvs[1:]]
@@ -317,14 +336,20 @@ def build_datasets(cfg):
     if not any(y.size for y in labeled_sets):
         raise ConfigError("csv data needs a labeled row in source_csvs or target_csv")
     n_classes = int(max(y.max() for y in labeled_sets if y.size)) + 1
+    for path, (_, y) in zip(cfg.source_csvs, sources):
+        check_table_labels("source_csvs", path, y)
+    check_table_labels("target_csv", cfg.target_csv, target[1])
     train = data.MultiSourceDataset(sources=sources, target=target,
                                     target_unlabeled=unl, n_classes=n_classes, dim=dim)
     test_target = load("test_target_csv", cfg.test_target_csv) if cfg.test_target_csv else target
+    if cfg.test_target_csv:
+        check_table_labels("test_target_csv", cfg.test_target_csv, test_target[1])
     if test_target[0].shape[0] == 0:
         raise ConfigError("no test target to evaluate on: test_target_csv (or, "
                           "without it, target_csv) must hold at least one row")
     test_sources = [load("test_source_csvs", p) for p in cfg.test_source_csvs] or sources
-    for path, (x, _) in zip(cfg.test_source_csvs, test_sources):
+    for path, (x, y) in zip(cfg.test_source_csvs, test_sources):
+        check_table_labels("test_source_csvs", path, y)
         if x.shape[0] == 0:
             raise ConfigError(f"no test source to evaluate on in {path}: each "
                               "test_source_csvs file must hold at least one row")

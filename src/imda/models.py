@@ -5,6 +5,7 @@ Lipschitz upper bounds via spectral-norm products.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,15 +221,25 @@ class ModelTriple:
         self.check_finite(block)
         pnodes = []
         for i, (w, b, relu) in enumerate(self.layers(block)):
-            w = dc.Node("param", name=f"{block}.w{i}", array=w)
-            b = dc.Node("param", name=f"{block}.b{i}", array=b)
-            pnodes += [(f"w{i}", w), (f"b{i}", b)]
-            h = dc.affine(h, w, b, name=f"{block}.l{i}")
+            w_node, b_node, w_key, b_key, affine, relu_name, drop = _layer_names(block, i)
+            w = dc.Node("param", name=w_node, array=w)
+            b = dc.Node("param", name=b_node, array=b)
+            pnodes += [(w_key, w), (b_key, b)]
+            h = dc.affine(h, w, b, name=affine)
             if relu:
-                h = dc.relu(h, name=f"{block}.relu{i}")
+                h = dc.relu(h, name=relu_name)
             if dropout_rate > 0.0:
-                h = dc.dropout(h, dropout_rate, name=f"{block}.drop{i}")
+                h = dc.dropout(h, dropout_rate, name=drop)
         return h, pnodes
+
+
+@functools.cache
+def _layer_names(block, i):
+    """The names in the graph of layer i of a block: its weight and bias
+    nodes, their keys in the block's layout, and its affine, ReLU and
+    dropout nodes.  Formatted once per (block, layer), a handful in all."""
+    return (f"{block}.w{i}", f"{block}.b{i}", f"w{i}", f"b{i}", f"{block}.l{i}",
+            f"{block}.relu{i}", f"{block}.drop{i}")
 
 
 def _forward(layers, h):

@@ -57,14 +57,14 @@ def _onehot(labels, n_classes):
 def nll(log_probs, labels):
     """Mean negative log-likelihood of integer labels under row log-probs."""
     log_probs = _check_batch(log_probs)
-    return float(-np.mean(log_probs[np.arange(log_probs.shape[0]), np.asarray(labels)]))
+    return float(-dc.mean_all(log_probs[np.arange(log_probs.shape[0]), np.asarray(labels)]))
 
 
 def absolute_error(pred, targets):
     """Mean |prediction - target| for scalar-column predictions."""
     pred = _check_batch(pred)
     targets = np.asarray(targets, dtype=np.float64).reshape(pred.shape)
-    return float(np.mean(np.abs(pred - targets)))
+    return float(dc.mean_all(np.abs(pred - targets)))
 
 
 def _loss_value(model, out, y):

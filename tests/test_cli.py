@@ -102,6 +102,17 @@ class TestRunCommand:
         assert key in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("key, flag", [("delta_u", "--delta-u"), ("delta_v", "--delta-v"),
+                                           ("empirical_risk", "--empirical-risk")])
+    @pytest.mark.parametrize("where", ["set", "config"])
+    def test_a_key_that_became_a_bound_flag_exits_two_naming_the_flag(
+            self, tmp_path, capsys, key, flag, where):
+        cfg = write_cfg(tmp_path, "mode = semi\n" + (f"{key} = 1\n" if where == "config" else ""))
+        argv = ["run", "--config", cfg] + (["--set", f"{key}=1"] if where == "set" else [])
+        assert cli.main(argv) == 2
+        assert f"unknown key '{key}'; it is now the flag `imda bound {flag}`" in (
+            capsys.readouterr().err)
+
     def test_csv_run_without_a_test_target_exits_two(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         for name, shift in (("s0", 0.0), ("s1", 1.0), ("u", 0.5)):
@@ -169,6 +180,26 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert (f"{tmp_path}/s1.csv: line 1: 3 feature columns in source_csvs, "
                 f"where {tmp_path}/s0.csv has 2") in err
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("key, label", [("test_target_csv", 2), ("test_source_csvs", 2),
+                                            ("source_csvs", -1), ("target_csv", -1)])
+    def test_a_label_outside_the_training_labels_exits_three_naming_it(
+            self, tmp_path, capsys, key, label):
+        """Its key, its file and its line: the row after a blank line and a
+        row of a training label."""
+        rng = np.random.default_rng(0)
+        tables = {name: tmp_path / f"{name}.csv" for name in ("source_csvs", "target_csv", key)}
+        for path in tables.values():
+            data.write_csv(path, rng.standard_normal((40, 2)), rng.integers(0, 2, 40))
+        table = tables[key]
+        table.write_text(f"label,f0,f1\n1,0.5,0.5\n\n{label},1.0,1.0\n0,0.0,0.0\n")
+        cfg = write_cfg(tmp_path, "mode = supervised\ndata = csv\nepochs = 1\n"
+                        f"outdir = {tmp_path}/out\n"
+                        + "".join(f"{name} = {path}\n" for name, path in tables.items()))
+        assert cli.main(["run", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert f"{table}: line 4: label {label} in {key} is outside the training labels 0..1" in err
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("sources", [1, 2], ids=["one_source", "two_sources"])
@@ -289,6 +320,21 @@ class TestOracleW1Command:
         path.write_text(f"measure,label,f0\n{rows}\n")
         assert cli.main(["oracle-w1", str(path)]) == 3
         assert f"{path}: {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["0.5", "1.0", "1e0"])
+    def test_a_non_integer_label_under_zero_one_exits_three_naming_it(self, tmp_path,
+                                                                      capsys, label):
+        """zero_one compares class labels, read by load_csv's rule."""
+        path = tmp_path / "frac.csv"
+        path.write_text(f"measure,label,f0\na,{label},0.0\nb,0,1.0\n")
+        assert cli.main(["oracle-w1", str(path)]) == 3
+        assert f"{path}: line 2: non-integer label '{label}'" in capsys.readouterr().err
+
+    def test_absolute_label_cost_takes_real_labels(self, tmp_path, capsys):
+        path = tmp_path / "frac.csv"
+        path.write_text("measure,label,f0\na,0.5,0.0\nb,0,1.0\n")
+        assert cli.main(["oracle-w1", str(path), "--label-cost", "absolute"]) == 0
+        assert capsys.readouterr().out.strip() == "1.5"
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
     def test_bad_scale_exits_two_naming_it(self, tmp_path, capsys, scale):

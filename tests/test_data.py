@@ -162,6 +162,20 @@ class TestCsv:
             data.load_csv(path)
         assert info.value.line_no == 2
 
+    @pytest.mark.parametrize("label", [str(2 ** 63), str(-2 ** 63 - 1), "9" * 30])
+    def test_a_label_past_the_64_bit_integers_reports_line(self, tmp_path, label):
+        """Not an OverflowError from the label array."""
+        path = tmp_path / "l.csv"
+        path.write_text(f"label,f0\n0,1.0\n{label},1.0\n")
+        with pytest.raises(data.CsvFormatError, match=re.escape(
+                f"l.csv: line 3: label '{label}' is outside the 64-bit integers")):
+            data.load_csv(path)
+
+    def test_the_64_bit_extremes_are_labels(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text(f"label,f0\n{2 ** 63 - 1},1.0\n{-2 ** 63},1.0\n")
+        assert data.load_csv(path)[1].tolist() == [2 ** 63 - 1, -2 ** 63]
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", "wide", ""])
     def test_a_feature_that_is_not_a_finite_number_names_its_cell(self, tmp_path, cell):
         path = tmp_path / "f.csv"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from imda import diffcore as dc
+from imda import diffcore as dc, models, risks
 
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 
@@ -222,6 +222,77 @@ class TestRepeatedPasses:
             dc.forward(dc.Node("cube", (dc.const([[1.0]]),)))
 
 
+class TestConstruction:
+    """A node binds its op when it is built: the one check of its kind."""
+
+    def test_an_unknown_kind_is_rejected_when_built(self):
+        x = dc.const([[1.0]])
+        with pytest.raises(dc.GraphError, match="unknown op kind 'cube'"):
+            dc.Node("cube", (x,))
+        assert x.value is None  # no pass ran
+
+    def test_an_unnamed_node_is_named_by_kind_and_uid_in_errors(self):
+        bad = dc.affine(dc.const(np.zeros((2, 3))), dc.param(np.zeros((4, 2))),
+                        dc.param(np.zeros(2)))
+        with pytest.raises(dc.GraphShapeError, match=f"affine node 'affine#{bad.uid}'"):
+            dc.forward(bad)
+
+    def test_an_unnamed_scalar_root_is_named_when_backward_rejects_it(self):
+        root = dc.relu(dc.param([[1.0, 2.0]]))
+        dc.forward(root)
+        with pytest.raises(dc.NonScalarOutputError, match=f"'relu#{root.uid}'"):
+            dc.backward(root)
+
+
+def reference_dfs(root):
+    """The walk topo_order must reproduce, written out: post-order of a
+    depth-first search that pushes each node's inputs first to last, so it
+    takes them last to first."""
+    order, seen = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node.uid not in seen:
+            seen.add(node.uid)
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node.inputs)
+    return order
+
+
+class TestTopoOrder:
+    """forward draws dropout masks in topo_order's order, so the order is
+    part of every dropout run's output."""
+
+    def test_a_two_source_dropout_graph_is_walked_depth_first(self):
+        arch = models.ArchSpec(rep_widths=(2, 5, 3), pred_widths=(3, 2), dropout_rate=0.3)
+        m = models.ModelTriple.init(arch, seed=0)
+        rng = np.random.default_rng(0)
+        batches = [(rng.standard_normal((4, 2)), rng.integers(0, 2, 4)) for _ in range(2)]
+        root, *_ = risks.source_risk_graph(m, batches, np.array([0.4, 0.6]),
+                                           train_rng=np.random.default_rng(1))
+        order = dc.topo_order(root)
+        assert order == reference_dfs(root)
+        drops = [n.name for n in order if n.kind == "dropout"]
+        # source 2's masks are drawn before source 1's: not creation order
+        assert drops == ["rep.drop0", "rep.drop1"] * 2
+        src = [n.name for n in order if n.name.endswith(".x")]
+        assert src == ["src1.x", "src0.x"]
+
+    @PROPERTY
+    @given(st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=2),
+                    min_size=1, max_size=30))
+    def test_equals_the_written_out_walk_on_shared_subgraphs(self, picks):
+        """Random DAGs whose nodes reuse earlier nodes, repeats included."""
+        nodes = [dc.const([[1.0]]), dc.const([[2.0]])]
+        for inputs in picks:
+            chosen = [nodes[i % len(nodes)] for i in inputs]
+            nodes.append(dc.add(chosen[0], chosen[-1]) if len(chosen) > 1
+                         else dc.relu(chosen[0]))
+        assert dc.topo_order(nodes[-1]) == reference_dfs(nodes[-1])
+
+
 class TestLogSoftmaxRows:
     @PROPERTY
     @given(logits(st.integers(2, 7)))
@@ -248,6 +319,45 @@ class TestLogSoftmaxRows:
         shift = data.draw(hnp.arrays(np.float64, (x.shape[0], 1),
                                      elements=st.floats(-1e3, 1e3)))
         assert np.allclose(dc.log_softmax_rows(x + shift)[0], dc.log_softmax_rows(x)[0])
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def tables(columns=st.integers(1, 7)):
+    """Strategy: 2-D float tables of 1..200 rows, one-row ones among them;
+    a column or the whole table runs past numpy's 8-wide unrolled and
+    128-long pairwise summation blocks."""
+    return hnp.arrays(np.float64, st.tuples(st.integers(1, 200), columns),
+                      elements=st.floats(-1e6, 1e6))
+
+
+class TestMeanBits:
+    """The scalar means of the graph and of the risks are np.mean's bits."""
+
+    @PROPERTY
+    @given(tables())
+    def test_the_mean_node(self, x):
+        assert same_bits(dc.forward(dc.mean(dc.const(x))), np.mean(x))
+
+    @PROPERTY
+    @given(st.data())
+    def test_nll(self, data):
+        logp = data.draw(tables(columns=st.integers(2, 4)))
+        labels = data.draw(hnp.arrays(np.int64, logp.shape[0],
+                                      elements=st.integers(0, logp.shape[1] - 1)))
+        want = float(-np.mean(logp[np.arange(logp.shape[0]), labels]))
+        assert same_bits(risks.nll(logp, labels), want)
+
+    @PROPERTY
+    @given(st.data())
+    def test_absolute_error(self, data):
+        pred = data.draw(tables(columns=st.just(1)))
+        targets = data.draw(hnp.arrays(np.float64, pred.shape[0],
+                                       elements=st.floats(-1e6, 1e6)))
+        want = float(np.mean(np.abs(pred - targets.reshape(pred.shape))))
+        assert same_bits(risks.absolute_error(pred, targets), want)
 
 
 class TestAllOpKinds:
