@@ -77,11 +77,13 @@ def _cmd_check(args):
     # also runs under the one-layer critic run builds, whose penalty draws
     # no interpolates.  Each runs on batches of 6 rows, on ragged batches
     # (target 6, unlabeled 4, sources 6 and 5: stacks of different row
-    # counts), on batches of one row (numpy's vector-matrix product) and on
-    # batches of 100 rows, where a semi step's six passes split over two
-    # stacks
+    # counts), on three ragged sources of 6, 5 and 3 rows (two skipped
+    # batches of different sizes behind the source selection), on batches
+    # of one row (numpy's vector-matrix product) and on batches of 100 rows,
+    # where a semi step's six passes split over two stacks
     ok = True
-    shapes = ((6, 6, (6, 6)), (6, 4, (6, 5)), (1, 1, (1, 1)), (100, 100, (100, 100)))
+    shapes = ((6, 6, (6, 6)), (6, 4, (6, 5)), (6, 4, (6, 5, 3)), (1, 1, (1, 1)),
+              (100, 100, (100, 100)))
     penalty = "interp_penalty_weight=0.1"
     for regime, dropout, activation, pred_widths in (
             (["mode=supervised", penalty], 0.0, "relu", (4, 5, 3)),
@@ -102,7 +104,8 @@ def _cmd_check(args):
                 range(3), shapes):
             r = np.random.default_rng(seed)
             batch = lambda n: (r.standard_normal((n, 2)), r.integers(0, 3, n))
-            args = (models.ModelTriple.init(arch, seed=seed), coefs, r.dirichlet(np.ones(2)),
+            args = (models.ModelTriple.init(arch, seed=seed), coefs,
+                    r.dirichlet(np.ones(len(source_rows))),
                     batch(target_rows), r.standard_normal((unlabeled_rows, 2)),
                     [batch(n) for n in source_rows], cfg)
             rngs = [[np.random.default_rng([seed, k]) for k in range(2)] for _ in range(2)]
@@ -230,7 +233,7 @@ def _cmd_oracle_w1(args):
         side.append(data.finite_floats(args.csv, line_no, header[1:], row[1:]))
         if args.label_cost == "zero_one":
             # zero_one compares class labels: a feature table's label rule
-            data.integer_label(args.csv, line_no, row[1])
+            data.integer_cell(args.csv, line_no, "label", row[1])
     # each measure's (label, f0, f1, ...) rows; the pair checks their sizes
     a, b = (np.reshape(measures[side], (-1, len(header) - 1)) for side in "ab")
     pair = theory.DiscreteMeasurePair(xs_a=a[:, 1:], ys_a=a[:, 0], xs_b=b[:, 1:], ys_b=b[:, 0])

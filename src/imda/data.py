@@ -256,14 +256,25 @@ def read_table(path, leading=()):
     return header, rows
 
 
+def number_text(text):
+    """text, after raising ValueError unless it is ASCII and holds no '_':
+    the spelling of every number read from a table or a config.  float()
+    and int() would also read digit-group underscores ('1_5' as 15) and
+    other scripts' digits ('\u0663' as 3)."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not ASCII without '_'")
+    return text
+
+
 def finite_floats(path, line_no, columns, cells):
     """The floats of a row's cells, each under its header column: the one
     rule for a number read from a table.  A cell that is not a finite
-    number raises CsvFormatError naming the file, the line and the column."""
+    number (number_text) raises CsvFormatError naming the file, the line
+    and the column."""
     values = []
     for column, text in zip(columns, cells):
         try:
-            value = float(text)
+            value = float(number_text(text))
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
@@ -275,28 +286,29 @@ def finite_floats(path, line_no, columns, cells):
 _INT64 = np.iinfo(np.int64)
 
 
-def integer_label(path, line_no, text):
-    """The class label a table cell spells: the one rule for a label read
-    from a table.  A cell that is not an integer, or not one a 64-bit label
-    array holds, raises CsvFormatError naming the file and the line."""
+def integer_cell(path, line_no, column, text):
+    """The integer a table cell under `column` spells: the one rule for an
+    integer read from a table, a class label or a ledger step.  A cell that
+    is not an integer (number_text), or not one a 64-bit array holds,
+    raises CsvFormatError naming the file and the line."""
     try:
-        label = int(text)
+        value = int(number_text(text))
     except ValueError:
-        raise CsvFormatError(path, line_no, f"non-integer label {text!r}") from None
-    if not _INT64.min <= label <= _INT64.max:
-        raise CsvFormatError(path, line_no, f"label {text!r} is outside the 64-bit integers")
-    return label
+        raise CsvFormatError(path, line_no, f"non-integer {column} {text!r}") from None
+    if not _INT64.min <= value <= _INT64.max:
+        raise CsvFormatError(path, line_no, f"{column} {text!r} is outside the 64-bit integers")
+    return value
 
 
 def load_csv(path):
     """Parse a labeled feature table; returns (X, y).  Each label must be an
-    integer (integer_label), each feature a finite number (finite_floats)."""
+    integer (integer_cell), each feature a finite number (finite_floats)."""
     header, rows = read_table(path, ("label",))
     if len(header) < 2:
         raise CsvFormatError(path, 1, "no feature column after label")
     xs, ys = [], []
     for line_no, row in rows:
-        ys.append(integer_label(path, line_no, row[0]))
+        ys.append(integer_cell(path, line_no, "label", row[0]))
         xs.append(finite_floats(path, line_no, header[1:], row[1:]))
     return (np.asarray(xs, dtype=np.float64).reshape(len(ys), len(header) - 1),
             np.asarray(ys, dtype=np.int64))

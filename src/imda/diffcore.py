@@ -491,10 +491,16 @@ class ParameterVector:
 
 def flatten_grads(grads, param_nodes, layout_vector):
     """Assemble backward() output for the given [(name, node), ...] into a
-    flat gradient aligned with `layout_vector`; absent grads are zero."""
+    flat gradient aligned with `layout_vector`; absent grads are zero.  A
+    name given twice raises GraphError: one slot cannot hold two nodes'
+    gradients."""
     out = np.zeros_like(layout_vector.values)
     index = layout_vector.layout.index
+    seen = set()
     for name, node in param_nodes:
+        if name in seen:
+            raise GraphError(f"parameter '{name}' is given twice")
+        seen.add(name)
         g = grads.get(node)
         if g is None:
             continue

@@ -50,12 +50,10 @@ u and v descend with noise injection, v' ascends without; the ledger
 accumulates eta^2 ||G||^2 / (2 sigma^2) for the u and v blocks.
 
 What the step computes today differs from the formula above in its source
-terms: each "source risk" gradient is that of the last source's batch
-alone, weighted by alpha[-1] (by 1/N in the critic's uniform source term),
-not the alpha-weighted sum over all N sources.  This is a known fault of
-the graph path (dc.flatten_grads assigns per-source gradients instead of
-adding them) that assemble_gradients reproduces bit for bit; the tuned
-pseudo-label behaviour depends on it, so mending it needs a retune.
+terms, a known fault that one function states: _trained_sources, the
+source selection both step paths read.  dc.flatten_grads rejects a
+repeated parameter name, so no path can reach the fault by writing one
+source's gradient over another's.
 """
 
 from __future__ import annotations
@@ -181,8 +179,12 @@ def _listed(convert):
     return lambda raw: tuple(convert(v) for v in raw.split(",") if v.strip())
 
 
+def _number(convert):
+    return lambda raw: convert(data.number_text(raw))
+
+
 # parser kind -> converter of the stripped text
-_CONVERTERS = {"str": str.strip, "float": float, "int": int, "bool": _flag}
+_CONVERTERS = {"str": str.strip, "float": _number(float), "int": _number(int), "bool": _flag}
 _CONVERTERS.update({kind + "s": _listed(_CONVERTERS[kind]) for kind in ("str", "float", "int")})
 
 
@@ -448,6 +450,26 @@ _TERM_READS = {
 }
 
 
+def _trained_sources(source_batches, alpha, rep):
+    """(batch, weights, skip), read once per step by both step paths: the
+    batch the source terms train on, its weight under each _TERM_READS
+    weighting ("alpha", "uniform"), and the dropout draws to skip after its
+    masks through the representation layers `rep`.
+
+    The one statement of a known fault: the formula sums every source's
+    risk at its alpha (1/N in the critic's term), but the terms train on
+    the last source's batch alone, at alpha[-1] (1/N); the tuned
+    pseudo-label behaviour depends on it.  The other batches' masks follow
+    its masks, as in risks.source_risk_graph over every source (the last
+    source comes first in topological order), and PCG64's random() spends
+    one output per double, so advancing by skip passes them."""
+    alpha = risks.check_simplex(alpha, n=len(source_batches))
+    *skipped, batch = source_batches
+    weights = {"alpha": float(alpha[-1]), "uniform": 1.0 / len(source_batches)}
+    skip = sum(x.shape[0] for x, _ in skipped) * sum(w.shape[1] for w, _, _ in rep)
+    return batch, weights, skip
+
+
 def _assemble(coefs, cfg, share):
     """(g_u, g_v, g_vp): every active term's shares scaled by its
     coefficients and summed in table order, then the interpolation penalty
@@ -601,9 +623,9 @@ class _Step:
 
     def gradients(self, passes):
         """{term: [g_u, g_v, g_vp]} of the passes, each (term, batch, head
-        rows, coefficients, earlier source batches whose draws follow its
-        masks), a head row being (critic or not, labels, coef, weight).
-        Only the results the coefficients reach are not None (_stack)."""
+        rows, coefficients, dropout draws to skip after its masks), a head
+        row being (critic or not, labels, coef, weight).  Only the results
+        the coefficients reach are not None (_stack)."""
         open_stacks, stacks, at = {}, [], []
         for member in passes:
             n = member[1].shape[0]
@@ -615,19 +637,15 @@ class _Step:
             stacks[s].append(member)
         shares = {name: [None, None, None] for name, *_ in passes}
         masks, left = {}, [len(members) for members in stacks]
-        for (s, i), (_, x, *_, skipped) in zip(at, passes):
+        for (s, i), (_, x, *_, skip) in zip(at, passes):
             if self.rng is not None:
                 if s not in masks:
                     masks[s] = [np.empty((len(stacks[s]), x.shape[0], w.shape[1]))
                                 for w, _, _ in self.rep]
                 for mask in masks[s]:
                     self.rng.random(out=mask[i])
-                # data.stream_rng builds PCG64, whose random() spends one
-                # 64-bit output per double, so advancing by the draw count
-                # skips exactly the draws the masks would take
-                for x_skipped, _ in skipped:
-                    for w, _, _ in self.rep:
-                        self.rng.bit_generator.advance(x_skipped.shape[0] * w.shape[1])
+                if skip:
+                    self.rng.bit_generator.advance(skip)
             left[s] -= 1
             if not left[s]:
                 self._stack(stacks[s], masks.pop(s, None), shares)
@@ -731,15 +749,15 @@ def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
     # would take a label of -1 for the last class
     if coefs.uses_target:
         risks.check_labels(target_batch[1], model.arch.n_outputs)
-    if coefs.uses_sources:
-        alpha = risks.check_simplex(alpha, n=len(source_batches))
-        risks.check_labels(source_batches[-1][1], model.arch.n_outputs)
     step = _Step(model, rng_dropout)
+    if coefs.uses_sources:
+        source, source_weights, skip = _trained_sources(source_batches, alpha, step.rep)
+        risks.check_labels(source[1], model.arch.n_outputs)
 
     # each term's pass (_Step.gradients), its reads from _TERM_READS
     passes = []
     for name, weights in coefs.terms():
-        batch, critics, source_weights = _TERM_READS[name]
+        batch, critics, weighting = _TERM_READS[name]
         if batch == "unlabeled":
             # pseudo labels from the dropout-free forward at the current
             # parameters, each head's from the other's argmax: the pass's
@@ -751,24 +769,14 @@ def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
                           for log_probs in model.outputs(unlabeled_x, dups=(False, True))]
             rows = [(critic, y, float(coef), 1.0) for critic, y, coef in
                     zip(critics, labels, (cfg.w1_discri_coef1, cfg.w1_discri_coef2))]
-            passes.append((name, unlabeled_x, rows, weights, ()))
+            passes.append((name, unlabeled_x, rows, weights, 0))
         elif batch == "target":
             x, y = target_batch
-            passes.append((name, x, [(critics[0], y, 1.0, 1.0)], weights, ()))
+            passes.append((name, x, [(critics[0], y, 1.0, 1.0)], weights, 0))
         else:
-            # Known fault, reproduced on purpose: dc.flatten_grads assigns
-            # each named gradient instead of adding it, and
-            # risks.source_risk_graph gives every source its own parameter
-            # nodes, so the graph path's source-risk gradients hold only the
-            # last source's batch, scaled by that source's weight.  For
-            # earlier sources the dropout generator only advances past the
-            # draws of their masks, after the last source's, as the graph's
-            # topological order draws them.
-            x, y = source_batches[-1]
-            weight = (float(alpha[-1]) if source_weights == "alpha"
-                      else 1.0 / len(source_batches))
-            passes.append((name, x, [(critics[0], y, 1.0, weight)], weights,
-                           source_batches[:-1]))
+            x, y = source
+            passes.append((name, x, [(critics[0], y, 1.0, source_weights[weighting])],
+                           weights, skip))
     shares = step.gradients(passes)
 
     def share(name, weights):
@@ -798,11 +806,16 @@ def assemble_gradients(model, coefs, alpha, target_batch, unlabeled_x,
 def reference_gradients(model, coefs, alpha, target_batch, unlabeled_x,
                         source_batches, cfg, rng_dropout, rng_penalty):
     """assemble_gradients on diffcore graphs built by the risks.*_graph
-    builders: the reference the fused step is tested against."""
+    builders: the reference the fused step is tested against.  A source
+    term's graph holds the batch _trained_sources selects."""
     train_rng = rng_dropout if model.arch.dropout_rate > 0.0 else None
+    if coefs.uses_sources:
+        source, source_weights, skip = _trained_sources(source_batches, alpha,
+                                                        model.layers("rep"))
 
     def share(name, weights):
         rn = pn = dn = None
+        draws = 0
         if name == "penalty":
             if coefs.uses_unlabeled:
                 tgt_feats = model.represent(unlabeled_x)
@@ -816,17 +829,18 @@ def reference_gradients(model, coefs, alpha, target_batch, unlabeled_x,
                 model, unlabeled_x, cfg.w1_discri_coef1, cfg.w1_discri_coef2,
                 train_rng=train_rng)
         else:
-            batch, (dup,), source_weights = _TERM_READS[name]
+            batch, (dup,), weighting = _TERM_READS[name]
             if batch == "target":
                 root, rn, head = risks.target_risk_graph(model, *target_batch, dup=dup,
                                                          train_rng=train_rng)
             else:
-                n = len(source_batches)
-                weights = alpha if source_weights == "alpha" else np.full(n, 1.0 / n)
-                root, rn, head, _ = risks.source_risk_graph(model, source_batches, weights,
+                root, rn, head, _ = risks.source_risk_graph(model, [source], [1.0],
                                                             dup=dup, train_rng=train_rng)
+                root, draws = dc.scale(root, source_weights[weighting]), skip
             pn, dn = (None, head) if dup else (head, None)
         dc.forward(root, rng=train_rng)
+        if train_rng is not None and draws:
+            train_rng.bit_generator.advance(draws)
         grads = dc.backward(root)
         return tuple(None if nodes is None else dc.flatten_grads(grads, nodes, vector)
                      for nodes, vector in ((rn, model.rep), (pn, model.pred),

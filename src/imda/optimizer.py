@@ -120,17 +120,22 @@ def replay_ledger_csv(path):
     """(delta_u, delta_v) of a ledger.csv written by GradNormLedger.write_csv:
     each row's (block, eta, sigma, grad_sq_norm) goes, in file order, to a
     fresh GradNormLedger's accumulate, and its delta_after must be the
-    result; the columns are read by position.  A format fault raises
-    data.CsvFormatError naming the file and the line: a header that does
-    not start with LEDGER_HEADER, a row whose field count is not the
-    header's, a cell data.finite_floats rejects, or a wrong delta_after.  A
-    row accumulate rejects raises its OptimizerError as "ledger row i: ..."."""
+    result, logged at the row's step; the columns are read by position.  A
+    format fault raises data.CsvFormatError naming the file and the line: a
+    header that does not start with LEDGER_HEADER, a row whose field count
+    is not the header's, a step that is not an integer >= 0
+    (data.integer_cell), a cell data.finite_floats rejects, or a wrong
+    delta_after.  A row accumulate rejects raises its OptimizerError as
+    "ledger row i: ..."."""
     _, table = data.read_table(path, LEDGER_HEADER)
     ledger = GradNormLedger()
     for i, (line_no, row) in enumerate(table, start=1):
-        *step, stored = data.finite_floats(path, line_no, LEDGER_HEADER[2:], row[2:])
+        step = data.integer_cell(path, line_no, "step", row[0])
+        if step < 0:
+            raise data.CsvFormatError(path, line_no, f"step {row[0]!r} is negative")
+        *values, stored = data.finite_floats(path, line_no, LEDGER_HEADER[2:], row[2:])
         try:
-            after = ledger.accumulate(row[1], *step).log[-1][-1]
+            after = ledger.accumulate(row[1], *values, step=step).log[-1][-1]
         except OptimizerError as exc:
             raise OptimizerError(f"ledger row {i}: {exc}") from None
         if stored != after:

@@ -180,7 +180,12 @@ def target_risk_graph(model, x, y, dup=False, train_rng=None):
 
 
 def source_risk_graph(model, source_batches, alpha, dup=False, train_rng=None):
-    """alpha-weighted source risk graph sharing one representation block.
+    """alpha-weighted source risk graph: each source's batch-mean loss
+    through its own parameter nodes, so over more than one source the rep
+    and predictor node lists repeat every parameter name, and
+    dc.flatten_grads rejects them.  The training step's reference builds
+    it over one batch, the selection of harness._trained_sources, whose
+    docstring states the step's known fault.
 
     Returns (root, rep nodes, predictor nodes, per-source risk nodes).
     The per-source nodes hold the unweighted batch means after forward().

@@ -62,6 +62,13 @@ BAD_VALUES = [
     # every float key, present and future, must be finite
     *[(key, value) for key, (kind, *_) in harness._SCHEMA.items()
       if kind in ("float", "floats") for value in ("nan", "inf")],
+    # a number is ASCII without '_': int() and float() would read these as
+    # 10, 20, 0.01, (15, 75) and (32, 16)
+    ("epochs", "1_0"),
+    ("batch_size", "\uff12\uff10"),
+    ("sigma", "1_0e-3"),
+    ("source_angles", "1_5,75"),
+    ("rep_widths", "\u0663\u0662,16"),
 ]
 
 
@@ -313,11 +320,15 @@ class TestOracleW1Command:
         ("a,0,nan\nb,0,1.0", "line 2: f0 'nan' is not a finite number"),
         ("a,inf,0.0\nb,0,1.0", "line 2: label 'inf' is not a finite number"),
         ("a,0,0.0\nb,1,-inf", "line 3: f0 '-inf' is not a finite number"),
-    ], ids=["nan_point", "infinite_label", "infinite_point"])
+        # float() alone would read these as 10.0 and 3.0
+        ("a,1_0,0.0\nb,0,1.0", "line 2: label '1_0' is not a finite number"),
+        ("a,0,0.0\nb,0,\u0663", "line 3: f0 '\u0663' is not a finite number"),
+    ], ids=["nan_point", "infinite_label", "infinite_point", "underscore_label",
+            "non_ascii_point"])
     def test_non_finite_input_exits_three_naming_it(self, tmp_path, capsys, rows, named):
         """The file, the line and the column, before the measure pair."""
         path = tmp_path / "bad.csv"
-        path.write_text(f"measure,label,f0\n{rows}\n")
+        path.write_text(f"measure,label,f0\n{rows}\n", encoding="utf-8")
         assert cli.main(["oracle-w1", str(path)]) == 3
         assert f"{path}: {named}" in capsys.readouterr().err
 

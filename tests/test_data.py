@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -171,15 +172,26 @@ class TestCsv:
                 f"l.csv: line 3: label '{label}' is outside the 64-bit integers")):
             data.load_csv(path)
 
+    @pytest.mark.parametrize("label", ["1_0", "\u0663", "\uff11"])
+    def test_a_label_spelled_beyond_ascii_digits_reports_line(self, tmp_path, label):
+        """int() alone would read these as 10, 3 and 1."""
+        path = tmp_path / "l.csv"
+        path.write_text(f"label,f0\n0,1.0\n{label},1.0\n", encoding="utf-8")
+        with pytest.raises(data.CsvFormatError, match=re.escape(
+                f"l.csv: line 3: non-integer label '{label}'")):
+            data.load_csv(path)
+
     def test_the_64_bit_extremes_are_labels(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_text(f"label,f0\n{2 ** 63 - 1},1.0\n{-2 ** 63},1.0\n")
         assert data.load_csv(path)[1].tolist() == [2 ** 63 - 1, -2 ** 63]
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", "wide", ""])
+    # float() alone would read the last three as 15.0, 3.0 and 20.0
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", "wide", "",
+                                      "1_5", "\u0663", "\uff12\uff10"])
     def test_a_feature_that_is_not_a_finite_number_names_its_cell(self, tmp_path, cell):
         path = tmp_path / "f.csv"
-        path.write_text(f"label,f0,f1\n0,1.0,2.0\n1,3.0,{cell}\n")
+        path.write_text(f"label,f0,f1\n0,1.0,2.0\n1,3.0,{cell}\n", encoding="utf-8")
         with pytest.raises(data.CsvFormatError, match=re.escape(
                 f"f.csv: line 3: f1 '{cell}' is not a finite number")):
             data.load_csv(path)
@@ -248,6 +260,20 @@ class TestReadTable:
 
 
 class TestFiniteFloats:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.text(st.sampled_from("0123456789+-.eE infINFa\t"), max_size=8))
+    def test_an_ascii_cell_without_underscores_reads_as_float_reads_it(self, text):
+        """number_text leaves every ASCII spelling without '_' to float()."""
+        try:
+            want = float(text)
+        except ValueError:
+            want = math.nan
+        if math.isfinite(want):
+            assert data.finite_floats("t.csv", 2, ["c"], [text]) == [want]
+        else:
+            with pytest.raises(data.CsvFormatError, match="is not a finite number"):
+                data.finite_floats("t.csv", 2, ["c"], [text])
+
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
     def test_reads_each_finite_float_back_bit_for_bit(self, values):

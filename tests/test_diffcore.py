@@ -261,6 +261,24 @@ def reference_dfs(root):
     return order
 
 
+def test_flatten_grads_rejects_a_repeated_parameter_name():
+    """A two-source source graph gives each source its own parameter nodes
+    under the block's names; one slot of the flat gradient cannot hold
+    both sources' gradients, so neither is written over the other."""
+    m = models.ModelTriple.init(models.ArchSpec(rep_widths=(2, 5, 3), pred_widths=(3, 2)),
+                                seed=0)
+    rng = np.random.default_rng(0)
+    batches = [(rng.standard_normal((4, 2)), rng.integers(0, 2, 4)) for _ in range(2)]
+    root, rep_nodes, pred_nodes, _ = risks.source_risk_graph(m, batches, np.array([0.4, 0.6]))
+    dc.forward(root)
+    grads = dc.backward(root)
+    for nodes, vector in ((rep_nodes, m.rep), (pred_nodes, m.pred)):
+        assert len(nodes) == 2 * len(vector.layout.index)
+        with pytest.raises(dc.GraphError, match=f"parameter '{nodes[0][0]}' is given twice"):
+            dc.flatten_grads(grads, nodes, vector)
+        dc.flatten_grads(grads, nodes[:len(nodes) // 2], vector)
+
+
 class TestTopoOrder:
     """forward draws dropout masks in topo_order's order, so the order is
     part of every dropout run's output."""

@@ -238,6 +238,33 @@ class TestLedger:
         with pytest.raises(opt.OptimizerError, match="row 1: sigma must be > 0"):
             opt.replay_ledger_csv(path)
 
+    @pytest.mark.parametrize("step, named", [
+        ("abc", "non-integer step 'abc'"), ("-7.5", "non-integer step '-7.5'"),
+        ("1_0", "non-integer step '1_0'"), ("-7", "step '-7' is negative")])
+    def test_replay_rejects_a_step_that_is_not_an_integer_at_least_zero(self, tmp_path,
+                                                                        step, named):
+        path = write_ledger(tmp_path, [("u", 0.1, 0.01, 4.0), ("v", 0.1, 0.01, 1.0)])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = step + lines[2][lines[2].index(","):]
+        path.write_text("".join(lines))
+        with pytest.raises(data.CsvFormatError, match=f"line 3: {named}"):
+            opt.replay_ledger_csv(path)
+
+    def test_replay_accumulates_each_row_at_its_step(self, tmp_path, monkeypatch):
+        led = opt.GradNormLedger()
+        for step in (3, 0, 3, 12):
+            led.accumulate("u", 0.1, 0.01, 4.0, step=step)
+        led.write_csv(tmp_path / "ledger.csv")
+        steps, accumulate = [], opt.GradNormLedger.accumulate
+
+        def spy(ledger, *args, step=None):
+            steps.append(step)
+            return accumulate(ledger, *args, step=step)
+
+        monkeypatch.setattr(opt.GradNormLedger, "accumulate", spy)
+        assert opt.replay_ledger_csv(tmp_path / "ledger.csv") == (led.delta_u, led.delta_v)
+        assert steps == [3, 0, 3, 12]
+
     def test_replay_reports_the_first_bad_row(self, tmp_path):
         """Rows are checked one at a time: a row accumulate rejects is
         reported before a later row's unreadable value."""

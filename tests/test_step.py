@@ -185,6 +185,67 @@ def test_fused_equals_reference_with_hidden_predictor_layers(mode, dropout):
         assert all(a.bit_generator.state == b.bit_generator.state for a, b in zip(*rngs))
 
 
+@pytest.mark.parametrize("source_rows", [(6,), (6, 5), (6, 5, 3)])
+def test_the_selection_is_the_last_source_of_a_graph_over_every_source(source_rows):
+    """The selection is source N's batch, at alpha[-1] or 1/N.  A source
+    graph over every batch draws source N's masks first; source N's graph
+    alone draws the same masks, and advancing by the selection's skip
+    leaves the generator where the graph over every batch leaves it."""
+    arch = models.ArchSpec(rep_widths=(2, 6, 5), pred_widths=(5, 3), dropout_rate=0.2)
+    model = models.ModelTriple.init(arch, seed=0)
+    r = np.random.default_rng(0)
+    batches = [(r.standard_normal((n, 2)), r.integers(0, 3, n)) for n in source_rows]
+    alpha = r.dirichlet(np.ones(len(batches)))
+    rep = model.layers("rep")
+    batch, weights, skip = harness._trained_sources(batches, alpha, rep)
+    assert batch is batches[-1]
+    assert weights == {"alpha": alpha[-1], "uniform": 1.0 / len(batches)}
+    rngs = [np.random.default_rng(1) for _ in range(2)]
+    masks = []
+    for rng, graph_batches, weights in ((rngs[0], batches, alpha), (rngs[1], [batch], [1.0])):
+        root, *_ = risks.source_risk_graph(model, graph_batches, weights, train_rng=rng)
+        dc.forward(root, rng=rng)
+        masks.append([n.extras["drawn"] for n in dc.topo_order(root) if n.kind == "dropout"])
+    rngs[1].bit_generator.advance(skip)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert len(masks[1]) == len(rep)
+    assert all(same(a, b) for a, b in zip(masks[0], masks[1]))
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("source_rows", [(7, 4), (7, 4, 5)])
+def test_both_paths_read_one_source_selection(source_rows, dropout, monkeypatch):
+    """With the selection patched to train on source 1 instead of source N,
+    the fused step still equals the reference bit for bit, rng states
+    included, and no longer equals the unpatched step: neither path keeps
+    its own copy of the choice.  Each path selects once per step."""
+    cfg = parse_config(overrides=["mode=semi", "interp_penalty_weight=0.1"])
+    coefs = harness.StepCoefficients.from_config(cfg)
+    arch = models.ArchSpec(rep_widths=(2, 6, 5), pred_widths=(5, 4, 3), dropout_rate=dropout)
+    selection, calls = harness._trained_sources, []
+
+    def first_source(source_batches, alpha, rep):
+        calls.append(len(source_batches))
+        return selection(source_batches[::-1], alpha[::-1], rep)
+
+    for seed in range(5):
+        r = np.random.default_rng(seed)
+        batch = lambda n: (r.standard_normal((n, 2)), r.integers(0, 3, n))
+        args = (models.ModelTriple.init(arch, seed=seed), coefs,
+                r.dirichlet(np.ones(len(source_rows))), batch(6), r.standard_normal((6, 2)),
+                [batch(n) for n in source_rows], cfg)
+        rngs = [[np.random.default_rng([seed, k]) for k in range(2)] for _ in range(3)]
+        last = harness.assemble_gradients(*args, *rngs[2])
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, "_trained_sources", first_source)
+            fused = harness.assemble_gradients(*args, *rngs[0])
+            ref = harness.reference_gradients(*args, *rngs[1])
+        assert calls == [len(source_rows)] * 2 * (seed + 1)
+        assert all(same(a, b) for a, b in zip(fused, ref))
+        assert all(a.bit_generator.state == b.bit_generator.state for a, b in zip(*rngs[:2]))
+        assert not any(same(a, b) for a, b in zip(fused, last))
+
+
 @pytest.mark.parametrize("mode", ["supervised", "unsupervised", "semi"])
 def test_run_outputs_byte_identical_to_reference_run(mode, tmp_path, monkeypatch):
     overrides = [f"mode={mode}", "domain_size=200", "labeled_target_size=60",
