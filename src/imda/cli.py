@@ -70,6 +70,20 @@ def _cmd_check(args):
         worst = max(worst, dc.finite_diff_check(root))
     report("backward matches central differences", worst < 1e-5, f"max rel err {worst:.2e}")
 
+    # the regression loss graph, whose risk is one mean-absolute-error node
+    worst = 0.0
+    arch = models.ArchSpec(rep_widths=(2, 5, 3), pred_widths=(3, 1), mode="regression")
+    for seed in range(10):
+        r = np.random.default_rng(seed)
+        m = models.ModelTriple.init(arch, seed=seed)
+        root, rep, head = risks.target_risk_graph(m, r.standard_normal((4, 2)),
+                                                  r.standard_normal(4), dup=seed % 2 == 1)
+        for _, p in rep + head:
+            root = dc.add(root, dc.scale(dc.mean(p), 0.05))
+        worst = max(worst, dc.finite_diff_check(root))
+    report("regression risk graph matches central differences", worst < 1e-5,
+           f"max rel err {worst:.2e}")
+
     # the fused step against its graph reference, rng draws included; the
     # regimes exercise every row of the term table, and alignment=off has no
     # critic term, so no penalty.  A linear layer with dropout is the one

@@ -10,7 +10,8 @@ up per node.  Serves the graph reference of the training step
 (harness.reference_gradients), `imda check` and the benchmark's
 `oracle_audit` workload, and supports exactly what their MLP losses and
 adversarial objectives need -- affine layers, ReLU, log-softmax, means,
-masked means, constant masks (dropout), matmul/transpose (for
+masked means, the mean absolute error against a constant target (the
+regression loss), constant masks (dropout), matmul/transpose (for
 input-gradient graphs) and a gradient-reversal node that is
 forward-identity and negates adjoints on the way back.
 """
@@ -161,6 +162,11 @@ def neg_grad(x, lam=1.0, name=None):
     return Node("neg_grad", (x,), name=name, lam=float(lam))
 
 
+def mean_abs_error(x, target_array, name=None):
+    """Scalar mean of |x - target| for a constant target of x's shape."""
+    return Node("mean_abs_error", (x,), name=name, target=_as_f64(target_array))
+
+
 def mean_all(x):
     """The mean of every entry of a float64 array x, as np.mean gives it bit
     for bit (the same pairwise sum, then the same division), without
@@ -308,6 +314,18 @@ def _dropout(node, rng, x):
     return x * node.extras["drawn"]
 
 
+def _mean_abs_error(node, rng, x):
+    if x.shape != node.extras["target"].shape:
+        _shape_err(node, f"target {node.extras['target'].shape} vs value {x.shape}")
+    node.extras["diff"] = d = x - node.extras["target"]
+    return np.asarray(mean_all(np.abs(d)))
+
+
+def _mean_abs_error_grad(node, g, x):
+    d, a = node.extras["diff"], float(g) / node.extras["diff"].size
+    _acc(x, a * (d > 0.0) - a * (d < 0.0))
+
+
 _OPS = {
     "affine": (_affine, _affine_grad),
     "matmul": (_matmul, _matmul_grad),
@@ -319,6 +337,7 @@ _OPS = {
     "mean": (lambda node, rng, x: np.asarray(mean_all(x)),
              lambda node, g, x: _acc(x, np.full(x.value.shape, float(g) / x.value.size))),
     "masked_mean": (_masked_mean, _masked_mean_grad),
+    "mean_abs_error": (_mean_abs_error, _mean_abs_error_grad),
     "scale": (lambda node, rng, x: x * node.extras["factor"],
               lambda node, g, x: _acc(x, g * node.extras["factor"])),
     "add": (_add, _add_grad),

@@ -63,13 +63,21 @@ def nll(log_probs, labels):
 def absolute_error(pred, targets):
     """Mean |prediction - target| for scalar-column predictions."""
     pred = _check_batch(pred)
-    targets = np.asarray(targets, dtype=np.float64).reshape(pred.shape)
-    return float(dc.mean_all(np.abs(pred - targets)))
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.size != pred.size:
+        raise RiskError(f"targets of shape {targets.shape} for predictions of shape {pred.shape}")
+    return float(dc.mean_all(np.abs(pred - targets.reshape(pred.shape))))
 
 
 def _loss_value(model, out, y):
+    """The batch-mean loss of outputs `out` against labels or targets `y`,
+    which it rejects where the graph builders do: a label outside the
+    classes, or a count other than one per row."""
     if model.arch.mode == "classification":
-        return nll(out, y)
+        labels = check_labels(y, model.arch.n_outputs)
+        if labels.shape != (out.shape[0],):
+            raise RiskError(f"labels of shape {labels.shape} for {out.shape[0]} rows")
+        return nll(out, labels)
     return absolute_error(out, y)
 
 
@@ -158,16 +166,18 @@ def assemble_combined(eps, tau, target_risk, source_risk, w1_sup, w1_pse):
 
 def _loss_graph(model, x, y, dup, train_rng, name):
     """(loss node, rep nodes, predictor nodes): the batch-mean loss of the
-    (duplicate) predictor on one labeled batch, nodes named after `name`."""
+    (duplicate) predictor on one labeled batch, nodes named after `name`.
+    The loss node `<name>.risk` is a masked mean of the negated one-hot
+    labels in classification mode, and in regression mode one
+    mean_abs_error node, absolute_error's arithmetic."""
     xn = dc.const(_check_batch(x), name=f"{name}.x")
     feat, rep_nodes = model.rep_graph(xn, train_rng=train_rng)
     out, pred_nodes = model.pred_graph(feat, dup=dup)
     if model.arch.mode == "classification":
         loss = dc.masked_mean(out, -_onehot(y, model.arch.n_outputs), name=f"{name}.risk")
     else:
-        diff = dc.add(out, dc.const(-np.asarray(y, dtype=np.float64).reshape(-1, 1)))
-        loss = dc.mean(dc.add(dc.relu(diff), dc.relu(dc.scale(diff, -1.0))),
-                       name=f"{name}.risk")
+        loss = dc.mean_abs_error(out, np.asarray(y, dtype=np.float64).reshape(-1, 1),
+                                 name=f"{name}.risk")
     return loss, rep_nodes, pred_nodes
 
 

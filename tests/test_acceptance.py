@@ -136,9 +136,9 @@ def test_c2_alpha_solver_vs_oracle():
 # 3. duality lower bound against the exact oracle
 
 
-def ascended_critic_and_w1(seed, rng, n):
-    """C3's recipe: 30 steps of critic ascent on n seeded points per side,
-    then the critic value and the exact W1 under the certified metric."""
+def ascended_critic(seed, rng, n):
+    """C3's recipe: 30 steps of critic ascent on n seeded points per side;
+    returns the model and the two sides (xt, yt, xs, ys)."""
     arch = models.ArchSpec(rep_widths=(2, 4), pred_widths=(4, 1), mode="regression")
     m = models.ModelTriple.init(arch, seed=seed)
     xt, yt = rng.standard_normal((n, 2)) + 0.8, rng.standard_normal(n)
@@ -153,6 +153,13 @@ def ascended_critic_and_w1(seed, rng, n):
         dc.forward(root)
         g_s = dc.flatten_grads(dc.backward(root), pn, m.dup)
         m.dup.values += 0.1 * (g_t - g_s)
+    return m, xt, yt, xs, ys
+
+
+def ascended_critic_and_w1(seed, rng, n):
+    """C3's recipe, then the critic value and the exact W1 under the
+    certified metric."""
+    m, xt, yt, xs, ys = ascended_critic(seed, rng, n)
     value = (risks.empirical_risk_target(m, xt, yt, dup=True)
              - risks.empirical_risk_target(m, xs, ys, dup=True))
     cert = models.certify_critic(m)
@@ -184,6 +191,25 @@ def test_c3_duality_lower_bound_at_batch_size_20():
         assert value <= w1 + 1e-9
         margins.append(w1 - value)
     announce("C3 at n = 20", f"20 instances, min W1-minus-critic margin {min(margins):.3e}")
+
+
+def test_c3_ascended_critic_bytes_equal_the_seven_node_loss_graph(monkeypatch):
+    """The regression loss's one graph node ascends C3's critic to the bytes
+    the seven nodes it replaced gave: const(-y), add, relu, scale(-1),
+    relu, add, mean."""
+    def seven_nodes(out, target, name=None):
+        diff = dc.add(out, dc.const(-target))
+        return dc.mean(dc.add(dc.relu(diff), dc.relu(dc.scale(diff, -1.0))), name=name)
+
+    def c3_critic(seed):  # as test_c3_duality_lower_bound draws instance `seed`
+        rng = np.random.default_rng(seed)
+        return ascended_critic(seed, rng, int(rng.integers(2, 7)))[0].dup.values.tobytes()
+
+    for seed in range(5):
+        one = c3_critic(seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(dc, "mean_abs_error", seven_nodes)
+            assert c3_critic(seed) == one
 
 
 # ---------------------------------------------------------------------------

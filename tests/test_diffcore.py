@@ -398,6 +398,53 @@ class TestAllOpKinds:
         assert worst < 1e-5
 
 
+def _fd_cases(rng):
+    """{op kind: scalar graph through one node of that kind}, over small
+    param leaves; each graph ends in mean(square(.)) plus a small linear
+    term per parameter, which keeps coordinates off the probe noise floor."""
+    x, y = (dc.param(rng.standard_normal((3, 4)) * 0.5) for _ in range(2))
+    w, b = dc.param(rng.standard_normal((4, 4)) * 0.5), dc.param(rng.standard_normal(4) * 0.2)
+    nodes = {
+        "affine": dc.affine(x, w, b),
+        "matmul": dc.matmul(x, w),
+        "transpose": dc.transpose(x),
+        "relu": dc.relu(x),
+        "log_softmax": dc.log_softmax(x),
+        "mean": dc.mean(x),
+        "masked_mean": dc.masked_mean(x, rng.standard_normal((3, 4))),
+        "mean_abs_error": dc.mean_abs_error(x, rng.standard_normal((3, 4))),
+        "scale": dc.scale(x, -0.7),
+        "add": dc.add(x, y),
+        "square": dc.square(x),
+        "mask": dc.mask(x, rng.integers(0, 2, (3, 4)).astype(float)),
+        "dropout": dc.dropout(x, 0.25),
+        # forward identity; the two reversals' adjoint factors multiply to 1
+        "neg_grad": dc.neg_grad(dc.neg_grad(x, lam=2.0), lam=0.5),
+    }
+    cases = {}
+    for kind, node in nodes.items():
+        root = dc.mean(dc.square(node))
+        for p in (x, y, w, b):
+            root = dc.add(root, dc.scale(dc.mean(p), 0.05))
+        cases[kind] = root
+    return cases
+
+
+class TestEveryOpKindHasAFiniteDifferenceCase:
+    """A kind added to the op table without a case here fails the suite."""
+
+    @pytest.mark.parametrize("kind", sorted(dc._OPS))
+    def test_kind_against_central_differences(self, kind):
+        for seed in range(5):
+            root = _fd_cases(np.random.default_rng(seed)).get(kind)
+            assert root is not None, f"no finite-difference case for op kind '{kind}'"
+            dc.forward(root, rng=np.random.default_rng(seed + 100))  # draws dropout masks
+            assert dc.finite_diff_check(root) < 1e-5
+
+    def test_every_case_is_a_kind_of_the_table(self):
+        assert set(_fd_cases(np.random.default_rng(0))) == set(dc._OPS)
+
+
 class TestParameterVector:
     def test_flatten_unflatten_identity(self):
         for seed in range(10):

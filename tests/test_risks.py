@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from imda import diffcore as dc, models, risks, theory
 from imda.models import ArchSpec, ModelTriple
@@ -48,6 +50,32 @@ class TestTargetRisk:
         with pytest.raises(risks.RiskError):
             risks.empirical_risk_target(clf_model(), np.zeros((0, 3)), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize("labels, match", [
+        ([-1, 0, 1, 0], r"label outside \[0, 2\)"),
+        ([0, 2, 1, 0], r"label outside \[0, 2\)"),
+        ([0, 1, 1], r"labels of shape \(3,\) for 4 rows"),
+    ])
+    def test_rejects_the_labels_the_graph_rejects(self, labels, match):
+        m, x = clf_model(), np.ones((4, 3))
+        with pytest.raises(risks.RiskError, match=match):
+            risks.empirical_risk_target(m, x, labels)
+        with pytest.raises((risks.RiskError, dc.GraphShapeError)):
+            dc.forward(risks.target_risk_graph(m, x, labels)[0])
+
+    def test_rejects_a_target_count_the_graph_rejects(self):
+        m = ModelTriple.init(REGRESSION, seed=0)
+        x, y = np.ones((7, 2)), np.zeros(6)
+        with pytest.raises(risks.RiskError,
+                           match=r"targets of shape \(6,\) for predictions of shape \(7, 1\)"):
+            risks.empirical_risk_target(m, x, y)
+        with pytest.raises(dc.GraphShapeError,
+                           match=r"mean_abs_error node 'batch.risk': target \(6, 1\) vs value"):
+            dc.forward(risks.target_risk_graph(m, x, y)[0])
+
+    def test_absolute_error_names_both_shapes(self):
+        with pytest.raises(risks.RiskError, match=r"\(6,\) .* \(7, 1\)"):
+            risks.absolute_error(np.zeros((7, 1)), np.zeros(6))
+
     @pytest.mark.parametrize("block, name", [("rep", "representation"), ("pred", "predictor"),
                                              ("dup", "critic")])
     def test_non_finite_parameter_names_its_block(self, block, name):
@@ -57,6 +85,58 @@ class TestTargetRisk:
         with pytest.raises(dc.GraphShapeError,
                            match=f"non-finite entries in the {name} parameters"):
             risks.target_risk_graph(m, x, y, dup=block == "dup")
+
+
+REGRESSION = ArchSpec(rep_widths=(2, 5, 3), pred_widths=(3, 1), mode="regression")
+
+
+def seven_node_abs_error(out, target, name=None):
+    """|out - target|'s mean as the graph spelled it before the
+    mean_abs_error node: const(-y), add, relu, scale(-1), relu, add, mean."""
+    diff = dc.add(out, dc.const(-target))
+    return dc.mean(dc.add(dc.relu(diff), dc.relu(dc.scale(diff, -1.0))), name=name)
+
+
+class TestRegressionLossNode:
+    """The regression loss graph's one node gives the bits of the seven
+    nodes it replaced: the value, every block's gradient, and the adjoint
+    it passes to the model's output, whose zeros keep their sign there
+    (a block gradient's sums turn a -0.0 into +0.0)."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.data(), st.integers(1, 20), st.integers(0, 2**16), st.booleans(),
+           st.sampled_from((-0.75, 1.5)))
+    def test_equals_the_seven_node_composition(self, data, rows, seed, dup, weight):
+        m = ModelTriple.init(REGRESSION, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, 2))
+        # rows whose target is the output itself make out - y an exact zero
+        feat, _ = m.rep_graph(dc.const(x))
+        own = dc.forward(m.pred_graph(feat, dup=dup)[0])[:, 0]
+        hit = data.draw(hnp.arrays(np.bool_, rows))
+        y = np.where(hit, own, rng.standard_normal(rows))
+
+        one, rep_one, head_one = risks.target_risk_graph(m, x, y, dup=dup)
+        assert one.kind == "mean_abs_error" and one.name == "batch.risk"
+        feat, rep_seven = m.rep_graph(dc.const(x))
+        out, head_seven = m.pred_graph(feat, dup=dup)
+        seven = seven_node_abs_error(out, y.reshape(-1, 1))
+        head = m.dup if dup else m.pred
+        results = []
+        for loss, output, rep_nodes, head_nodes in ((one, one.inputs[0], rep_one, head_one),
+                                                    (seven, out, rep_seven, head_seven)):
+            root = dc.scale(loss, weight)
+            dc.forward(root)
+            grads = dc.backward(root)
+            results.append((loss.value.tobytes(), output.adjoint.tobytes(),
+                            dc.flatten_grads(grads, rep_nodes, m.rep).tobytes(),
+                            dc.flatten_grads(grads, head_nodes, head).tobytes()))
+        assert results[0] == results[1]
+
+    def test_rejects_a_non_finite_target(self):
+        y = np.array([0.0, np.inf, 1.0])
+        with pytest.raises(dc.GraphShapeError, match="non-finite"):
+            risks.target_risk_graph(ModelTriple.init(REGRESSION), np.ones((3, 2)), y)
 
 
 class TestSourceRisk:
