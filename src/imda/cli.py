@@ -131,18 +131,21 @@ def _cmd_check(args):
     report("fused step equals the graph reference bit for bit", ok)
 
     # blocked evaluation against the whole-set forward, on a set whose last
-    # row joins the block before it
+    # row joins the block before it and on a set of 20 000 rows, whose
+    # whole-set hidden products pass OpenBLAS's M*N*K = 1e6 kernel switch
+    # while a block's do not
     ok = True
-    n = 2 * models.EVAL_ROWS + 1
-    for mode, width in (("classification", 2), ("regression", 1)):
-        arch = models.ArchSpec(rep_widths=(2, 32, 16), pred_widths=(16, width), mode=mode)
-        model = models.ModelTriple.init(arch, seed=0)
-        x = np.random.default_rng(1).standard_normal((n, 2))
-        feat = model.represent(x)
-        ok &= all(_same_bytes(out, model.predict(feat, dup=dup))
-                  for out, dup in zip(model.outputs(x, dups=(False, True)), (False, True)))
+    sizes = (2 * models.EVAL_ROWS + 1, 20000)
+    for n in sizes:
+        for mode, width in (("classification", 2), ("regression", 1)):
+            arch = models.ArchSpec(rep_widths=(2, 32, 16), pred_widths=(16, width), mode=mode)
+            model = models.ModelTriple.init(arch, seed=0)
+            x = np.random.default_rng(1).standard_normal((n, 2))
+            feat = model.represent(x)
+            ok &= all(_same_bytes(out, model.predict(feat, dup=dup))
+                      for out, dup in zip(model.outputs(x, dups=(False, True)), (False, True)))
     report("blocked evaluation equals the whole-set forward bit for bit", ok,
-           f"{n} rows, blocks of {models.EVAL_ROWS}")
+           f"{' and '.join(map(str, sizes))} rows, blocks of {models.EVAL_ROWS}")
 
     # simplex projection feasibility + idempotence
     ok = True

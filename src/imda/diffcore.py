@@ -185,12 +185,32 @@ def row_sum(x):
 
 def log_softmax_rows(x):
     """(log-probabilities, probabilities) of the rows of logits x, of shape
-    (..., rows, classes); the one log-softmax of the graph node,
-    ModelTriple.predict and the fused training step's stacked heads."""
+    (..., rows, classes); the log-softmax of the graph node,
+    ModelTriple.predict and the fused training step's stacked heads.
+    ModelTriple.outputs takes the same log-probabilities, bit for bit, from
+    log_softmax_cols over class-major logits."""
     z = x - x.swapaxes(-1, -2).copy().max(axis=-2)[..., None]
     e = np.exp(z)
     s = row_sum(e)[..., None]
     return z - np.log(s), e / s
+
+
+def log_softmax_cols(x):
+    """The log-probabilities of log_softmax_rows(x.T)[0], written over
+    class-major logits x of shape (classes, n) in place and returned.  The
+    max and the sum run class by class over whole contiguous rows, in the
+    order row_sum's class-major copy adds, so the bits are those of the
+    row-wise form; no probabilities are made."""
+    top = x[0].copy()
+    for row in x[1:]:
+        np.maximum(top, row, out=top)
+    x -= top
+    s = np.exp(x[0])
+    e = np.empty_like(s)
+    for row in x[1:]:
+        s += np.exp(row, out=e)
+    x -= np.log(s)
+    return x
 
 
 # ---------------------------------------------------------------------------

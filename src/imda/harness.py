@@ -363,7 +363,7 @@ def build_datasets(cfg):
 
 def evaluate(model, x, y):
     """Fraction of argmax predictions equal to labels (dropout disabled),
-    from one ModelTriple.outputs pass in blocks of models.EVAL_ROWS rows."""
+    from one blocked ModelTriple.outputs pass."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] == 0:
         raise RunError("cannot evaluate on an empty set")
@@ -934,9 +934,9 @@ def run(cfg, datasets=None):
 
     def labeled_risks(x, y):
         """(predictor risk, critic risk) on one labeled set from one
-        representation pass: the floats risks.empirical_risk_target gives."""
-        out, out_dup = model.outputs(x, dups=(False, True))
-        return risks.nll(out, y), risks.nll(out_dup, y)
+        representation pass and one label check: the floats
+        risks.empirical_risk_target gives."""
+        return risks.nlls(model.outputs(x, dups=(False, True)), y)
 
     def source_risks():
         """Per-source risks of v and v' at the current parameters; they do

@@ -12,10 +12,14 @@ import numpy as np
 
 from . import diffcore as dc
 
-# rows per block of ModelTriple.outputs: one 32-wide float64 activation of
-# a block is 1 MB, so a block's working set stays in cache and a whole-set
-# evaluation never holds more than one block of hidden activations
-EVAL_ROWS = 4096
+# rows per block of ModelTriple.outputs.  One 32-wide float64 activation of
+# a block is 256 KB, so a block's activations, its tiled biases and the
+# products' temporaries fit a 2 MB L2 cache.  At 4096 rows (1 MB per
+# activation) they did not, once the temporaries are counted: the 32->16
+# product took 0.58 ms per 20 000 rows against 0.34 ms at 1024 rows, one
+# BLAS thread (2-core x86 with AVX-512).  A whole-set evaluation never holds
+# more than one block of hidden activations
+EVAL_ROWS = 1024
 
 # rows per stack of the fused training step (harness.assemble_gradients):
 # passes of one row count go through one (passes, rows, width) forward and
@@ -149,26 +153,59 @@ class ModelTriple:
 
     def outputs(self, x, dups=(False,)):
         """[predict(represent(x), dup=d) for d in dups], each a full
-        (n, n_outputs) array, computed over blocks of EVAL_ROWS rows (the
-        last block takes up to EVAL_ROWS + 1).
+        (n, n_outputs) array, computed by _block_outputs over blocks of
+        EVAL_ROWS rows (the last block takes up to EVAL_ROWS + 1).
 
-        Every operation of the forward is row-wise, so each block's rows
-        are the bytes the whole-set forward gives them, as long as BLAS
-        multiplies the block with the kernel it uses for the whole set;
-        only the working set shrinks, to one block's activations.  A
-        one-row block would take numpy's vector-matrix product, which
-        rounds differently, so a last row joins the block before it."""
+        Each output is the transpose of a class-major (n_outputs, n) array;
+        every caller only indexes it, reduces it or takes its argmax.  The
+        blocks of EVAL_ROWS rows add each hidden bias from one contiguous
+        copy, tiled once per call, where a broadcast add runs one
+        width-long loop per row; the last block adds by broadcast.  Nothing
+        is kept between calls."""
         x = self._inputs(x)
         n = x.shape[0]
-        outs = [np.empty((n, self.arch.n_outputs)) for _ in dups]
+        rep = self.layers("rep")
+        heads = [self.layers("dup" if dup else "pred") for dup in dups]
+        hidden = [rep] + [layers[:-1] for layers in heads]
+        tiled = hidden if n <= EVAL_ROWS + 1 else [
+            [(w, np.tile(b, (EVAL_ROWS, 1)), relu) for w, b, relu in layers]
+            for layers in hidden]
+        lasts = [layers[-1] for layers in heads]
+        # one allocation for every head: it raises glibc's dynamic trim
+        # threshold further than one array per head, so fewer calls trim
+        # and refault the heap top (a child `imda run` of unsup_large:
+        # 14k-81k minor faults against 111k-139k, over six heap layouts)
+        outs = np.empty((len(dups), self.arch.n_outputs, n))
         start = 0
         while start < n:
             stop = n if n - start <= EVAL_ROWS + 1 else start + EVAL_ROWS
-            feat = self.represent(x[start:stop])
-            for out, dup in zip(outs, dups):
-                out[start:stop] = self.predict(feat, dup=dup)
+            self._block_outputs(x[start:stop], tiled if stop - start == EVAL_ROWS else hidden,
+                                lasts, [out[:, start:stop] for out in outs])
             start = stop
-        return outs
+        return [out.T for out in outs]
+
+    def _block_outputs(self, x, hidden, lasts, blocks):
+        """One block of outputs: x's rows through the representation's
+        layers hidden[0], then through each head's hidden layers
+        hidden[1:] and its last layer `lasts`, into the head's class-major
+        block, blocks[i] of shape (n_outputs, rows).
+
+        Every operation of the forward is row-wise, so each block's rows
+        are the bytes the whole-set forward gives them, as long as BLAS
+        multiplies the block with the kernel it uses for the whole set.  A
+        one-row block would take numpy's vector-matrix product, which
+        rounds differently, so outputs never makes one from a longer set.
+        The last product is taken row-major, as predict takes it, and then
+        copied in transposed, since a class-major product rounds
+        differently; the bias add and diffcore's class-major log-softmax
+        then run over contiguous block-long rows."""
+        rep, *head_hidden = hidden
+        feat = _forward(rep, x)
+        for layers, (w, b, _), block in zip(head_hidden, lasts, blocks):
+            block[...] = (_forward(layers, feat) @ w).T
+            block += b[:, None]
+            if self.arch.mode == "classification":
+                dc.log_softmax_cols(block)
 
     def _inputs(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -55,9 +55,23 @@ def _onehot(labels, n_classes):
 
 
 def nll(log_probs, labels):
-    """Mean negative log-likelihood of integer labels under row log-probs."""
-    log_probs = _check_batch(log_probs)
-    return float(-dc.mean_all(log_probs[np.arange(log_probs.shape[0]), np.asarray(labels)]))
+    """Mean negative log-likelihood of integer labels under row log-probs;
+    RiskError for a label outside the classes or a count other than one per
+    row."""
+    return nlls([log_probs], labels)[0]
+
+
+def nlls(outs, labels):
+    """[nll(out, labels) for out in outs], for row log-probs over one set
+    of classes (a set's heads from one ModelTriple.outputs pass), the
+    labels checked once."""
+    outs = [_check_batch(out) for out in outs]
+    labels = check_labels(labels, outs[0].shape[1])
+    for out in outs:
+        if labels.shape != (out.shape[0],):
+            raise RiskError(f"labels of shape {labels.shape} for {out.shape[0]} rows")
+    rows = np.arange(labels.shape[0])
+    return [float(-dc.mean_all(out[rows, labels])) for out in outs]
 
 
 def absolute_error(pred, targets):
@@ -74,10 +88,7 @@ def _loss_value(model, out, y):
     which it rejects where the graph builders do: a label outside the
     classes, or a count other than one per row."""
     if model.arch.mode == "classification":
-        labels = check_labels(y, model.arch.n_outputs)
-        if labels.shape != (out.shape[0],):
-            raise RiskError(f"labels of shape {labels.shape} for {out.shape[0]} rows")
-        return nll(out, labels)
+        return nll(out, y)
     return absolute_error(out, y)
 
 
@@ -114,8 +125,8 @@ def pseudo_label_risk(model, x, coef1, coef2):
     coef1 * loss(dup predictions, labels from predictor)
     + coef2 * loss(predictions, labels from dup).
     The labels are those of pseudo_labels, taken from the same forward: one
-    ModelTriple.outputs pass, in blocks of models.EVAL_ROWS rows, whose
-    full log-probability arrays each term's one batch mean reads."""
+    blocked ModelTriple.outputs pass, whose two log-probability arrays each
+    term's one batch mean reads."""
     if coef1 < 0 or coef2 < 0:
         raise RiskError("surrogate coefficients must be non-negative")
     x = _check_batch(x)

@@ -339,6 +339,31 @@ class TestLogSoftmaxRows:
         assert np.allclose(dc.log_softmax_rows(x + shift)[0], dc.log_softmax_rows(x)[0])
 
 
+@st.composite
+def tied_logits(draw):
+    """Strategy: (rows, 1..12 classes) logits at one magnitude from 1e-3 to
+    1e3, drawn from a pool of tied values (signed zeros among them) or
+    freely, and sometimes equal along each row."""
+    classes, rows = draw(st.integers(1, 12)), draw(st.integers(1, 60))
+    scale = draw(st.sampled_from([1e-3, 1e-2, 1.0, 37.5, 1e3]))
+    elements = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+                         st.floats(-1.0, 1.0))
+    x = draw(hnp.arrays(np.float64, (rows, classes), elements=elements)) * scale
+    if draw(st.booleans()):
+        x[:] = x[:, :1]
+    return x
+
+
+class TestLogSoftmaxCols:
+    @PROPERTY
+    @given(tied_logits())
+    def test_gives_the_bytes_of_the_row_wise_form(self, x):
+        cols = x.T.copy()
+        got = dc.log_softmax_cols(cols)
+        assert got is cols
+        assert same_bits(got.T, dc.log_softmax_rows(x)[0])
+
+
 def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 

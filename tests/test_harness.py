@@ -353,6 +353,28 @@ class TestSharedEvaluation:
         run(cfg, datasets=(train, test))
         assert calls == [cfg.epochs + 1] * len(training_sets)
 
+    def test_each_labeled_pass_of_record_checks_its_labels_once(self, tmp_path, monkeypatch):
+        cfg = small_cfg(tmp_path, "mode=semi")
+        train, test = harness.build_datasets(cfg)
+        sets = [y for _, y in train.sources] + [train.target[1]]
+        passes, checks = [0] * len(sets), [0] * len(sets)
+        outputs, check_labels = models.ModelTriple.outputs, risks.check_labels
+
+        def counting_outputs(model, x, dups=(False,)):
+            for i, (xs, _) in enumerate(train.sources + [train.target]):
+                passes[i] += x is xs
+            return outputs(model, x, dups)
+
+        def counting_checks(labels, n_classes):
+            for i, y in enumerate(sets):
+                checks[i] += labels is y
+            return check_labels(labels, n_classes)
+
+        monkeypatch.setattr(models.ModelTriple, "outputs", counting_outputs)
+        monkeypatch.setattr(risks, "check_labels", counting_checks)
+        run(cfg, (train, test))
+        assert min(passes) > 0 and checks == passes
+
 
 class TestRegimeGuards:
     def test_unsupervised_never_touches_target_labels(self, tmp_path):

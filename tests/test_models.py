@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,8 +90,10 @@ class TestPredict:
 
 class TestBlockedOutputs:
     """ModelTriple.outputs against the whole-set predict(represent(x)), at
-    run's widths; the sizes cover a part block, one row past a whole block
-    and random sizes up to three blocks."""
+    run's widths; the sizes cover a part block, one row past a whole block,
+    random sizes up to three blocks and the benchmark's 15 000 and 20 000
+    rows, where the whole-set products of the hidden layers pass OpenBLAS's
+    M*N*K = 1e6 kernel switch and a block's do not."""
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(n=st.integers(1, 3 * EVAL_ROWS + 2),
@@ -106,6 +109,10 @@ class TestBlockedOutputs:
     @example(n=EVAL_ROWS, mode="regression", seed=7)
     @example(n=EVAL_ROWS + 1, mode="regression", seed=8)
     @example(n=2 * EVAL_ROWS + 3, mode="regression", seed=9)
+    @example(n=15000, mode="classification", seed=10)
+    @example(n=20000, mode="classification", seed=11)
+    @example(n=15000, mode="regression", seed=12)
+    @example(n=20000, mode="regression", seed=13)
     def test_equals_whole_set_forward_bit_for_bit(self, n, mode, seed):
         arch = ArchSpec(rep_widths=(2, 32, 16), pred_widths=(16, 2 if mode == "classification"
                                                              else 1), mode=mode)
@@ -120,19 +127,36 @@ class TestBlockedOutputs:
 
     def test_blocks_cover_the_rows_once_without_a_one_row_block(self, monkeypatch):
         seen = []
-        represent = ModelTriple.represent
+        block_outputs = ModelTriple._block_outputs
 
-        def recording(model, x):
+        def recording(model, x, *args):
             seen.append(x.shape[0])
-            return represent(model, x)
+            return block_outputs(model, x, *args)
 
-        monkeypatch.setattr(ModelTriple, "represent", recording)
+        monkeypatch.setattr(ModelTriple, "_block_outputs", recording)
         m = small_model()
         for n in (1, EVAL_ROWS, EVAL_ROWS + 1, EVAL_ROWS + 2, 3 * EVAL_ROWS + 1):
             seen.clear()
             m.outputs(np.zeros((n, 3)), dups=(False, True))
             assert sum(seen) == n
             assert max(seen) <= EVAL_ROWS + 1 and (min(seen) > 1 or n == 1)
+
+    def test_peak_memory_is_the_outputs_and_a_few_blocks(self):
+        # the bound is fixed beforehand: the two outputs, plus four blocks
+        # of the widest activation (a block's activations, the tiled biases
+        # and the product's temporaries)
+        n = 20000
+        m = ModelTriple.init(ArchSpec(rep_widths=(2, 32, 16), pred_widths=(16, 2)), seed=0)
+        x = np.random.default_rng(0).standard_normal((n, 2))
+        m.outputs(x[:10])  # the layer views are built once, outside the window
+        tracemalloc.start()
+        try:
+            outs = m.outputs(x, dups=(False, True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = (EVAL_ROWS + 1) * max(m.arch.rep_widths + m.arch.pred_widths) * 8
+        assert peak < sum(out.nbytes for out in outs) + 4 * block
 
     def test_empty_and_malformed_inputs(self):
         m = small_model()

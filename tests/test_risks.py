@@ -21,6 +21,38 @@ def naive_nll(model, x, y, dup=False):
     return total / x.shape[0]
 
 
+class TestNll:
+    @pytest.mark.parametrize("labels, rows, match", [
+        ([-1], 1, r"label outside \[0, 2\)"),
+        ([0, 2, 1], 3, r"label outside \[0, 2\)"),
+        ([0], 3, r"labels of shape \(1,\) for 3 rows"),
+        (0, 3, r"labels of shape \(\) for 3 rows"),
+        ([0, 1], 1, r"labels of shape \(2,\) for 1 rows"),
+    ])
+    def test_rejects_a_label_outside_the_classes_or_not_one_per_row(self, labels, rows, match):
+        log_probs = np.log([[0.9, 0.1]] * rows)
+        with pytest.raises(risks.RiskError, match=match):
+            risks.nll(log_probs, labels)
+        with pytest.raises(risks.RiskError, match=match):
+            risks.nlls([log_probs, log_probs], labels)
+
+    def test_nlls_checks_the_labels_once_for_every_head(self, monkeypatch):
+        checked = []
+        check_labels = risks.check_labels
+
+        def counting(labels, n_classes):
+            checked.append(n_classes)
+            return check_labels(labels, n_classes)
+
+        rng = np.random.default_rng(3)
+        heads = [np.log(rng.dirichlet(np.ones(3), size=8)) for _ in range(2)]
+        labels = rng.integers(0, 3, 8)
+        want = [risks.nll(out, labels) for out in heads]
+        monkeypatch.setattr(risks, "check_labels", counting)
+        assert risks.nlls(heads, labels) == want
+        assert checked == [3]
+
+
 class TestTargetRisk:
     def test_perfect_one_hot_probabilities_give_zero(self):
         m = clf_model()
