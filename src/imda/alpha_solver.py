@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import risks
+from . import data, risks
 from .optimizer import NoiselessLedgerError
 
 
@@ -27,7 +27,9 @@ class AlphaSolverError(Exception):
 
 def simplex_project(point):
     """Euclidean projection onto {a : a_i >= 0, sum a_i = 1} by the
-    sort-and-threshold rule."""
+    sort-and-threshold rule.  The closed-form solve projects nothing; the
+    projection is kept for `imda check`, the tests and the benchmark's
+    projection counter."""
     v = np.asarray(point, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise AlphaSolverError(f"cannot project shape {v.shape}")
@@ -43,7 +45,9 @@ def simplex_project(point):
 
 @dataclass
 class AlphaObjective:
-    """Linear coefficients plus the regularizer weight and sample counts."""
+    """Finite linear coefficients, the regularizer weight
+    (data.NON_NEGATIVE_RULE) and one sample count per coefficient
+    (data.COUNT_RULE)."""
 
     linear: np.ndarray
     reg_weight: float
@@ -52,12 +56,15 @@ class AlphaObjective:
     def __post_init__(self):
         self.linear = np.asarray(self.linear, dtype=np.float64)
         self.m = np.asarray(self.m, dtype=np.float64)
-        if self.reg_weight < 0:
-            raise AlphaSolverError("regularizer weight must be >= 0")
+        if not data.usable_constant(self.reg_weight):
+            raise AlphaSolverError(f"regularizer weight must be {data.NON_NEGATIVE_RULE}, "
+                                   f"got {self.reg_weight!r}")
         if self.linear.shape != self.m.shape:
             raise AlphaSolverError("coefficient/count length mismatch")
-        if np.any(self.m < 1):
-            raise AlphaSolverError("sample counts must be >= 1")
+        if not np.isfinite(self.linear).all():
+            raise AlphaSolverError(f"linear coefficients must be finite, got {self.linear}")
+        if not data.usable_counts(self.m):
+            raise AlphaSolverError(f"{data.COUNT_RULE}, got {self.m}")
 
     def regularizer(self, alpha):
         alpha = np.asarray(alpha, dtype=np.float64)

@@ -40,6 +40,73 @@ def _same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def rule_cases():
+    """(name, error, call) for the entry points of data's value rules
+    (weights, counts, constants, labels): at a bad value call() must raise
+    `error`, a class that exits 3; at the boundary values the rules keep,
+    error is None and call() must return."""
+    nan, inf = math.nan, math.inf
+    alpha_error, theory_error = alpha_solver.AlphaSolverError, theory.TheoryError
+    risk_error, data_error = risks.RiskError, data.DataError
+    model = models.ModelTriple.init(models.ArchSpec(rep_widths=(2, 3), pred_widths=(3, 2)))
+    log_probs = np.log([[0.9, 0.1], [0.2, 0.8]])
+
+    def objective(**kw):
+        return alpha_solver.AlphaObjective(**{"linear": [0.1, 0.2], "reg_weight": 1.0,
+                                              "m": [100, 100], **kw})
+
+    def constants(**kw):
+        return theory.BoundConstants(**{"m": [10, 10], **kw})
+
+    def prior(p):
+        return data.DomainSpec(means=[[0.0], [1.0]], stds=[[1.0], [1.0]], prior=p, size=1)
+
+    def pseudo(coef1, coef2):
+        return risks.pseudo_label_risk(model, np.zeros((2, 2)), coef1, coef2)
+
+    def dataset(labels):
+        return data.MultiSourceDataset(
+            sources=[(np.zeros((2, 1)), np.asarray(labels))],
+            target=(np.zeros((0, 1)), np.zeros(0)), target_unlabeled=np.zeros((0, 1)),
+            n_classes=2, dim=1)
+
+    return [
+        ("weights summing to 1 + 2e-9", risk_error,
+         lambda: risks.check_simplex([0.5, 0.5 + 2e-9], 2)),
+        ("a NaN weight", risk_error, lambda: risks.check_simplex([nan, 1.0], 2)),
+        ("a NaN class prior", data_error, lambda: prior([nan, 1.0])),
+        ("a bound's weight of -2e-9", theory_error, lambda: constants(alpha=[-2e-9, 1.0])),
+        ("a NaN count m", alpha_error, lambda: objective(m=[nan, 100])),
+        ("an infinite count m", alpha_error, lambda: objective(m=[inf, 100])),
+        ("a count m below 1", alpha_error, lambda: objective(m=[0.5, 100])),
+        ("a bound's NaN count m", theory_error, lambda: constants(m=[nan, 10])),
+        ("a NaN count m_t", theory_error, lambda: constants(m_t=nan)),
+        ("an infinite count m_t_prime", theory_error, lambda: constants(m_t_prime=inf)),
+        ("a NaN regularizer weight", alpha_error, lambda: objective(reg_weight=nan)),
+        ("an infinite regularizer weight", alpha_error, lambda: objective(reg_weight=inf)),
+        ("a NaN linear coefficient", alpha_error, lambda: objective(linear=[0.1, nan])),
+        ("a NaN surrogate coefficient", risk_error, lambda: pseudo(nan, 1.0)),
+        ("a negative surrogate coefficient", risk_error, lambda: pseudo(1.0, -0.5)),
+        ("a NaN ledger increment", optimizer.OptimizerError,
+         lambda: optimizer.GradNormLedger().accumulate("u", 0.1, 0.01, nan)),
+        ("a NaN ledger sum", theory_error,
+         lambda: theory.training_risk_bound(constants(), nan, 1.0, 0.0)),
+        ("float labels in nll", risk_error, lambda: risks.nll(log_probs, [0.5, 1.0])),
+        ("boolean labels in nll", risk_error, lambda: risks.nll(log_probs, [True, False])),
+        ("label K in nll", risk_error, lambda: risks.nll(log_probs, [0, 2])),
+        ("float labels in a dataset", data_error, lambda: dataset([0.5, 1.0])),
+        ("weights summing to 1 +- 0.999e-9", None,
+         lambda: [risks.check_simplex([0.5, 0.5 + d], 2) for d in (0.999e-9, -0.999e-9)]),
+        ("a weight of -1e-9", None,
+         lambda: (constants(alpha=[-1e-9, 1.0 + 1e-9]), prior([-1e-9, 1.0 + 1e-9]))),
+        ("sample counts of 1", None,
+         lambda: (objective(m=[1, 1]), constants(m=[1, 1], m_t=1, m_t_prime=1))),
+        ("zero constants", None, lambda: (objective(reg_weight=0.0), pseudo(0.0, 0.0))),
+        ("label K - 1 and an empty float label set", None,
+         lambda: (risks.nll(log_probs, [1, 1]), dataset([1, 1]))),
+    ]
+
+
 def _cmd_check(args):
     """A condensed battery of the package's property suites."""
     failures = 0
@@ -151,7 +218,7 @@ def _cmd_check(args):
     ok = True
     for _ in range(200):
         p = alpha_solver.simplex_project(rng.standard_normal(rng.integers(1, 6)))
-        ok &= abs(p.sum() - 1.0) < 1e-9 and p.min() >= 0.0
+        ok &= data.usable_weights(p) and p.min() >= 0.0
         ok &= np.allclose(alpha_solver.simplex_project(p), p, atol=1e-12)
     report("simplex projection is feasible and idempotent", ok)
 
@@ -220,6 +287,21 @@ def _cmd_check(args):
     report("exact W1 equals the best of all permutations at 1-6 points", worst <= 1e-12,
            f"max abs err {worst:.2e}")
 
+    # every value rule at each of its entry points
+    cases = rule_cases()
+    wrong = []
+    for name, error, call in cases:
+        try:
+            call()
+        except Exception as exc:  # a wrong error class is a failing case, named below
+            if error is None or not isinstance(exc, error):
+                wrong.append(f"{name}: {type(exc).__name__}")
+        else:
+            if error is not None:
+                wrong.append(name)
+    report("each value rule rejects bad values and keeps its boundary at every entry point",
+           not wrong, ", ".join(wrong) or f"{len(cases)} cases")
+
     # spectral certificates against the Gram matrix's top eigenvalue, a
     # LAPACK routine independent of the SVD the bound takes
     ok = True
@@ -238,8 +320,8 @@ def _cmd_check(args):
 
 
 def _cmd_oracle_w1(args):
-    if not 0.0 <= args.scale < math.inf:
-        raise harness.ConfigError("--scale must be >= 0 and finite")
+    if not data.usable_constant(args.scale):
+        raise harness.ConfigError(f"--scale must be {data.NON_NEGATIVE_RULE}")
     header, rows = data.read_table(args.csv, ("measure", "label"))
     measures = {"a": [], "b": []}
     for line_no, row in rows:
@@ -266,8 +348,8 @@ def _cmd_bound(args):
     if sum(v is not None for v in deltas.values()) != (0 if args.ledger else 2):
         raise harness.ConfigError("bound takes --ledger ledger.csv, or --delta-u and --delta-v")
     for flag, value in deltas.items():
-        if value is not None and not 0.0 <= value < math.inf:
-            raise harness.ConfigError(f"{flag} must be >= 0 and finite")
+        if value is not None and not data.usable_constant(value):
+            raise harness.ConfigError(f"{flag} must be {data.NON_NEGATIVE_RULE}")
     if not math.isfinite(args.empirical_risk):
         raise harness.ConfigError("--empirical-risk must be finite")
     du, dv = optimizer.replay_ledger_csv(args.ledger) if args.ledger else deltas.values()

@@ -30,6 +30,46 @@ class CsvFormatError(DataError):
         self.line_no = line_no
 
 
+# ---------------------------------------------------------------------------
+# value rules: one predicate and one text for each kind of value the weight
+# solve and the bounds read; every module that takes such a value calls the
+# predicate and raises its own error with the text
+
+SIMPLEX_RULE = "the simplex to 1e-9 (each weight >= -1e-9, their sum within 1e-9 of 1)"
+COUNT_RULE = "sample counts must be finite and >= 1"
+NON_NEGATIVE_RULE = ">= 0 and finite"
+
+
+def usable_weights(weights):
+    """Whether a non-empty weight vector lies on SIMPLEX_RULE's simplex (NaN
+    fails): domain weights, and a class prior."""
+    w = np.asarray(weights, dtype=np.float64)
+    return bool(w.size and w.min() >= -1e-9 and abs(w.sum() - 1.0) <= 1e-9)
+
+
+def usable_counts(counts):
+    """Whether every sample count obeys COUNT_RULE (NaN fails)."""
+    c = np.asarray(counts, dtype=np.float64)
+    return bool(np.all((c >= 1.0) & (c < np.inf)))
+
+
+def usable_constant(value):
+    """Whether a scalar coefficient is NON_NEGATIVE_RULE's (NaN fails)."""
+    return 0.0 <= value < math.inf
+
+
+def label_rule(n_classes):
+    """The text of the label rule of usable_labels over n_classes classes."""
+    return f"[0, {n_classes}) of integer dtype"
+
+
+def usable_labels(labels, n_classes):
+    """Whether an array of class labels obeys label_rule(n_classes); an
+    empty set does, of any dtype."""
+    return labels.size == 0 or (labels.dtype.kind in "iu" and labels.min() >= 0
+                                and labels.max() < n_classes)
+
+
 # stream tags keep independent concerns on independent rng streams
 TAG_DOMAIN = 1
 TAG_SHIFT = 2
@@ -61,8 +101,9 @@ class DomainSpec:
             raise DataError("stds must match means in shape")
         if self.prior.shape != (self.means.shape[0],):
             raise DataError("one prior entry per class required")
-        if not (np.min(self.prior) >= -1e-9 and abs(self.prior.sum() - 1.0) <= 1e-9):
-            raise DataError(f"class prior {self.prior} is not a distribution")
+        if not usable_weights(self.prior):
+            raise DataError(f"class prior {self.prior} is not a distribution: it must "
+                            f"lie on {SIMPLEX_RULE}")
         if self.size < 0:
             raise DataError("size must be >= 0")
 
@@ -104,8 +145,8 @@ class MultiSourceDataset:
                 raise DataError("feature/label count mismatch")
             if x.shape[0] and x.shape[1] != self.dim:
                 raise DataError(f"feature width {x.shape[1]} != {self.dim}")
-            if y.size and (y.min() < 0 or y.max() >= self.n_classes):
-                raise DataError("label outside the label set")
+            if not usable_labels(y, self.n_classes):
+                raise DataError(f"label outside {label_rule(self.n_classes)}")
         if self.target_unlabeled.shape[0] and self.target_unlabeled.shape[1] != self.dim:
             raise DataError("unlabeled feature width mismatch")
 

@@ -213,6 +213,22 @@ def log_softmax_cols(x):
     return x
 
 
+def argmax_cols(x):
+    """np.argmax(x, axis=0) of class-major x of shape (classes, n), taken
+    class by class over whole contiguous rows: a column's first maximum,
+    or its first NaN if it holds one."""
+    best, top = x[0], np.zeros(x.shape[1], dtype=np.intp)
+    for k in range(1, x.shape[0]):
+        # row k takes a column where the best so far is not NaN and row k
+        # is not <= it: a larger value, or the column's first NaN; the
+        # running maximum keeps a NaN, and every entry of top is < k
+        take = np.greater(best == best, x[k] <= best)
+        np.maximum(top, take * k, out=top)
+        if k + 1 < x.shape[0]:
+            best = np.maximum(best, x[k])
+    return top
+
+
 # ---------------------------------------------------------------------------
 # execution
 
@@ -523,9 +539,6 @@ class ParameterVector:
     @property
     def size(self):
         return self.values.size
-
-    def sq_norm(self):
-        return float(self.values @ self.values)
 
 
 def flatten_grads(grads, param_nodes, layout_vector):

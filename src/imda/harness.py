@@ -315,14 +315,13 @@ def build_datasets(cfg):
 
     def check_table_labels(key, path, y):
         """Raise CsvFormatError naming `key`, `path` and the line of the
-        first label of y, the labels of the table at `path`, outside the
-        training labels 0..n_classes-1; the line is read again from the
-        file only then."""
-        outside = np.flatnonzero((y < 0) | (y >= n_classes))
-        if outside.size:
+        first label of y, the labels of the table at `path`, that breaks
+        data.usable_labels over the training labels 0..n_classes-1; the
+        label and its line are looked up only then."""
+        if not data.usable_labels(y, n_classes):
+            bad = next(i for i in range(y.size) if not data.usable_labels(y[i:i + 1], n_classes))
             _, rows = data.read_table(path)
-            line_no = rows[outside[0]][0]
-            raise data.CsvFormatError(path, line_no, f"label {y[outside[0]]} in {key} is "
+            raise data.CsvFormatError(path, rows[bad][0], f"label {y[bad]} in {key} is "
                                       f"outside the training labels 0..{n_classes - 1}")
 
     first = data.load_csv(cfg.source_csvs[0])
@@ -367,7 +366,7 @@ def evaluate(model, x, y):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] == 0:
         raise RunError("cannot evaluate on an empty set")
-    pred = np.argmax(model.outputs(x)[0], axis=1)
+    pred = dc.argmax_cols(model.outputs(x)[0].T)
     return float(np.mean(pred == np.asarray(y)))
 
 

@@ -100,8 +100,9 @@ class GradNormLedger:
         _rate(eta)
         if not usable_sigma(sigma):
             raise NoiselessLedgerError(f"{SIGMA_RULE} (no ledger without noise), got {sigma!r}")
-        if not 0.0 <= grad_sq_norm < math.inf:
-            raise OptimizerError(f"grad_sq_norm must be >= 0 and finite, got {grad_sq_norm!r}")
+        if not data.usable_constant(grad_sq_norm):
+            raise OptimizerError(f"grad_sq_norm must be {data.NON_NEGATIVE_RULE}, "
+                                 f"got {grad_sq_norm!r}")
         delta = getattr(self, f"delta_{which}")
         after = delta + (eta * eta) * grad_sq_norm / (2.0 * sigma * sigma)
         if not math.isfinite(after):

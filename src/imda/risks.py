@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import diffcore as dc
+from . import data, diffcore as dc
 
 
 class RiskError(Exception):
@@ -28,22 +28,24 @@ def _check_batch(x):
 
 
 def check_simplex(alpha, n):
+    """alpha as an array of n domain weights, after raising RiskError unless
+    it obeys data.SIMPLEX_RULE."""
     alpha = np.asarray(alpha, dtype=np.float64)
     if n < 1:
         raise RiskError("no domain weights: need at least one source")
     if alpha.shape != (n,):
         raise RiskError(f"expected {n} domain weights, got shape {alpha.shape}")
-    if not (np.min(alpha) >= -1e-9 and abs(alpha.sum() - 1.0) <= 1e-9):
-        raise RiskError(f"weights {alpha} are off the simplex beyond 1e-9")
+    if not data.usable_weights(alpha):
+        raise RiskError(f"weights {alpha} are off {data.SIMPLEX_RULE}")
     return alpha
 
 
 def check_labels(labels, n_classes):
-    """labels as an array, after raising RiskError if one lies outside
-    [0, n_classes)."""
+    """labels as an array, after raising RiskError unless they obey
+    data.label_rule(n_classes)."""
     labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise RiskError(f"label outside [0, {n_classes})")
+    if not data.usable_labels(labels, n_classes):
+        raise RiskError(f"label outside {data.label_rule(n_classes)}")
     return labels
 
 
@@ -111,31 +113,34 @@ def empirical_risk_sources(model, source_batches, alpha, dup=False):
     return combined, per_source
 
 
-def pseudo_labels(model, x):
-    """(labels from the predictor, labels from the duplicate predictor),
-    recomputed from the current parameters; argmax ties break low."""
+def _two_head_pass(model, x):
+    """(predictor outputs, duplicate outputs, labels from the predictor,
+    labels from the duplicate) of one blocked ModelTriple.outputs pass over
+    unlabeled inputs, each head's labels its argmax (ties break low)."""
     if model.arch.mode != "classification":
         raise RiskError("pseudo labels require classification mode")
     out, out_dup = model.outputs(_check_batch(x), dups=(False, True))
-    return np.argmax(out, axis=1), np.argmax(out_dup, axis=1)
+    return out, out_dup, dc.argmax_cols(out.T), dc.argmax_cols(out_dup.T)
+
+
+def pseudo_labels(model, x):
+    """(labels from the predictor, labels from the duplicate predictor),
+    recomputed from the current parameters; argmax ties break low."""
+    return _two_head_pass(model, x)[2:]
 
 
 def pseudo_label_risk(model, x, coef1, coef2):
     """Two-term pseudo-risk surrogate on unlabeled inputs:
     coef1 * loss(dup predictions, labels from predictor)
-    + coef2 * loss(predictions, labels from dup).
-    The labels are those of pseudo_labels, taken from the same forward: one
-    blocked ModelTriple.outputs pass, whose two log-probability arrays each
-    term's one batch mean reads."""
-    if coef1 < 0 or coef2 < 0:
-        raise RiskError("surrogate coefficients must be non-negative")
-    x = _check_batch(x)
-    if model.arch.mode != "classification":
-        raise RiskError("pseudo labels require classification mode")
-    out, out_dup = model.outputs(x, dups=(False, True))
-    term1 = nll(out_dup, np.argmax(out, axis=1))
-    term2 = nll(out, np.argmax(out_dup, axis=1))
-    return coef1 * term1 + coef2 * term2
+    + coef2 * loss(predictions, labels from dup),
+    both coefficients data.NON_NEGATIVE_RULE's.  The labels are those of
+    pseudo_labels, from the same pass, whose two log-probability arrays
+    each term's one batch mean reads."""
+    if not (data.usable_constant(coef1) and data.usable_constant(coef2)):
+        raise RiskError(f"surrogate coefficients must be {data.NON_NEGATIVE_RULE}, "
+                        f"got {coef1!r} and {coef2!r}")
+    out, out_dup, labels, labels_dup = _two_head_pass(model, x)
+    return coef1 * nll(out_dup, labels) + coef2 * nll(out, labels_dup)
 
 
 def w1_dual_supervised(model, target_batch, source_batches, alpha):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import risks
+from . import data, risks
 
 
 class TheoryError(Exception):
@@ -36,6 +36,13 @@ def _finite(name, values):
     if not np.isfinite(out).all():
         raise TheoryError(f"{name} holds a non-finite value")
     return out
+
+
+def _constant(name, value):
+    """Raise TheoryError naming `name` unless value is numeric and obeys
+    data.NON_NEGATIVE_RULE."""
+    if not data.usable_constant(_finite(name, value)):
+        raise TheoryError(f"{name} must be {data.NON_NEGATIVE_RULE}, got {value!r}")
 
 
 @dataclass
@@ -56,8 +63,7 @@ class GroundMetric:
             raise TheoryError(f"unknown metric kind {self.kind!r}")
         if self.label_cost not in ("zero_one", "absolute"):
             raise TheoryError(f"unknown label cost {self.label_cost!r}")
-        if _finite("scale", self.scale) < 0:
-            raise TheoryError("scale must be >= 0")
+        _constant("scale", self.scale)
 
     def _cost(self, x, y, x_prime, y_prime):
         gap = x - x_prime
@@ -238,9 +244,11 @@ class BoundConstants:
     """Constants feeding the generalization bounds.  The ideal joint error
     and the joint approximation error have no estimator and are taken as
     user-supplied; the sub-Gaussian scales for the loss and the critic
-    class are merged into one sigma.  alpha holds one domain weight per
-    source and lies on the simplex (default: uniform).  The ledger sums are
-    run state, not constants: training_risk_bound takes them as arguments."""
+    class are merged into one sigma.  sigma, r_star and r_star_rep obey
+    data.NON_NEGATIVE_RULE, the counts m, m_t and m_t_prime data.COUNT_RULE,
+    and alpha, one domain weight per source (default: uniform),
+    data.SIMPLEX_RULE.  The ledger sums are run state, not constants:
+    training_risk_bound takes them as arguments."""
 
     sigma: float = 1.0
     m_t: int = 1
@@ -255,24 +263,23 @@ class BoundConstants:
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=np.float64)
         for name in ("sigma", "r_star", "r_star_rep"):
-            if _finite(name, getattr(self, name)) < 0:
-                raise TheoryError(f"{name} must be >= 0")
+            _constant(name, getattr(self, name))
         for name in ("epsilon", "tau"):
             if not 0.0 <= _finite(name, getattr(self, name)) <= 1.0:
                 raise TheoryError(f"{name} must be in [0, 1]")
         if self.m.size == 0:
             raise TheoryError("m must hold one sample count per source, got none")
-        if np.any(self.m < 1) or self.m_t < 1 or self.m_t_prime < 1:
-            raise TheoryError("sample counts must be >= 1")
+        for name in ("m", "m_t", "m_t_prime"):
+            if not data.usable_counts(getattr(self, name)):
+                raise TheoryError(f"{name}: {data.COUNT_RULE}, got {getattr(self, name)!r}")
         if self.alpha is None:
             self.alpha = np.full(self.m.size, 1.0 / self.m.size)
         self.alpha = _finite("alpha", self.alpha)
         if self.alpha.shape != (self.m.size,):
             raise TheoryError(f"alpha must hold one weight per source ({self.m.size}), "
                               f"got shape {self.alpha.shape}")
-        if self.alpha.min() < -1e-9 or abs(self.alpha.sum() - 1.0) > 1e-9:
-            raise TheoryError(f"alpha must lie on the simplex (weights >= 0 that sum "
-                              f"to 1), got {self.alpha}")
+        if not data.usable_weights(self.alpha):
+            raise TheoryError(f"alpha must lie on {data.SIMPLEX_RULE}, got {self.alpha}")
 
     @property
     def alpha_sq_over_m(self):
@@ -337,8 +344,7 @@ def training_risk_bound(c, delta_u, delta_v, empirical_combined_risk):
 
     with each regime term listed under its own name, times its weight."""
     for name, value in (("delta_u", delta_u), ("delta_v", delta_v)):
-        if _finite(name, value) < 0:
-            raise TheoryError(f"ledger sum {name} must be >= 0")
+        _constant(f"ledger sum {name}", value)
     _, sup = supervised_gap_bound(c, delta_u + delta_v, delta_u)
     _, pseudo = unsupervised_gap_bound(c, delta_u + delta_v)
     terms = [

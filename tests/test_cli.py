@@ -596,3 +596,20 @@ class TestCheckCommand:
         assert cli.main(["check"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert f"every entry point  ({len(cli.rule_cases())} cases)" in out
+
+
+class TestValueRules:
+    """Each value rule of data at each entry point that takes its values:
+    a bad value raises the module's own error, which exits 3, and the
+    rule's boundary values pass."""
+
+    @pytest.mark.parametrize("name, error, call", cli.rule_cases(),
+                             ids=[case[0] for case in cli.rule_cases()])
+    def test_entry_point(self, name, error, call):
+        if error is None:
+            call()
+            return
+        assert issubclass(error, cli._NUMERIC_ERRORS)
+        with pytest.raises(error):
+            call()

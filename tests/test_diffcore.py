@@ -364,6 +364,20 @@ class TestLogSoftmaxCols:
         assert same_bits(got.T, dc.log_softmax_rows(x)[0])
 
 
+class TestArgmaxCols:
+    @PROPERTY
+    @given(tied_logits(), st.data())
+    def test_is_argmax_over_the_classes(self, x, data):
+        """np.argmax's lowest-index tie-break and its first-NaN rule, at
+        1-12 classes, with infinities among the values."""
+        if data.draw(st.booleans()):
+            marks = data.draw(hnp.arrays(np.int8, x.shape, elements=st.integers(0, 5)))
+            x = np.select([marks == 1, marks == 2, marks == 3], [np.nan, np.inf, -np.inf], x)
+        got = dc.argmax_cols(np.ascontiguousarray(x.T))
+        want = np.argmax(x, axis=1)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
@@ -486,12 +500,6 @@ class TestParameterVector:
         vec = dc.ParameterVector.from_arrays([("w", np.ones((2, 2)))])
         vec.values[0] = 5.0
         assert vec.view("w")[0, 0] == 5.0
-
-    def test_sq_norm_non_negative(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            vec = dc.ParameterVector.from_arrays([("w", rng.standard_normal((3, 3)))])
-            assert vec.sq_norm() >= 0.0
 
     def test_repeated_name_rejected(self):
         with pytest.raises(dc.GraphShapeError, match="repeated"):
