@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data, risks
-from .optimizer import NoiselessLedgerError
 
 
 class AlphaSolverError(Exception):
@@ -109,8 +108,8 @@ def build_objective(risks_pred, risks_dup, eps, tau, c0, c1, ledger, m,
               - (eps * tau + 1.0 - tau) * risks_dup)
     lam = regularizer_weight(eps, tau, c1, ledger, reg_weight_override)
     if lam is None:
-        raise NoiselessLedgerError("no gradient-norm ledger available (noiseless run?); pass "
-                                   "reg_weight_override to use a fixed regularizer weight")
+        raise AlphaSolverError("no gradient-norm ledger available (noiseless run?); pass "
+                               "reg_weight_override to use a fixed regularizer weight")
     return AlphaObjective(linear=linear, reg_weight=lam, m=np.asarray(m))
 
 
@@ -127,7 +126,11 @@ def solve_alpha(objective):
     """
     c = objective.linear - objective.linear.min()
     lam = float(objective.reg_weight)
-    c = c / lam if lam > 0.0 else np.where(c > 0.0, np.inf, 0.0)
+    if lam > 0.0:
+        with np.errstate(over="ignore"):  # a c_i / lambda past the floats: the limit's inf
+            c = c / lam
+    else:
+        c = np.where(c > 0.0, np.inf, 0.0)
     order = np.argsort(c, kind="stable")
     cs, ms = c[order], objective.m[order]
     for k in range(1, cs.size + 1):

@@ -104,8 +104,8 @@ class DomainSpec:
         if not usable_weights(self.prior):
             raise DataError(f"class prior {self.prior} is not a distribution: it must "
                             f"lie on {SIMPLEX_RULE}")
-        if self.size < 0:
-            raise DataError("size must be >= 0")
+        if not (isinstance(self.size, (int, np.integer)) and self.size >= 0):
+            raise DataError(f"size must be an integer >= 0, got {self.size!r}")
 
     @property
     def n_classes(self):
@@ -223,7 +223,7 @@ def rotated(points, degrees):
 
 
 def default_benchmark_specs(source_angles=(15.0, 75.0), radius=2.0, std=0.85,
-                            size=2000, labeled_target_size=200):
+                            size=2000, labeled_target_size=0):
     """Two 2-class, 2-D sources whose class means are rotated relative to
     the target by per-domain angles.  `std` may be a scalar or one value
     per class; distinct spreads make the two classes structurally
@@ -239,17 +239,15 @@ def default_benchmark_specs(source_angles=(15.0, 75.0), radius=2.0, std=0.85,
     return sources, target, labeled_target
 
 
-def default_benchmark(drop_rate=0.5, seed=0, labeled_target=False, **spec_kw):
+def default_benchmark(drop_rate=0.5, seed=0, **spec_kw):
     """The stock 2-source target-shift benchmark: class 1 is dropped from
-    the sources at `drop_rate`, the target is untouched.
+    the sources at `drop_rate`, the target is untouched; the labeled target
+    set has `labeled_target_size` rows (none by default).
 
     Returns (train dataset, test dataset); the test draw is an independent
     sample of the same distributions (sources shifted identically).
     """
     sources, target, labeled = default_benchmark_specs(**spec_kw)
-    if not labeled_target:
-        labeled = DomainSpec(means=target.means, stds=target.stds,
-                             prior=target.prior, size=0)
     train = gen_gaussian_sources(sources, labeled, unlabeled_size=target.size, seed=seed)
     test = gen_gaussian_sources(sources, target, unlabeled_size=0, seed=seed + 777_000)
     if drop_rate > 0.0:

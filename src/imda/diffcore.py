@@ -26,19 +26,9 @@ import numpy as np
 
 
 class GraphError(Exception):
-    """Base class for graph construction/execution failures."""
-
-
-class GraphShapeError(GraphError):
-    """Shape mismatch; message names the offending node."""
-
-
-class BackwardBeforeForwardError(GraphError):
-    pass
-
-
-class NonScalarOutputError(GraphError):
-    pass
+    """A graph that cannot be built or run: an unknown op, a shape mismatch
+    (the message names the node), a non-finite value, or a backward pass
+    out of order or from a non-scalar root."""
 
 
 _node_counter = itertools.count()
@@ -80,7 +70,7 @@ class Node:
 def _as_f64(a):
     out = np.asarray(a, dtype=np.float64)
     if not np.isfinite(out).all():
-        raise GraphShapeError(f"non-finite entries in array of shape {out.shape}")
+        raise GraphError(f"non-finite entries in array of shape {out.shape}")
     return out
 
 
@@ -265,7 +255,7 @@ def _order(root):
 
 
 def _shape_err(node, msg):
-    raise GraphShapeError(f"{node.kind} node '{node.name}': {msg}")
+    raise GraphError(f"{node.kind} node '{node.name}': {msg}")
 
 
 # One (forward, backward) pair per op kind.  forward(node, rng, *input
@@ -407,9 +397,9 @@ def backward(root):
     included, are left in node.adjoint.
     """
     if root.value is None:
-        raise BackwardBeforeForwardError("backward called before forward")
+        raise GraphError("backward called before forward")
     if root.value.size != 1:
-        raise NonScalarOutputError(
+        raise GraphError(
             f"root '{root.name}' has shape {root.value.shape}; backward needs a scalar")
 
     order = _order(root)
@@ -439,7 +429,7 @@ def finite_diff_check(root, step=1e-6):
     """
     forward(root)
     if root.value.size != 1:
-        raise NonScalarOutputError("finite_diff_check requires a scalar-valued graph")
+        raise GraphError("finite_diff_check requires a scalar-valued graph")
     grads = backward(root)
     params = [n for n in _order(root) if n.kind == "param"]
     worst = 0.0
@@ -475,7 +465,7 @@ class Layout(tuple):
         layout.index = {name: (offset, math.prod(shape), shape)
                         for name, shape, offset in layout}
         if len(layout.index) != len(layout):
-            raise GraphShapeError(f"repeated array name in layout {[e[0] for e in layout]}")
+            raise GraphError(f"repeated array name in layout {[e[0] for e in layout]}")
         return layout
 
 
@@ -532,7 +522,7 @@ class ParameterVector:
         """Same layout, new flat buffer."""
         values = np.asarray(values, dtype=np.float64)
         if values.shape != self.values.shape:
-            raise GraphShapeError(
+            raise GraphError(
                 f"replacement length {values.shape} vs layout length {self.values.shape}")
         return ParameterVector(values=values, layout=self.layout)
 

@@ -81,9 +81,16 @@ TAG_NOISE_U = 10
 TAG_NOISE_V = 11
 TAG_DROPOUT = 12
 TAG_PENALTY = 13
-TAG_SRC_BATCH = 20  # + source index
+TAG_SRC_BATCH = 20  # + source index: see _source_batch_tag
 TAG_TGT_BATCH = 40
 TAG_UNL_BATCH = 41
+
+
+def _source_batch_tag(i):
+    """The batch stream tag of source i (0-based): TAG_SRC_BATCH + i up to
+    the target tags, and two further on from there, so that no two batch
+    streams share a tag at any number of sources."""
+    return TAG_SRC_BATCH + i + (2 if TAG_SRC_BATCH + i >= TAG_TGT_BATCH else 0)
 
 
 def _one_of(*words):
@@ -296,13 +303,12 @@ def _solves_alpha(cfg, n_sources):
 def build_datasets(cfg):
     """(train, test) MultiSourceDatasets from the config."""
     if cfg.data == "synthetic":
-        labeled = cfg.tau > 0.0
-        train, test = data.default_benchmark(
-            drop_rate=cfg.drop_rate, seed=cfg.seed, labeled_target=labeled,
-            source_angles=cfg.source_angles, radius=cfg.radius,
-            std=cfg.class_std, size=cfg.domain_size,
-            labeled_target_size=cfg.labeled_target_size)
-        return train, test
+        # the labeled target is drawn only where a step term reads it
+        labeled = cfg.labeled_target_size if StepCoefficients.from_config(cfg).uses_target else 0
+        return data.default_benchmark(
+            drop_rate=cfg.drop_rate, seed=cfg.seed, source_angles=cfg.source_angles,
+            radius=cfg.radius, std=cfg.class_std, size=cfg.domain_size,
+            labeled_target_size=labeled)
 
     def load(key, path):
         """The feature table at `path`, one of `key`'s, which must have the
@@ -363,11 +369,13 @@ def build_datasets(cfg):
 def evaluate(model, x, y):
     """Fraction of argmax predictions equal to labels (dropout disabled),
     from one blocked ModelTriple.outputs pass."""
-    x = np.asarray(x, dtype=np.float64)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y)
     if x.shape[0] == 0:
         raise RunError("cannot evaluate on an empty set")
+    if y.shape != x.shape[:1]:
+        raise RunError(f"labels of shape {y.shape} for {x.shape[0]} rows")
     pred = dc.argmax_cols(model.outputs(x)[0].T)
-    return float(np.mean(pred == np.asarray(y)))
+    return float(np.mean(pred == y))
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +895,7 @@ def run(cfg, datasets=None):
     # read them, and they count toward the steps per epoch) and the target
     # sets the regime uses; the others are never touched.  Batches are cut
     # only from the sets the step reads.
-    sources = {f"source {i + 1}": (x, y, TAG_SRC_BATCH + i)
+    sources = {f"source {i + 1}": (x, y, _source_batch_tag(i))
                for i, (x, y) in enumerate(train.sources)}
     drawn = dict(sources) if coefs.uses_sources else {}
     if coefs.uses_target:

@@ -35,7 +35,9 @@ BLOCK_NAMES = {"rep": "representation", "pred": "predictor", "dup": "critic"}
 
 
 class ArchitectureError(Exception):
-    pass
+    """A model that cannot be built or read: its widths or activations, an
+    input of the wrong width, a mode the operation does not take, or a
+    parameter block that holds a non-finite entry (named)."""
 
 
 @dataclass
@@ -138,10 +140,10 @@ class ModelTriple:
             for i, act in enumerate(acts)])
 
     def check_finite(self, block):
-        """Raise dc.GraphShapeError naming the block if its flat buffer holds
+        """Raise ArchitectureError naming the block if its flat buffer holds
         a non-finite entry."""
         if not np.isfinite(getattr(self, block).values).all():
-            raise dc.GraphShapeError(
+            raise ArchitectureError(
                 f"non-finite entries in the {BLOCK_NAMES[block]} parameters")
 
     # ------------------------------------------------------------------

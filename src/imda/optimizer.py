@@ -22,18 +22,6 @@ class OptimizerError(Exception):
     pass
 
 
-class NonFiniteGradientError(OptimizerError):
-    """Carries the index of the first offending coordinate."""
-
-    def __init__(self, index):
-        super().__init__(f"non-finite gradient at flat coordinate {index}")
-        self.index = index
-
-
-class NoiselessLedgerError(OptimizerError):
-    pass
-
-
 SIGMA_RULE = "sigma must be > 0, with 2*sigma^2 > 0 in floating point"
 
 
@@ -56,7 +44,8 @@ def _moved(params, gradient, step, rng=None, sigma=0.0):
     if p.shape != g.shape:
         raise OptimizerError(f"parameter shape {p.shape} vs gradient shape {g.shape}")
     if not np.isfinite(g).all():
-        raise NonFiniteGradientError(int(np.flatnonzero(~np.isfinite(g))[0]))
+        raise OptimizerError("non-finite gradient at flat coordinate "
+                             f"{int(np.flatnonzero(~np.isfinite(g))[0])}")
     new = p - step * g
     if rng is not None:
         new = new + rng.normal(0.0, sigma, size=p.shape)
@@ -99,7 +88,7 @@ class GradNormLedger:
             raise OptimizerError(f"unknown block {which!r}")
         _rate(eta)
         if not usable_sigma(sigma):
-            raise NoiselessLedgerError(f"{SIGMA_RULE} (no ledger without noise), got {sigma!r}")
+            raise OptimizerError(f"{SIGMA_RULE} (no ledger without noise), got {sigma!r}")
         if not data.usable_constant(grad_sq_norm):
             raise OptimizerError(f"grad_sq_norm must be {data.NON_NEGATIVE_RULE}, "
                                  f"got {grad_sq_norm!r}")

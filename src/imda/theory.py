@@ -229,7 +229,9 @@ def check_risk_gap_bound(model, pair, certificate):
 
 
 def subgaussian_from_range(loss_lower, loss_upper):
-    """Hoeffding constant for a variable bounded in [lower, upper]."""
+    """Hoeffding constant for a variable bounded in [lower, upper], both
+    finite."""
+    _finite("the loss range", (loss_lower, loss_upper))
     if loss_upper < loss_lower:
         raise TheoryError(f"inverted range [{loss_lower}, {loss_upper}]")
     return (loss_upper - loss_lower) / 2.0

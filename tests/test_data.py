@@ -68,6 +68,12 @@ class TestGeneration:
             DomainSpec(means=np.zeros((2, 1)), stds=np.ones((2, 1)),
                        prior=np.array([np.nan, 1.0]), size=10)
 
+    @pytest.mark.parametrize("size", [float("nan"), 2.5, -1])
+    def test_size_that_is_not_a_count_rejected(self, size):
+        with pytest.raises(data.DataError, match="size must be an integer >= 0"):
+            DomainSpec(means=np.zeros((2, 1)), stds=np.ones((2, 1)),
+                       prior=np.array([0.5, 0.5]), size=size)
+
 
 class TestTargetShift:
     def _dataset(self, seed=0):
@@ -218,7 +224,7 @@ def spelled(cell):
 
 
 class TestReadTable:
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=100)
     @given(st.integers(1, 4).flatmap(
         lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width))))
     def test_reads_back_what_write_table_writes(self, tmp_path_factory, rows):
@@ -260,7 +266,7 @@ class TestReadTable:
 
 
 class TestFiniteFloats:
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(st.text(st.sampled_from("0123456789+-.eE infINFa\t"), max_size=8))
     def test_an_ascii_cell_without_underscores_reads_as_float_reads_it(self, text):
         """number_text leaves every ASCII spelling without '_' to float()."""
@@ -274,7 +280,7 @@ class TestFiniteFloats:
             with pytest.raises(data.CsvFormatError, match="is not a finite number"):
                 data.finite_floats("t.csv", 2, ["c"], [text])
 
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=100)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
     def test_reads_each_finite_float_back_bit_for_bit(self, values):
         """The floats of the cells write_table writes (their repr)."""
@@ -350,7 +356,7 @@ class TestDefaultBenchmark:
         assert test.target[0].shape[0] == 2000
 
     def test_labeled_variant(self):
-        train, _ = data.default_benchmark(drop_rate=0.2, seed=1, labeled_target=True)
+        train, _ = data.default_benchmark(drop_rate=0.2, seed=1, labeled_target_size=200)
         assert train.target[0].shape[0] == 200
 
     def test_reproducible(self):

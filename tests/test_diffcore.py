@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from imda import diffcore as dc, models, risks
 
-PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+PROPERTY = settings(max_examples=200)
 
 
 def logits(classes):
@@ -53,11 +53,11 @@ class TestForward:
     def test_shape_mismatch_names_node(self):
         bad = dc.affine(dc.const(np.zeros((2, 3))), dc.param(np.zeros((4, 2))),
                         dc.param(np.zeros(2)), name="layer0")
-        with pytest.raises(dc.GraphShapeError, match="layer0"):
+        with pytest.raises(dc.GraphError, match="layer0"):
             dc.forward(bad)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(dc.GraphShapeError):
+        with pytest.raises(dc.GraphError):
             dc.const([[np.inf]])
 
 
@@ -71,7 +71,7 @@ class TestBackward:
 
     def test_backward_before_forward_errors(self):
         root = dc.mean(dc.param([[1.0]]))
-        with pytest.raises(dc.BackwardBeforeForwardError):
+        with pytest.raises(dc.GraphError):
             dc.backward(root)
 
     def test_reversal_negates_plain_gradient(self):
@@ -145,7 +145,7 @@ class TestFiniteDiffCheck:
     def test_non_scalar_output_errors(self):
         p = dc.param([[1.0, 2.0]])
         root = dc.relu(p)
-        with pytest.raises(dc.NonScalarOutputError):
+        with pytest.raises(dc.GraphError):
             dc.finite_diff_check(root)
 
     def test_dropout_mask_frozen_for_probes(self):
@@ -234,13 +234,13 @@ class TestConstruction:
     def test_an_unnamed_node_is_named_by_kind_and_uid_in_errors(self):
         bad = dc.affine(dc.const(np.zeros((2, 3))), dc.param(np.zeros((4, 2))),
                         dc.param(np.zeros(2)))
-        with pytest.raises(dc.GraphShapeError, match=f"affine node 'affine#{bad.uid}'"):
+        with pytest.raises(dc.GraphError, match=f"affine node 'affine#{bad.uid}'"):
             dc.forward(bad)
 
     def test_an_unnamed_scalar_root_is_named_when_backward_rejects_it(self):
         root = dc.relu(dc.param([[1.0, 2.0]]))
         dc.forward(root)
-        with pytest.raises(dc.NonScalarOutputError, match=f"'relu#{root.uid}'"):
+        with pytest.raises(dc.GraphError, match=f"'relu#{root.uid}'"):
             dc.backward(root)
 
 
@@ -502,10 +502,10 @@ class TestParameterVector:
         assert vec.view("w")[0, 0] == 5.0
 
     def test_repeated_name_rejected(self):
-        with pytest.raises(dc.GraphShapeError, match="repeated"):
+        with pytest.raises(dc.GraphError, match="repeated"):
             dc.ParameterVector.from_arrays([("w", np.ones(2)), ("w", np.ones(3))])
 
     def test_replaced_checks_length(self):
         vec = dc.ParameterVector.from_arrays([("w", np.ones((2, 2)))])
-        with pytest.raises(dc.GraphShapeError):
+        with pytest.raises(dc.GraphError):
             vec.replaced(np.zeros(3))

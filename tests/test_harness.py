@@ -109,7 +109,7 @@ class TestParseConfig:
             parse_config(overrides=["mode=semi", "eta_v=0"])
 
     @pytest.mark.parametrize("kind", sorted(ROUND_TRIPS))
-    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=60)
     @given(data=st.data())
     def test_set_round_trip(self, kind, data):
         key, values, spell = ROUND_TRIPS[kind]
@@ -151,6 +151,19 @@ class TestParseConfig:
         else:
             cfg = parse_config(overrides=overrides)
             assert not harness.StepCoefficients.from_config(cfg).uses_target
+
+    @pytest.mark.parametrize("context, reads_target", [
+        (["mode=semi"], True),
+        (["mode=supervised", "alignment=off"], False),
+        (["mode=semi", "epsilon=1", "w1_sup_coef=0"], False),
+        (["mode=unsupervised"], False),
+    ])
+    def test_the_labeled_target_is_drawn_only_where_a_term_reads_it(self, context,
+                                                                    reads_target):
+        cfg = parse_config(overrides=[*context, "domain_size=50", "labeled_target_size=40"])
+        assert harness.StepCoefficients.from_config(cfg).uses_target == reads_target
+        train, _ = harness.build_datasets(cfg)
+        assert train.target[0].shape[0] == (40 if reads_target else 0)
 
     def test_defaults_satisfy_their_rules(self):
         for key, (_, default, rule) in harness._SCHEMA.items():
@@ -448,6 +461,25 @@ class TestDeterminism:
         b = run(small_cfg(tmp_path / "b", "mode=supervised", "seed=1"))
         assert not np.array_equal(a.model.rep.values, b.model.rep.values)
 
+    def test_every_batch_stream_has_its_own_tag_at_22_sources(self, tmp_path, monkeypatch):
+        """Sources 1-20 and the two target sets keep their tags; sources 21
+        and 22 take tags past the target sets' instead of sharing theirs."""
+        tags = {}
+        stream = data.batch_stream
+
+        def recorded(x, y, batch_size, seed, tag=0):
+            tags[tag] = tags.get(tag, 0) + 1
+            return stream(x, y, batch_size, seed, tag=tag)
+
+        monkeypatch.setattr(data, "batch_stream", recorded)
+        angles = ",".join(str(4.0 * i) for i in range(22))
+        run(parse_config(overrides=[
+            "mode=semi", f"source_angles={angles}", "domain_size=40",
+            "labeled_target_size=20", "batch_size=20", "epochs=1", "warmup_epochs=1",
+            f"outdir={tmp_path}"]))
+        assert tags == dict.fromkeys([*range(20, 40), harness.TAG_TGT_BATCH,
+                                      harness.TAG_UNL_BATCH, 42, 43], 1)
+
 
 # sha256 of metrics.csv + ledger.csv of two short runs, recorded before the
 # step's per-step set-up was cut: a change for speed must not move one bit
@@ -554,6 +586,12 @@ class TestEvaluate:
         m = models.ModelTriple.init(arch, seed=0)
         with pytest.raises(harness.RunError):
             harness.evaluate(m, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    def test_label_count_must_match_the_rows(self):
+        arch = models.ArchSpec(rep_widths=(2, 3), pred_widths=(3, 2))
+        m = models.ModelTriple.init(arch, seed=0)
+        with pytest.raises(harness.RunError, match=r"labels of shape \(1,\) for 5 rows"):
+            harness.evaluate(m, np.zeros((5, 2)), np.zeros(1, dtype=int))
 
     def test_whole_set_passes_peak_in_blocks(self):
         """200 000 rows at run's widths: a whole-set forward holds 200 000 x

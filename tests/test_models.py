@@ -95,7 +95,7 @@ class TestBlockedOutputs:
     rows, where the whole-set products of the hidden layers pass OpenBLAS's
     M*N*K = 1e6 kernel switch and a block's do not."""
 
-    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=40)
     @given(n=st.integers(1, 3 * EVAL_ROWS + 2),
            mode=st.sampled_from(["classification", "regression"]),
            seed=st.integers(0, 2**16))
@@ -213,7 +213,7 @@ class TestSpectralBound:
 
     # entries are zero or at least 1e-6 in magnitude, so w.T @ w never
     # underflows; eigvalsh is a LAPACK routine independent of the SVD
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(st.integers(1, 40), st.integers(1, 40), st.data())
     def test_bound_covers_the_gram_eigenvalue_oracle(self, rows, cols, data):
         w = data.draw(hnp.arrays(np.float64, (rows, cols),
@@ -255,7 +255,7 @@ class TestCertificates:
     def test_non_finite_block_is_named(self, certify, block, name):
         m = small_model(mode="regression")
         getattr(m, block).values[-1] = np.nan
-        with pytest.raises(dc.GraphShapeError, match=f"in the {name} parameters"):
+        with pytest.raises(models.ArchitectureError, match=f"in the {name} parameters"):
             certify(m)
 
     def test_certificate_fields(self):

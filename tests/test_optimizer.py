@@ -38,9 +38,8 @@ class TestSgldStep:
 
     def test_non_finite_gradient_names_coordinate(self):
         g = np.array([0.0, np.nan, 1.0])
-        with pytest.raises(opt.NonFiniteGradientError) as info:
+        with pytest.raises(opt.OptimizerError, match="non-finite gradient at flat coordinate 1$"):
             opt.sgld_step(np.zeros(3), g, eta=0.1, sigma=0.0, noiseless=True)
-        assert info.value.index == 1
 
     def test_shape_mismatch(self):
         with pytest.raises(opt.OptimizerError):
@@ -122,7 +121,7 @@ class TestDuplicateAscent:
         b = opt.sgld_step(p, -g, eta=0.25, sigma=0.0, noiseless=True)
         assert np.array_equal(a, b)
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(st.integers(0, 2**32 - 1))
     def test_has_the_bits_of_params_plus_eta_g(self, seed):
         """The move at step -eta, signed zeros included."""
@@ -179,14 +178,14 @@ class TestLedger:
 
     def test_noiseless_sigma_rejected(self):
         led = opt.GradNormLedger()
-        with pytest.raises(opt.NoiselessLedgerError):
+        with pytest.raises(opt.OptimizerError, match="sigma must be > 0"):
             led.accumulate("u", eta=0.1, sigma=0.0, grad_sq_norm=1.0)
 
     @pytest.mark.parametrize("sigma", [0.0, -0.01, float("nan")])
     def test_replay_rejects_non_positive_sigma(self, tmp_path, sigma):
         """A NaN sigma never reaches accumulate in a replay: the table's
         reader rejects it first, as a value that is not a finite number."""
-        with pytest.raises(opt.NoiselessLedgerError, match="sigma must be > 0"):
+        with pytest.raises(opt.OptimizerError, match="sigma must be > 0"):
             opt.GradNormLedger().accumulate("v", eta=0.1, sigma=sigma, grad_sq_norm=1.0)
         path = write_ledger(tmp_path, [("u", 0.1, 0.01, 4.0), ("v", 0.1, sigma, 1.0)])
         named = ("line 3: sigma 'nan' is not a finite number" if math.isnan(sigma)
@@ -232,7 +231,7 @@ class TestLedger:
             opt.replay_ledger_csv(path)
 
     def test_sigma_whose_square_underflows_is_rejected(self, tmp_path):
-        with pytest.raises(opt.NoiselessLedgerError):
+        with pytest.raises(opt.OptimizerError, match="sigma must be > 0"):
             opt.GradNormLedger().accumulate("u", eta=0.1, sigma=1e-200, grad_sq_norm=1.0)
         path = write_ledger(tmp_path, [("u", 0.1, 1e-200, 1.0)])
         with pytest.raises(opt.OptimizerError, match="row 1: sigma must be > 0"):
@@ -299,7 +298,7 @@ class TestLedger:
         du, dv = opt.replay_ledger_csv(path)
         assert du == led.delta_u and dv == led.delta_v
 
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=100)
     @given(st.lists(st.tuples(st.sampled_from("uv"), st.floats(1e-6, 10.0),
                               st.floats(1e-4, 1.0), st.floats(0.0, 1e6)), max_size=40))
     def test_csv_replay_is_bit_exact_for_any_log(self, tmp_path_factory, steps):
@@ -321,7 +320,7 @@ class TestLedger:
         assert rows[0] == list(opt.LEDGER_HEADER)
         assert rows[1][0] == "7" and rows[1][1] == "u"
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(st.lists(st.tuples(st.sampled_from("uv"), st.floats(0.0, 10.0, exclude_min=True),
                               st.floats(1e-4, 1.0), st.floats(0.0, 1e6)), max_size=30),
            st.integers(-1, 30), st.sampled_from(sorted(FAULTS)))

@@ -66,7 +66,7 @@ def instances(draw, max_n, count):
     return metric, draw(st.lists(st.tuples(points, labels), min_size=count, max_size=count))
 
 
-PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+PROPERTY = settings(max_examples=60)
 
 
 class TestExactW1:
@@ -319,6 +319,11 @@ class TestSubgaussian:
         with pytest.raises(theory.TheoryError):
             theory.subgaussian_from_range(1.0, 0.0)
 
+    @pytest.mark.parametrize("lower, upper", [(float("nan"), 1.0), (0.0, float("inf"))])
+    def test_non_finite_bound_rejected(self, lower, upper):
+        with pytest.raises(theory.TheoryError, match="the loss range holds a non-finite value"):
+            theory.subgaussian_from_range(lower, upper)
+
 
 class TestBoundConstants:
     def test_default_alpha_is_uniform(self):
@@ -536,7 +541,7 @@ class TestTrainingBoundIsTheRegimeMixture:
     """training_risk_bound composes the two regime calculators; its terms
     must be the closed-form terms it replaced."""
 
-    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=500)
     @given(bound_inputs())
     def test_terms_match_the_closed_form(self, inputs):
         report = theory.training_risk_bound(*inputs)
